@@ -633,3 +633,77 @@ func BenchmarkRunnerFanout16(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkEngineCrossover times every crawl-fleet wrapper of mdbench
+// on both grounding engines over product listings and news indexes
+// from ~50 to ~100k nodes: uncached Select, so each run includes
+// building the navigation arrays. The MSO member is left out — its
+// automaton ignores the engine. The fleet rows run all members as one
+// fused QuerySet, as mdlogd's /extractall does. linear ns/node ÷ bitmap
+// ns/node is the per-wrapper crossover table of DESIGN.md § Engine
+// comparison, the measurement behind eval.DefaultEngine.
+func BenchmarkEngineCrossover(b *testing.B) {
+	ctx := context.Background()
+	members := append([]wrapperShape{
+		{"td_b", LangDatalog, `q(X) :- label_td(X), child(X,Y), label_b(Y). ?- q.`, "", "ProductListing"},
+		{"second_cell", LangDatalog, `q(X) :- label_tr(X), firstchild(X,Y), nextsibling(Y,Z), label_td(Z). ?- q.`, "", "ProductListing"},
+		{"second_cell_implied", LangDatalog, `q(A) :- label_tr(A), firstchild(A,B), nextsibling(B,C), label_td(C), firstchild(A,D), dom(A). ?- q.`, "", "ProductListing"},
+		{"summaries", LangDatalog, `q(X) :- label_li(X), child(X,Y), label_span(Y). ?- q.`, "", "NewsIndex"},
+		{"headlines", LangDatalog, `q(X) :- label_li(X), firstchild(X,Y), label_a(Y). ?- q.`, "", "NewsIndex"},
+		{"td_em", LangDatalog, `q(X) :- label_td(X), child(X,Y), label_em(Y). ?- q.`, "", "ProductListing"},
+		{"prices", LangSpanner, `cell(X) :- label_b(Y), child(Y, X), label_#text(X).
+price(X, A) :- cell(X), text(X, S), match(S, /(?<amt>[0-9]+\.[0-9][0-9])/, A).
+?- cell.`, "", "ProductListing"},
+	}, rootRecursiveShapes...)
+	compiled := map[Engine][]*CompiledQuery{}
+	fleets := map[Engine]*QuerySet{}
+	for _, e := range []Engine{EngineLinear, EngineBitmap} {
+		for _, m := range members {
+			opts := []Option{WithEngine(e), WithoutCache()}
+			if m.pred != "" {
+				opts = append(opts, WithQueryPred(m.pred))
+			}
+			q, err := Compile(m.src, m.lang, opts...)
+			if err != nil {
+				b.Fatalf("%s: %v", m.name, err)
+			}
+			compiled[e] = append(compiled[e], q)
+		}
+		set, err := NewQuerySet(compiled[e]...)
+		if err != nil {
+			b.Fatal(err)
+		}
+		fleets[e] = set
+	}
+	perNode := func(b *testing.B, doc *Tree, run func() error) {
+		for i := 0; i < b.N; i++ {
+			if err := run(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(doc.Size()), "ns/node")
+	}
+	for _, gen := range []string{"ProductListing", "NewsIndex"} {
+		for _, nodes := range []int{30, 1000, 10000, 100000} {
+			doc := ParseHTML(widePage(gen, nodes))
+			for _, e := range []Engine{EngineLinear, EngineBitmap} {
+				for i, m := range members {
+					q := compiled[e][i]
+					b.Run(fmt.Sprintf("%s/%s/n=%d/%v", m.name, gen, doc.Size(), e), func(b *testing.B) {
+						perNode(b, doc, func() error { _, err := q.Select(ctx, doc); return err })
+					})
+				}
+				b.Run(fmt.Sprintf("fleet/%s/n=%d/%v", gen, doc.Size(), e), func(b *testing.B) {
+					perNode(b, doc, func() error {
+						for _, r := range fleets[e].Run(ctx, doc) {
+							if r.Err != nil {
+								return r.Err
+							}
+						}
+						return nil
+					})
+				})
+			}
+		}
+	}
+}

@@ -161,23 +161,24 @@ func (s *Set) Or(o *Set) bool {
 	return changed
 }
 
-// OrDiff unions o into s, accumulating the genuinely new bits (o minus
-// the old s) into diff, and reports whether s changed. It is the delta
-// step of semi-naive evaluation: head |= derived, delta |= derived \
-// head, all in one word sweep.
-func (s *Set) OrDiff(o, diff *Set) bool {
+// OrAppend unions o into s and appends the genuinely new bits (o
+// minus the old s) to ids in increasing order, returning the extended
+// slice. It is the head union of semi-naive evaluation: head |=
+// derived, with the delta's node ids produced by the same word sweep,
+// so consumers of the delta never scan the domain to find it.
+func (s *Set) OrAppend(o *Set, ids []int32) []int32 {
 	s.check(o)
-	s.check(diff)
-	changed := false
 	for i, w := range o.words {
 		old := s.words[i]
 		if nw := w &^ old; nw != 0 {
 			s.words[i] = old | nw
-			diff.words[i] |= nw
-			changed = true
+			base := int32(i << 6)
+			for ; nw != 0; nw &= nw - 1 {
+				ids = append(ids, base+int32(bits.TrailingZeros64(nw)))
+			}
 		}
 	}
-	return changed
+	return ids
 }
 
 // Equal reports whether s and o hold exactly the same bits over the

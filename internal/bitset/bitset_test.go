@@ -111,19 +111,26 @@ func TestBinaryOpsAgainstReference(t *testing.T) {
 			}
 
 			dst := a.Clone()
+			ids := dst.OrAppend(b, []int32{-1})
+			checkAgainst(t, dst, refOr, "OrAppend union")
+			if ids[0] != -1 {
+				t.Fatalf("OrAppend overwrote the prefix of ids (n=%d)", n)
+			}
+			ids = ids[1:]
 			diff := New(n)
-			changed = dst.OrDiff(b, diff)
-			checkAgainst(t, dst, refOr, "OrDiff union")
+			for i, id := range ids {
+				if i > 0 && ids[i-1] >= id {
+					t.Fatalf("OrAppend ids not strictly increasing: %v (n=%d)", ids, n)
+				}
+				diff.Add(int(id))
+			}
 			refDiff := map[int]bool{}
 			for i := range rb {
 				if !ra[i] {
 					refDiff[i] = true
 				}
 			}
-			checkAgainst(t, diff, refDiff, "OrDiff delta")
-			if changed != (len(refDiff) > 0) {
-				t.Fatalf("OrDiff reported changed=%v, reference %v (n=%d)", changed, len(refDiff) > 0, n)
-			}
+			checkAgainst(t, diff, refDiff, "OrAppend delta")
 
 			if !a.Equal(a.Clone()) {
 				t.Fatalf("Equal(clone) = false (n=%d)", n)

@@ -8,6 +8,7 @@ package cliflag
 import (
 	"flag"
 	"fmt"
+	"strings"
 
 	"mdlog/internal/eval"
 	"mdlog/internal/opt"
@@ -38,6 +39,6 @@ func OptLevel(fs *flag.FlagSet) func() (opt.Level, error) {
 // parsing; an unknown value yields eval.ParseEngine's error, which
 // names the valid options.
 func Engine(fs *flag.FlagSet) func() (eval.Engine, error) {
-	name := fs.String("engine", "linear", "datalog engine: linear, bitmap, seminaive, naive, lit")
+	name := fs.String("engine", eval.DefaultEngine.String(), "datalog engine: "+strings.Join(eval.EngineNames(), ", "))
 	return func() (eval.Engine, error) { return eval.ParseEngine(*name) }
 }

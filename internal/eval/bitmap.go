@@ -20,18 +20,20 @@ package eval
 //     same way;
 //   - the surviving live bitmap IS the head predicate's new extension
 //     (compileLinear anchors unary-headed rules at the head variable),
-//     OR-ed in with the word-level delta tracked for semi-naive.
+//     OR-ed in by bitset.Set.OrAppend, whose word sweep also lists the
+//     genuinely new node ids — the semi-naive delta.
 //
-// Recursion runs semi-naive on delta bitmaps: a fact derived in round
-// k can only enable rule bodies whose IDB atom binds to it, and since
-// every binary step is an injective partial function, the unique
+// Recursion runs semi-naive on those delta id lists: a fact derived in
+// round k can only enable rule bodies whose IDB atom binds to it, and
+// since every binary step is an injective partial function, the unique
 // candidate anchor is recovered by walking the rule's spanning-tree
 // path backwards from the delta node (invPaths). Dense deltas fall
-// back to re-running the whole columnar pipeline; either way each
-// round ends with a word-level fixpoint test (bitset.Set.OrDiff), and
-// the engine computes the same least model T_P^ω as the Theorem 4.2
-// engine — see DESIGN.md § engine comparison for the soundness
-// argument.
+// back to re-running the whole columnar pipeline. A round touches only
+// its deltas — no per-round scan of the domain — so on a sibling chain,
+// where descendant recursion needs Θ(|dom|) rounds of one node each,
+// the run stays linear; the engine computes the same least model T_P^ω
+// as the Theorem 4.2 engine — see DESIGN.md § engine comparison for
+// the soundness and complexity arguments.
 
 import (
 	"math/bits"
@@ -110,6 +112,7 @@ func NewBitmapPlan(p *datalog.Program) (*BitmapPlan, error) {
 func bitmapPlanOf(pl *Plan) *BitmapPlan {
 	bp := &BitmapPlan{
 		pl:        pl,
+		rules:     make([]bitmapRule, 0, len(pl.rules)),
 		unaryDeps: make([][]int, len(pl.unaryPreds)),
 		propDeps:  make([][]int, len(pl.propPreds)),
 	}
@@ -193,13 +196,16 @@ type bitmapRun struct {
 	dom       int
 	labelSyms []int32
 
-	// unary[pid] is the predicate's current extension; delta / nextDelta
-	// double-buffer the semi-naive deltas, with the dirty lists naming
-	// the predicates whose current buffer is nonempty (so clearing
-	// between rounds touches only what a round actually wrote).
+	// unary[pid] is the predicate's current extension. delta[pid] lists
+	// the node ids this round added to it and nextDelta[pid] those the
+	// previous round added (the frontier being read); the dirty lists
+	// name the predicates whose list is nonempty. A node joins a delta
+	// only when it is new to the extension, so the ids are unique and
+	// Σ|Δ_p| over a run is at most |dom|: reading and resetting the
+	// deltas costs O(|Δ|) per round, never O(|dom|).
 	unary     []*bitset.Set
-	delta     []*bitset.Set
-	nextDelta []*bitset.Set
+	delta     [][]int32
+	nextDelta [][]int32
 	dirty     []int
 	nextDirty []int
 	props     []bool
@@ -215,12 +221,20 @@ type bitmapRun struct {
 
 	// Scratch: live is the pipeline bitmap, cols the gathered binding
 	// columns (one per non-anchor slot), binding the scalar-evaluation
-	// buffer, ruleStamp the per-round rule dedup marks.
+	// buffer, ruleStamp the per-round rule dedup marks, woken the
+	// per-round wake-up list.
 	live      *bitset.Set
 	cols      [][]int32
 	binding   []int
 	ruleStamp []int
+	woken     []int
 	round     int
+
+	// work counts the run's propagation work: delta elements visited
+	// by sparse rounds plus words swept by whole-domain columnar
+	// passes. Linearity tests assert it grows with |dom|, not with
+	// |dom|·rounds.
+	work int
 }
 
 // acquire returns run state for nav: a pooled state when one is
@@ -251,19 +265,11 @@ func (bp *BitmapPlan) acquire(nav *Nav) *bitmapRun {
 			st.nav = nav
 			for i := range st.unary {
 				st.unary[i].Clear()
-				st.delta[i].Clear()
-				st.nextDelta[i].Clear()
 			}
 			for i := range st.props {
 				st.props[i] = false
 			}
-			for i := range st.ruleStamp {
-				st.ruleStamp[i] = 0
-			}
-			st.dirty = st.dirty[:0]
-			st.nextDirty = st.nextDirty[:0]
-			st.propDirty = nil
-			st.round = 0
+			st.reset()
 			return st
 		}
 	}
@@ -273,8 +279,8 @@ func (bp *BitmapPlan) acquire(nav *Nav) *bitmapRun {
 		nav:       nav,
 		dom:       dom,
 		unary:     make([]*bitset.Set, len(pl.unaryPreds)),
-		delta:     make([]*bitset.Set, len(pl.unaryPreds)),
-		nextDelta: make([]*bitset.Set, len(pl.unaryPreds)),
+		delta:     make([][]int32, len(pl.unaryPreds)),
+		nextDelta: make([][]int32, len(pl.unaryPreds)),
 		props:     make([]bool, len(pl.propPreds)),
 		labelBm:   make([]*bitset.Set, len(pl.labels)),
 		live:      bitset.New(dom),
@@ -284,8 +290,6 @@ func (bp *BitmapPlan) acquire(nav *Nav) *bitmapRun {
 	}
 	for i := range st.unary {
 		st.unary[i] = bitset.New(dom)
-		st.delta[i] = bitset.New(dom)
-		st.nextDelta[i] = bitset.New(dom)
 	}
 	if len(pl.labels) > 0 {
 		st.labelSyms = make([]int32, len(pl.labels))
@@ -301,17 +305,38 @@ func (bp *BitmapPlan) acquire(nav *Nav) *bitmapRun {
 // computes, by bulk bitmap algebra instead of Horn propagation.
 func (bp *BitmapPlan) Run(nav *Nav) (*datalog.Database, error) {
 	st := bp.acquire(nav)
-
-	// Round 0: full columnar evaluation of every rule; derivations land
-	// in the delta buffers. Then run semi-naive rounds to fixpoint.
-	for ri := range bp.rules {
-		st.evalColumnar(ri)
-	}
-	st.fixpoint()
-
+	st.evalAll()
 	out := materialize(bp.pl, st.unary, st.props, st.dom)
 	bp.release(st)
 	return out, nil
+}
+
+// evalAll computes the least model from empty extensions. Round 0 is a
+// full columnar evaluation of every rule, whose derivations land in
+// the delta lists; semi-naive rounds then run to fixpoint.
+func (st *bitmapRun) evalAll() {
+	for ri := range st.bp.rules {
+		st.evalColumnar(ri)
+	}
+	st.fixpoint()
+}
+
+// reset empties the semi-naive bookkeeping (deltas, dirty lists, rule
+// stamps, work counter) for a new run; the extensions and props are
+// the caller's to reset.
+func (st *bitmapRun) reset() {
+	for i := range st.delta {
+		st.delta[i] = st.delta[i][:0]
+		st.nextDelta[i] = st.nextDelta[i][:0]
+	}
+	for i := range st.ruleStamp {
+		st.ruleStamp[i] = 0
+	}
+	st.dirty = st.dirty[:0]
+	st.nextDirty = st.nextDirty[:0]
+	st.propDirty = nil
+	st.round = 0
+	st.work = 0
 }
 
 // release parks run state in the pool. The strong Nav reference is
@@ -326,11 +351,19 @@ func (bp *BitmapPlan) release(st *bitmapRun) {
 
 // fixpoint runs semi-naive rounds until nothing new is derived: wake
 // exactly the rules that read a predicate whose extension grew, until
-// a round derives nothing (the word-level fixpoint — OrDiff reported
-// no fresh bits anywhere). On entry st.delta / st.dirty hold the seed
-// round's derivations; it is shared between full evaluation (seeded by
-// the round-0 columnar pass) and incremental maintenance (seeded by
-// the rederivation frontier of an arena delta).
+// a round derives nothing (every delta list stayed empty). On entry
+// st.delta / st.dirty hold the seed round's derivations; it is shared
+// between full evaluation (seeded by the round-0 columnar pass) and
+// incremental maintenance (seeded by the rederivation frontier of an
+// arena delta).
+//
+// Every per-round cost is O(|Δ|): the wake-up list, the dense test,
+// the sparse walks and the reset of the processed lists all read the
+// delta ids, never the domain. A rule's dense (columnar) re-sweep needs
+// its incoming deltas to exceed |dom|/8, and each predicate's deltas
+// sum to at most |dom| over the run, so a rule re-sweeps at most 8
+// times per IDB body atom and the whole run stays O(|P|·|dom|) however
+// many rounds a sibling chain forces.
 func (st *bitmapRun) fixpoint() {
 	bp := st.bp
 	for len(st.dirty) > 0 || len(st.propDirty) > 0 {
@@ -353,9 +386,9 @@ func (st *bitmapRun) fixpoint() {
 			}
 		}
 
-		// The processed buffers become next round's write targets.
+		// The processed lists become next round's write targets.
 		for _, pid := range dirty {
-			st.nextDelta[pid].Clear()
+			st.nextDelta[pid] = st.nextDelta[pid][:0]
 		}
 	}
 }
@@ -381,7 +414,7 @@ func materialize(pl *Plan, unary []*bitset.Set, props []bool, dom int) *datalog.
 // reading a predicate that changed last round. st.delta/st.dirty still
 // hold last round's deltas when it runs.
 func (st *bitmapRun) wokenRules() []int {
-	var woken []int
+	woken := st.woken[:0]
 	wake := func(ri int) {
 		if st.ruleStamp[ri] != st.round {
 			st.ruleStamp[ri] = st.round
@@ -398,6 +431,7 @@ func (st *bitmapRun) wokenRules() []int {
 			wake(ri)
 		}
 	}
+	st.woken = woken
 	return woken
 }
 
@@ -421,8 +455,8 @@ func (st *bitmapRun) propTriggered(br *bitmapRule, propDirty []int) bool {
 func (st *bitmapRun) denseDelta(br *bitmapRule) bool {
 	total := 0
 	for _, u := range br.lr.idbUnary {
-		// Pre-swap naming: nextDelta holds last round's deltas here.
-		total += st.nextDelta[u.pid].Count()
+		// nextDelta holds last round's deltas during a round.
+		total += len(st.nextDelta[u.pid])
 	}
 	return total*8 > st.dom
 }
@@ -552,6 +586,8 @@ func (st *bitmapRun) evalColumnar(ri int) {
 			return
 		}
 	}
+	// One word per 64 nodes for the seed and for every step and check.
+	st.work += (st.dom + 63) / 64 * (1 + len(lr.steps) + len(lr.checks))
 	live := st.live
 	st.seedAnchor(br, live)
 	if !live.Any() {
@@ -572,8 +608,11 @@ func (st *bitmapRun) evalColumnar(ri int) {
 	if lr.headVar >= 0 {
 		// compileLinear anchors unary-headed rules at the head variable,
 		// so live is the set of newly justified head nodes directly.
-		if st.unary[lr.headID].OrDiff(live, st.delta[lr.headID]) {
-			st.markDirty(lr.headID)
+		pid := lr.headID
+		d := st.delta[pid]
+		st.delta[pid] = st.unary[pid].OrAppend(live, d)
+		if len(d) == 0 && len(st.delta[pid]) > 0 {
+			st.dirty = append(st.dirty, pid)
 		}
 	} else {
 		st.setProp(lr.headID)
@@ -746,17 +785,12 @@ func (st *bitmapRun) evalSparse(ri int) {
 		head = st.unary[lr.headID]
 	}
 	for ai, u := range lr.idbUnary {
-		d := st.nextDelta[u.pid] // pre-swap naming: last round's delta
-		if !d.Any() {
-			continue
-		}
+		ids := st.nextDelta[u.pid] // last round's delta
+		st.work += len(ids)
 		path := br.invPaths[ai]
-		done := false
-		d.ForEach(func(w int) {
-			if done {
-				return
-			}
-			v := w
+	next:
+		for _, w := range ids {
+			v := int(w)
 			for _, is := range path {
 				if is.forward {
 					v = is.edge.backward(nav, v)
@@ -764,26 +798,20 @@ func (st *bitmapRun) evalSparse(ri int) {
 					v = is.edge.forward(nav, v)
 				}
 				if v < 0 {
-					return
+					continue next
 				}
 			}
 			if head != nil && head.Has(v) {
-				return
+				continue
 			}
 			if !st.evalAnchor(lr, v) {
+				continue
+			}
+			if head == nil {
+				st.setProp(lr.headID)
 				return
 			}
-			if head != nil {
-				head.Add(v)
-				st.delta[lr.headID].Add(v)
-				st.markDirty(lr.headID)
-			} else {
-				st.setProp(lr.headID)
-				done = true
-			}
-		})
-		if done {
-			return
+			st.derive(lr.headID, v)
 		}
 	}
 }
@@ -833,16 +861,15 @@ func (st *bitmapRun) evalAnchor(lr *linearRule, anchorVal int) bool {
 	return true
 }
 
-// markDirty records that a unary predicate's current write delta is
-// nonempty (idempotent per round via the dirty list scan — the list
-// stays tiny: one entry per predicate).
-func (st *bitmapRun) markDirty(pid int) {
-	for _, d := range st.dirty {
-		if d == pid {
-			return
-		}
+// derive adds the fact pid(v), which the caller has checked is new, to
+// the extension and to this round's delta; the predicate turns dirty
+// with its first delta element.
+func (st *bitmapRun) derive(pid, v int) {
+	st.unary[pid].Add(v)
+	if len(st.delta[pid]) == 0 {
+		st.dirty = append(st.dirty, pid)
 	}
-	st.dirty = append(st.dirty, pid)
+	st.delta[pid] = append(st.delta[pid], int32(v))
 }
 
 // setProp derives a propositional predicate, recording the flip for

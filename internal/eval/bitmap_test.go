@@ -177,3 +177,77 @@ func TestEngineNamesAndValidity(t *testing.T) {
 		t.Fatalf("ParseEngine accepted an unknown name")
 	}
 }
+
+// The root-recursive crawl wrappers as they reach the engine, after
+// the TMNF rewrite and the optimizer: XPath //td[b] and caterpillar
+// child*.label_td.child.label_b.(child^-1).label_td. Both close the
+// descendant axis over firstchild/nextsibling, so a wide node's
+// children join the extension one semi-naive round at a time.
+const (
+	xpathTdB = `
+xp_ax2(X) :- root(X).
+tm_8_s0(X) :- xp_ax2(X_I0), firstchild(X_I0,X).
+tm_8_s0(X) :- tm_8_s0(X0_I18), nextsibling(X0_I18,X).
+xp_ax2(Y) :- tm_8_s0(Y).
+tm_10_s0(X) :- xp_ax2(X_I6), firstchild(X_I6,X).
+tm_10_s0(X) :- tm_10_s0(X0_I14), nextsibling(X0_I14,X).
+tm_12_s0(X) :- label_b(X).
+tm_12_s0(X) :- tm_12_s0(X0_I16), nextsibling(X,X0_I16).
+q(X) :- tm_10_s0(X), label_td(X), tm_12_s0(TMNF_Y0_I8_I20), firstchild(X,TMNF_Y0_I8_I20).
+?- q.`
+	caterpillarTdB = `
+q_s0(X) :- root(X).
+q_s4(X) :- q_s0(X0_I22), firstchild(X0_I22,X).
+q_s0(X) :- q_s4(X).
+q_s4(X) :- q_s4(X0_I23), nextsibling(X0_I23,X).
+q_s12(X) :- q_s0(X0_I24), label_td(X0_I24), firstchild(X0_I24,X).
+q_s12(X) :- q_s12(X0_I25), nextsibling(X0_I25,X).
+q_s18(X) :- q_s12(X), label_b(X).
+q_s18(X) :- q_s18(X0_I26), nextsibling(X,X0_I26).
+q(X) :- q_s18(X0_I28), firstchild(X,X0_I28), label_td(X).
+?- q.`
+)
+
+// wideTable is a root with n td(b) children: one sibling list of n,
+// the shape on which descendant recursion needs Θ(n) rounds.
+func wideTable(n int) *tree.Tree {
+	root := tree.New("tr")
+	for i := 0; i < n; i++ {
+		root.Add(tree.New("td", tree.New("b")))
+	}
+	return tree.NewTree(root)
+}
+
+// TestBitmapWorkLinearInDom pins the O(|Δ|) round: on a sibling list
+// 64× longer, descendant recursion runs 64× more rounds of one node
+// each, and the run's work counter (delta elements visited plus words
+// swept by whole-domain passes) may grow with the node count but not
+// with nodes × rounds. Per-round domain scans would make it quadratic.
+func TestBitmapWorkLinearInDom(t *testing.T) {
+	for name, src := range map[string]string{"xpath": xpathTdB, "caterpillar": caterpillarTdB} {
+		bp, err := NewBitmapPlan(datalog.MustParseProgram(src))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		work := func(children int) (work, dom int) {
+			nav := NewNav(wideTable(children))
+			st := bp.acquire(nav)
+			st.evalAll()
+			if got := st.unary[bp.pl.unaryID["q"]].Count(); got != children {
+				t.Fatalf("%s on %d children: q selects %d nodes, want %d", name, children, got, children)
+			}
+			work = st.work
+			bp.release(st)
+			return work, nav.Dom()
+		}
+		smallWork, smallDom := work(1000)
+		largeWork, largeDom := work(64000)
+		growth := float64(largeWork) / float64(smallWork)
+		nodeRatio := float64(largeDom) / float64(smallDom)
+		t.Logf("%s: work %d → %d (%.1f×) for %.1f× the nodes", name, smallWork, largeWork, growth, nodeRatio)
+		if growth > 1.2*nodeRatio {
+			t.Errorf("%s: work grew %.1f× (%d → %d) for %.1f× the nodes; want at most %.1f×",
+				name, growth, smallWork, largeWork, nodeRatio, 1.2*nodeRatio)
+		}
+	}
+}

@@ -24,9 +24,17 @@ const (
 	// EngineBitmap evaluates the Theorem 4.2 fragment as bulk bitset
 	// algebra over the arena columns (bitmap.go): monadic predicates
 	// are dense node bitmaps, body atoms are column-gather kernels,
-	// recursion is semi-naive on delta bitmaps.
+	// recursion is semi-naive on delta node-id lists.
 	EngineBitmap
 )
+
+// DefaultEngine is the engine used when none is chosen: by compiled
+// queries, by the command line tools' -engine flag and by mdlogd. The
+// bitmap engine measures faster than the linear one on every
+// crawl-fleet wrapper at every page size from ~45 nodes to ~100k
+// (DESIGN.md § Engine comparison); EngineLinear stays selectable as
+// the paper's reference pipeline and the differential oracle.
+const DefaultEngine = EngineBitmap
 
 // EngineNames lists the valid engine flag names, in the order flags
 // and error messages present them.

@@ -157,11 +157,7 @@ func newIncState(bp *BitmapPlan, a *tree.Arena) *IncState {
 		s.unary[i] = bitset.New(s.dom)
 	}
 	// Full initial evaluation, retaining the extension bitmaps.
-	st := s.freshRun()
-	for ri := range bp.rules {
-		st.evalColumnar(ri)
-	}
-	st.fixpoint()
+	s.freshRun().evalAll()
 	return s
 }
 
@@ -177,9 +173,10 @@ func (s *IncState) Fallback() bool { return s.fallback }
 func (s *IncState) Stats() IncStats { return s.stats }
 
 // freshRun readies the persistent scratch run state for the arena's
-// current width: grows the maintained extensions and delta buffers,
-// re-resolves labels, and invalidates the per-document condition
-// bitmaps (the previous generation's are stale).
+// current width: grows the maintained extensions and the pipeline
+// bitmap, empties the delta lists, re-resolves labels, and invalidates
+// the per-document condition bitmaps (the previous generation's are
+// stale).
 func (s *IncState) freshRun() *bitmapRun {
 	bp := s.bp
 	pl := bp.pl
@@ -189,18 +186,14 @@ func (s *IncState) freshRun() *bitmapRun {
 	if st == nil {
 		st = &bitmapRun{
 			bp:        bp,
-			delta:     make([]*bitset.Set, len(pl.unaryPreds)),
-			nextDelta: make([]*bitset.Set, len(pl.unaryPreds)),
+			delta:     make([][]int32, len(pl.unaryPreds)),
+			nextDelta: make([][]int32, len(pl.unaryPreds)),
 			props:     make([]bool, len(pl.propPreds)),
 			labelBm:   make([]*bitset.Set, len(pl.labels)),
 			live:      bitset.New(dom),
 			cols:      make([][]int32, bp.maxVars),
 			binding:   make([]int, bp.maxVars),
 			ruleStamp: make([]int, len(bp.rules)),
-		}
-		for i := range st.delta {
-			st.delta[i] = bitset.New(dom)
-			st.nextDelta[i] = bitset.New(dom)
 		}
 		if len(pl.labels) > 0 {
 			st.labelSyms = make([]int32, len(pl.labels))
@@ -211,12 +204,6 @@ func (s *IncState) freshRun() *bitmapRun {
 	st.unary = s.unary
 	for i := range s.unary {
 		s.unary[i].Grow(dom)
-	}
-	for i := range st.delta {
-		st.delta[i].Grow(dom)
-		st.delta[i].Clear()
-		st.nextDelta[i].Grow(dom)
-		st.nextDelta[i].Clear()
 	}
 	st.live.Grow(dom)
 	for i, c := range st.cols {
@@ -234,13 +221,7 @@ func (s *IncState) freshRun() *bitmapRun {
 	for i, l := range pl.labels {
 		st.labelSyms[i] = nav.LabelID(l)
 	}
-	for i := range st.ruleStamp {
-		st.ruleStamp[i] = 0
-	}
-	st.dirty = st.dirty[:0]
-	st.nextDirty = st.nextDirty[:0]
-	st.propDirty = nil
-	st.round = 0
+	st.reset()
 	return st
 }
 
@@ -392,9 +373,7 @@ func (s *IncState) Apply(d *tree.ArenaDelta) error {
 					continue
 				}
 				if st.evalAnchor(lr, v) {
-					head.Add(v)
-					st.delta[lr.headID].Add(v)
-					st.markDirty(lr.headID)
+					st.derive(lr.headID, v)
 				}
 			}
 		}

@@ -171,7 +171,7 @@ func CompileOnceAmortization(cfg Config) Table {
 				}
 			}
 		})
-		q, err := mdlog.CompileProgram(p)
+		q, err := mdlog.CompileProgram(p, mdlog.WithEngine(mdlog.EngineLinear))
 		if err != nil {
 			panic(err)
 		}

@@ -59,7 +59,7 @@ func IncrementalData(cfg Config) []IncrementalPoint {
 		// Full baseline: every revision reparses the source and
 		// re-extracts on the fresh tree (each parse yields a new tree
 		// identity, so nothing is served from a memo).
-		qFull, err := mdlog.Compile(incrementalQuery, mdlog.LangDatalog)
+		qFull, err := mdlog.Compile(incrementalQuery, mdlog.LangDatalog, mdlog.WithEngine(mdlog.EngineLinear))
 		if err != nil {
 			panic(err)
 		}
@@ -74,7 +74,7 @@ func IncrementalData(cfg Config) []IncrementalPoint {
 			if k < 1 {
 				k = 1
 			}
-			q, err := mdlog.Compile(incrementalQuery, mdlog.LangDatalog)
+			q, err := mdlog.Compile(incrementalQuery, mdlog.LangDatalog, mdlog.WithEngine(mdlog.EngineLinear))
 			if err != nil {
 				panic(err)
 			}

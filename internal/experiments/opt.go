@@ -67,7 +67,7 @@ func OptData(cfg Config) []OptPoint {
 	msoSrc := `label_td(x) & exists y (child(x,y) & label_b(y))`
 	wrappers := []wrapper{
 		{"elog-products", func(lvl mdlog.OptLevel) (*mdlog.CompiledQuery, error) {
-			return mdlog.Compile(optElogSource, mdlog.LangElog,
+			return mdlog.Compile(optElogSource, mdlog.LangElog, mdlog.WithEngine(mdlog.EngineLinear),
 				mdlog.WithQueryPred("price"), mdlog.WithOptLevel(lvl), mdlog.WithoutCache())
 		}, "elog"},
 		{"mso-td-b", func(lvl mdlog.OptLevel) (*mdlog.CompiledQuery, error) {
@@ -85,11 +85,11 @@ func OptData(cfg Config) []OptPoint {
 			if err != nil {
 				return nil, err
 			}
-			return mdlog.CompileProgram(prog, mdlog.WithQueryPred("q"),
+			return mdlog.CompileProgram(prog, mdlog.WithEngine(mdlog.EngineLinear), mdlog.WithQueryPred("q"),
 				mdlog.WithExtract("q"), mdlog.WithOptLevel(lvl), mdlog.WithoutCache())
 		}, "mso"},
 		{"xpath-td-b", func(lvl mdlog.OptLevel) (*mdlog.CompiledQuery, error) {
-			return mdlog.Compile(`//td[b]`, mdlog.LangXPath,
+			return mdlog.Compile(`//td[b]`, mdlog.LangXPath, mdlog.WithEngine(mdlog.EngineLinear),
 				mdlog.WithOptLevel(lvl), mdlog.WithoutCache())
 		}, "xpath"},
 	}

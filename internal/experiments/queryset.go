@@ -47,8 +47,9 @@ type QuerySetPoint struct {
 // product page family: Elog⁻ field extractors sharing the table-row
 // chain and differing in their leaf patterns, interleaved with XPath
 // wrappers — the deployment shape where many tenants watch the same
-// pages. Exported so BenchmarkQuerySetFused measures the identical
-// fleet this experiment does.
+// pages. Members compile for the linear engine (the bitmap columns
+// append WithEngine(EngineBitmap)). Exported so BenchmarkQuerySetFused
+// measures the identical fleet this experiment does.
 func QuerySetFamily(n int) []mdlog.SetSpec {
 	leafs := []string{"td.#text", "td.b", "td.b.#text", "td.em", "td.em.#text", "td.a"}
 	xpaths := []string{`//td[b]`, `//tr[td]/td`, `//td[em]`, `//table/tr`}
@@ -56,9 +57,10 @@ func QuerySetFamily(n int) []mdlog.SetSpec {
 	for i := 0; i < n; i++ {
 		if i%4 == 3 {
 			specs = append(specs, mdlog.SetSpec{
-				Name:   fmt.Sprintf("w%d", i),
-				Source: xpaths[(i/4)%len(xpaths)],
-				Lang:   mdlog.LangXPath,
+				Name:    fmt.Sprintf("w%d", i),
+				Source:  xpaths[(i/4)%len(xpaths)],
+				Lang:    mdlog.LangXPath,
+				Options: []mdlog.Option{mdlog.WithEngine(mdlog.EngineLinear)},
 			})
 			continue
 		}
@@ -69,7 +71,7 @@ item(x) :- root(x0), subelem("html.body.table.tr", x0, x).
 f(x)    :- item(x0), subelem(%q, x0, x).
 `, leafs[i%len(leafs)]),
 			Lang:    mdlog.LangElog,
-			Options: []mdlog.Option{mdlog.WithQueryPred("f")},
+			Options: []mdlog.Option{mdlog.WithEngine(mdlog.EngineLinear), mdlog.WithQueryPred("f")},
 		})
 	}
 	return specs

@@ -59,8 +59,9 @@ type Config struct {
 	Opt string `json:"opt,omitempty"`
 	// Engine is the daemon-wide default evaluation engine ("linear",
 	// "bitmap", "seminaive", "naive", "lit") applied to wrapper specs
-	// that do not set their own; empty means linear. An unknown name
-	// fails the boot with an error listing the valid engines.
+	// that do not set their own; empty means the library default,
+	// bitmap. An unknown name fails the boot with an error listing the
+	// valid engines.
 	Engine string `json:"engine,omitempty"`
 	// MaxSessions bounds live document sessions (0:
 	// DefaultMaxSessions; < 0: unbounded). At capacity, PUT
@@ -121,7 +122,7 @@ type WrapperSpec struct {
 	KeepText bool `json:"keep_text,omitempty"`
 	// Engine selects the evaluation engine ("linear", "bitmap",
 	// "seminaive", "naive", "lit"; empty: the daemon default, which
-	// itself defaults to linear). Only datalog-routed plans honor it;
+	// itself defaults to bitmap). Only datalog-routed plans honor it;
 	// an unknown name is rejected at compile time with an error
 	// listing the valid engines.
 	Engine string `json:"engine,omitempty"`

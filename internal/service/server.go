@@ -74,7 +74,7 @@ type Server struct {
 	defaultOpt string
 	// defaultEngine is the daemon-wide evaluation engine applied to
 	// wrapper specs that leave theirs empty ("" means library default,
-	// i.e. the linear engine).
+	// i.e. the bitmap engine).
 	defaultEngine string
 
 	// Persistence (nil without a data dir): the registry snapshot on

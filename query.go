@@ -217,7 +217,7 @@ type compileConfig struct {
 }
 
 // WithEngine selects the datalog evaluation engine (default
-// EngineLinear). Only plans that execute datalog honor it; the MSO
+// EngineBitmap). Only plans that execute datalog honor it; the MSO
 // automaton and the direct XPath/Elog⁻Δ evaluators ignore it. The
 // grounding engines (EngineLinear, EngineBitmap) apply to every
 // datalog-routed language; the set-oriented engines (seminaive,
@@ -428,7 +428,7 @@ func parseSource(src string, lang Language, opts []Option) (func() (*CompiledQue
 }
 
 func newConfig(opts []Option) *compileConfig {
-	cfg := &compileConfig{engine: EngineLinear, optLevel: OptFull}
+	cfg := &compileConfig{engine: eval.DefaultEngine, optLevel: OptFull}
 	for _, o := range opts {
 		o(cfg)
 	}
@@ -506,6 +506,17 @@ func (cfg *compileConfig) checkEngine() error {
 // Theorem 4.2 grounding plans (per-rule anchor propagation) rather
 // than set-oriented relational evaluation.
 func isGroundingEngine(e Engine) bool { return e == EngineLinear || e == EngineBitmap }
+
+// groundingEngine is the engine for a source that always grounds
+// (XPath, caterpillar, a spanner's node part): the configured engine
+// if it is a grounding one, the default otherwise — the set-oriented
+// engines are ignored there, as documented on WithEngine.
+func (c *compileConfig) groundingEngine() Engine {
+	if isGroundingEngine(c.engine) {
+		return c.engine
+	}
+	return eval.DefaultEngine
+}
 
 // groundPlan prepares an already-normalized program for one of the
 // two grounding engines: the Theorem 4.2 linear engine or its
@@ -611,13 +622,8 @@ func CompileXPath(x *XPath, opts ...Option) (*CompiledQuery, error) {
 	if pred == "" {
 		pred = DefaultQueryPred
 	}
-	// XPath always routes through the TMNF translation, so only the
-	// choice between the two grounding engines applies; the
-	// set-oriented engines are ignored as documented on WithEngine.
-	engine := EngineLinear
-	if cfg.engine == EngineBitmap {
-		engine = EngineBitmap
-	}
+	// XPath always routes through the TMNF translation.
+	engine := cfg.groundingEngine()
 	var plan queryPlan
 	var report OptReport
 	var memoKey any
@@ -663,12 +669,7 @@ func CompileCaterpillar(e CaterpillarExpr, opts ...Option) (*CompiledQuery, erro
 	if pred == "" {
 		pred = DefaultQueryPred
 	}
-	// As with XPath: grounding-engine choice applies, set-oriented
-	// engines are ignored.
-	engine := EngineLinear
-	if cfg.engine == EngineBitmap {
-		engine = EngineBitmap
-	}
+	engine := cfg.groundingEngine()
 	cp := caterpillar.QueryProgram(e, pred)
 	if eval.SignatureOf(cp).Child {
 		tp, err := tmnf.Transform(cp)

@@ -7,9 +7,9 @@ package mdlog
 // isolation. A QuerySet apex-renames the members' post-optimization
 // programs into one fused program (opt.Fuse), deduplicates the
 // auxiliary tm_*/conn_* chains the translations share, prepares ONE
-// linear-engine plan for the union, and per document runs that plan
-// once, projecting each member's visible relations back out. Members
-// that do not route through the linear datalog engine (the MSO
+// grounding plan for the union, and per document runs that plan once,
+// projecting each member's visible relations back out. Members that
+// do not route through a grounding datalog engine (the MSO
 // automaton, the direct XPath/Elog⁻Δ evaluators, the set-oriented
 // engines) are evaluated individually inside the same Run call with
 // identical results — fusion is an optimization, never a semantics
@@ -91,7 +91,7 @@ type QuerySet struct {
 	cache   *TreeCache
 
 	// fused covers the members at the positions in fusedIdx — every
-	// member whose plan routes through the linear datalog engine; nil
+	// member whose plan routes through a grounding datalog engine; nil
 	// when fewer than two members are fusable.
 	fused    *eval.FusedPlan
 	fusedIdx []int
@@ -174,7 +174,7 @@ func NewNamedQuerySet(members ...NamedQuery) (*QuerySet, error) {
 		s.plans[i] = MemberPlan{Name: m.Name, Index: i, Class: -1}
 	}
 	var fuseMembers []opt.FuseMember
-	bitmapMembers := 0
+	linearMembers := 0
 	for i, m := range s.members {
 		if m.Query == nil {
 			return nil, fmt.Errorf("mdlog: QuerySet member %d (%s) is nil", i, m.Name)
@@ -194,9 +194,9 @@ func NewNamedQuerySet(members ...NamedQuery) (*QuerySet, error) {
 		switch lp := plan.(type) {
 		case *linearPlan:
 			prog, visible = lp.plan.Program(), lp.project
+			linearMembers++
 		case *bitmapPlan:
 			prog, visible = lp.plan.Program(), lp.project
-			bitmapMembers++
 		default:
 			continue
 		}
@@ -288,13 +288,13 @@ func NewNamedQuerySet(members ...NamedQuery) (*QuerySet, error) {
 				mp.SharedWith = classRep[mp.Class]
 			}
 		}
-		// The shared pass runs on the bitmap engine only when EVERY
-		// fusable member asked for it — a single mixed set falls back to
-		// linear, which is an optimization choice, not a semantics
-		// change (the two engines are differentially tested to agree).
-		fusedEngine := EngineLinear
-		if bitmapMembers == len(fuseMembers) {
-			fusedEngine = EngineBitmap
+		// The shared pass runs on the linear engine only when EVERY
+		// fusable member asked for it — a mixed set runs on the default,
+		// which is an optimization choice, not a semantics change (the
+		// two engines are differentially tested to agree).
+		fusedEngine := eval.DefaultEngine
+		if linearMembers == len(fuseMembers) {
+			fusedEngine = EngineLinear
 		}
 		fp, err := eval.NewFusedPlanEngine(fusedProg, evalMembers, fusedEngine)
 		if err != nil {

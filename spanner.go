@@ -89,12 +89,8 @@ func CompileSpanner(p *SpannerProgram, opts ...Option) (*CompiledQuery, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The node part always routes through the grounding engines (as
-	// with XPath): only the linear/bitmap choice applies.
-	engine := EngineLinear
-	if cfg.engine == EngineBitmap {
-		engine = EngineBitmap
-	}
+	// The node part always routes through the grounding engines.
+	engine := cfg.groundingEngine()
 	// The candidate predicates must stay visible past the optimizer —
 	// they are what the span evaluator reads — alongside whatever the
 	// user program exposes.
