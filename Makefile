@@ -2,9 +2,9 @@
 
 GO ?= go
 
-.PHONY: check vet build test race bench-smoke bench bench-treesize bench-service bench-opt bench-queryset bench-incremental bench-subsume bench-span fuzz-smoke docs-gate
+.PHONY: check vet build test race mdbench-check bench-smoke bench bench-treesize bench-service bench-opt bench-queryset bench-incremental bench-subsume bench-span fuzz-smoke docs-gate
 
-check: docs-gate build race fuzz-smoke bench-smoke
+check: docs-gate build race mdbench-check fuzz-smoke bench-smoke
 
 vet:
 	$(GO) vet ./...
@@ -17,6 +17,11 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# mdbench is its own module (replace mdlog => ../), so ./... above never
+# compiles it; it builds against the façade, so vet and test it here.
+mdbench-check:
+	cd mdbench && $(GO) vet ./... && $(GO) test ./...
 
 # The docs gate: formatting, vet, and the exported-doc-comment check
 # on the root package (doccheck_test.go). gofmt -l prints offenders;

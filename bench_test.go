@@ -427,7 +427,7 @@ price(x)  :- item(x0), subelem("td.b.#text", x0, x).
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			r := Runner{Workers: workers}
 			for i := 0; i < b.N; i++ {
-				for _, res := range r.SelectAll(ctx, q, docs) {
+				for _, res := range MapAll(ctx, r, docs, q.Select) {
 					if res.Err != nil {
 						b.Fatal(res.Err)
 					}
@@ -532,8 +532,8 @@ q(X) :- label_td(X), firstchild(X,Y), label_b(Y).
 
 // BenchmarkHTMLStreamIngestion — EXT-SERVICE (library side): the
 // ingestion fan-out under mdlogd's /batch endpoint. A batch of raw
-// HTML pages is pushed through Runner.SelectHTMLStream, so tokenize →
-// arena-build → evaluate all run inside the worker pool; the
+// HTML pages is pushed through Map with a parse-then-Select task, so
+// tokenize → arena-build → evaluate all run inside the worker pool; the
 // sequential lane is the same pipeline without the pool.
 func BenchmarkHTMLStreamIngestion(b *testing.B) {
 	ctx := context.Background()
@@ -568,7 +568,7 @@ func BenchmarkHTMLStreamIngestion(b *testing.B) {
 					srcs <- strings.NewReader(p)
 				}
 				close(srcs)
-				for res := range r.SelectHTMLStream(ctx, q, srcs) {
+				for res := range Map(ctx, r, srcs, selectHTML(q)) {
 					if res.Err != nil {
 						b.Fatal(res.Err)
 					}
@@ -596,7 +596,7 @@ func BenchmarkStatsRecordParallel(b *testing.B) {
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
-			if _, _, err := q.SelectStats(ctx, doc); err != nil {
+			if err := q.Run(ctx, doc).Err; err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -618,7 +618,7 @@ func BenchmarkRunnerFanout16(b *testing.B) {
 		docs[i] = ParseHTML(html.ProductListing(rng, 50))
 	}
 	r := Runner{Workers: 16}
-	for _, res := range r.SelectAll(ctx, q, docs) { // prime the memo
+	for _, res := range MapAll(ctx, r, docs, q.Select) { // prime the memo
 		if res.Err != nil {
 			b.Fatal(res.Err)
 		}
@@ -626,7 +626,7 @@ func BenchmarkRunnerFanout16(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, res := range r.SelectAll(ctx, q, docs) {
+		for _, res := range MapAll(ctx, r, docs, q.Select) {
 			if res.Err != nil {
 				b.Fatal(res.Err)
 			}

@@ -92,7 +92,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 		docs[i] = mdlog.ParseHTML(string(page))
 	}
 
-	results := (mdlog.Runner{Workers: *workers}).WrapAll(context.Background(), q, docs)
+	ctx := context.Background()
+	results := mdlog.MapAll(ctx, mdlog.Runner{Workers: *workers}, docs, q.Wrap)
 	for i, res := range results {
 		if res.Err != nil {
 			return fmt.Errorf("%s: %w", fs.Arg(i), res.Err)
@@ -101,11 +102,13 @@ func run(args []string, stdout, stderr io.Writer) error {
 			fmt.Fprintf(stdout, "<!-- %s -->\n", fs.Arg(i))
 		}
 		if *showAssign {
-			for pat, ids := range res.Assignment {
+			// A repeat run on the same tree: the result memo the Wrap run
+			// just filled serves it.
+			for pat, ids := range q.Run(ctx, docs[i]).Assignment {
 				fmt.Fprintf(stderr, "%s: %v\n", pat, ids)
 			}
 		}
-		if err := wrap.WriteXML(stdout, res.Output); err != nil {
+		if err := wrap.WriteXML(stdout, res.Value); err != nil {
 			return err
 		}
 	}

@@ -136,6 +136,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	ctx := context.Background()
+	runner := mdlog.Runner{Workers: *workers}
 
 	// Compile once; pass runs the extraction over one batch of
 	// documents and finishStats reports the lifetime aggregate —
@@ -158,7 +159,9 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 		queries := set.Queries()
 		pass = func(prefix string, docs []*mdlog.Tree) error {
-			results := (mdlog.Runner{Workers: *workers}).SetAll(ctx, set, docs)
+			results := mdlog.MapAll(ctx, runner, docs, func(ctx context.Context, t *mdlog.Tree) ([]mdlog.SetResult, error) {
+				return set.Run(ctx, t), nil
+			})
 			for _, dr := range results {
 				if dr.Err != nil {
 					return fmt.Errorf("document %d: %w", dr.Index, dr.Err)
@@ -167,7 +170,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 				if len(docs) > 1 {
 					p = fmt.Sprintf("%s[doc %d] ", prefix, dr.Index)
 				}
-				for _, res := range dr.Results {
+				for _, res := range dr.Value {
 					if res.Err != nil {
 						return fmt.Errorf("document %d, program %s: %w", dr.Index, res.Name, res.Err)
 					}
@@ -201,48 +204,42 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if *explainArg {
 			explainQuery(stdout, sources[0].name, q)
 		}
-		print := func(prefix string, db *mdlog.Database) {
-			preds := q.ExtractPreds()
-			if q.QueryPred() != "" {
-				preds = []string{q.QueryPred()}
-			}
-			for _, pred := range preds {
-				fmt.Fprintf(stdout, "%s%s: %v\n", prefix, pred, db.UnarySet(pred))
+		// One run shape for every language: a spanner prints its span
+		// relations one row per line (the node part's ?- selection
+		// stays internal), anything else its query predicate or, failing
+		// that, every extraction predicate.
+		print := func(prefix string, res mdlog.SetResult) {
+			switch {
+			case lang == mdlog.LangSpanner:
+				printSpans(stdout, prefix, res.Spans)
+			case q.QueryPred() != "":
+				fmt.Fprintf(stdout, "%s%s: %v\n", prefix, q.QueryPred(), res.IDs)
+			default:
+				for _, pred := range q.ExtractPreds() {
+					fmt.Fprintf(stdout, "%s%s: %v\n", prefix, pred, res.Assignment[pred])
+				}
 			}
 		}
 		pass = func(prefix string, docs []*mdlog.Tree) error {
 			if len(docs) == 1 {
-				db, err := q.Eval(ctx, docs[0])
-				if err != nil {
-					return err
+				res := q.Run(ctx, docs[0])
+				if res.Err != nil {
+					return res.Err
 				}
-				print(prefix, db)
+				print(prefix, res)
 				return nil
 			}
-			for _, res := range (mdlog.Runner{Workers: *workers}).EvalAll(ctx, q, docs) {
+			results := mdlog.MapAll(ctx, runner, docs, func(ctx context.Context, t *mdlog.Tree) (mdlog.SetResult, error) {
+				res := q.Run(ctx, t)
+				return res, res.Err
+			})
+			for _, res := range results {
 				if res.Err != nil {
 					return fmt.Errorf("document %d: %w", res.Index, res.Err)
 				}
-				print(fmt.Sprintf("%s[doc %d] ", prefix, res.Index), res.DB)
+				print(fmt.Sprintf("%s[doc %d] ", prefix, res.Index), res.Value)
 			}
 			return nil
-		}
-		if lang == mdlog.LangSpanner {
-			// Spanner mode: the result is the span relations, printed one
-			// row per line; the node part's ?- selection stays internal.
-			pass = func(prefix string, docs []*mdlog.Tree) error {
-				for _, res := range (mdlog.Runner{Workers: *workers}).SpansAll(ctx, q, docs) {
-					if res.Err != nil {
-						return fmt.Errorf("document %d: %w", res.Index, res.Err)
-					}
-					p := prefix
-					if len(docs) > 1 {
-						p = fmt.Sprintf("%s[doc %d] ", prefix, res.Index)
-					}
-					printSpans(stdout, p, res.Spans)
-				}
-				return nil
-			}
 		}
 		finishStats = func() {
 			s := q.Stats()

@@ -280,7 +280,7 @@ func TestDifferentialEngines(t *testing.T) {
 				randomDocEdit(t, rng, doc, []string{"a", "b", "c"})
 				want := fmt.Sprint(replayUnary(t, ctx, p, doc, []string{"p0"})["p0"])
 				for _, q := range incArms {
-					ids, err := q.SelectIncremental(ctx, doc)
+					ids, err := selectInc(ctx, q, doc)
 					if err != nil {
 						t.Fatalf("case %d step %d: incremental %s: %v\nprogram:\n%s", i, step, q.EngineName(), err, p)
 					}

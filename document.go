@@ -5,13 +5,13 @@ package mdlog
 // SetAttr), records every edit as a tree.ArenaDelta window, and feeds
 // those windows to per-plan incremental maintainers
 // (eval.IncState, DESIGN.md § Incremental maintenance). A compiled
-// query run through SelectIncremental / EvalIncremental — or a whole
-// QuerySet through RunIncremental — pays per edit for the delta-rule
-// maintenance of its model instead of re-evaluating the document from
-// scratch; plans outside the maintainable fragment (the MSO
-// automaton, direct evaluators, generic engines) transparently fall
-// back to a from-scratch run over the canonical live tree, mapped
-// back to arena ids, so results are engine-independent.
+// query — or a whole QuerySet — run through RunIncremental pays per
+// edit for the delta-rule maintenance of its model instead of
+// re-evaluating the document from scratch; plans outside the
+// maintainable fragment (the MSO automaton, direct evaluators, generic
+// engines) transparently fall back to a from-scratch run over the
+// canonical live tree, mapped back to arena ids, so results are
+// engine-independent.
 //
 // All edits to a Document's tree MUST go through the Document: it
 // serializes mutation against evaluation and keeps the delta log that
@@ -35,10 +35,10 @@ import (
 // per-query incremental evaluation state that keep compiled queries'
 // results maintained under mutation. Build one with NewDocument; edit
 // through the mutation methods; query through
-// CompiledQuery.SelectIncremental / EvalIncremental / AssignIncremental
-// or QuerySet.RunIncremental. All methods are safe for concurrent use
-// (one mutex serializes edits and incremental runs — concurrent
-// editors and readers interleave at whole-operation granularity).
+// CompiledQuery.RunIncremental or QuerySet.RunIncremental. All methods
+// are safe for concurrent use (one mutex serializes edits and
+// incremental runs — concurrent editors and readers interleave at
+// whole-operation granularity).
 type Document struct {
 	mu    sync.Mutex
 	t     *Tree
@@ -380,65 +380,18 @@ func remapToArena(db *Database, pre []int32, dom int) *Database {
 	return out
 }
 
-// SelectIncremental is Select against a live document: the query's
-// model is maintained incrementally under the document's edits
-// (DESIGN.md § Incremental maintenance), so an edit re-derives only
-// what the edit touched. Returned ids are arena ids — stable across
-// edits, not necessarily document order after mutations (see
-// Document.Snapshot for canonical ids).
-func (q *CompiledQuery) SelectIncremental(ctx context.Context, d *Document) ([]int, error) {
-	if q.queryPred == "" {
-		return nil, fmt.Errorf("mdlog: %v query has no distinguished query predicate; compile with WithQueryPred or add a ?- directive / Extract list", q.lang)
-	}
+// RunIncremental is Run against a live document: the query's model
+// is maintained incrementally under the document's edits (DESIGN.md §
+// Incremental maintenance), so an edit re-derives only what the edit
+// touched, and a spanner's automata read the arena's current text —
+// including SetText/AppendText edits. Returned ids are arena ids —
+// stable across edits, not necessarily document order after mutations
+// (see Document.Snapshot for canonical ids).
+func (q *CompiledQuery) RunIncremental(ctx context.Context, d *Document) SetResult {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	db, rs, err := q.runIncrementalIn(ctx, d, q.cache)
-	if err != nil {
-		return nil, err
-	}
-	ids := db.UnarySet(q.queryPred)
-	rs.Runs = 1
-	rs.Facts = int64(len(ids))
-	q.record(rs)
-	return ids, nil
-}
-
-// EvalIncremental is Eval against a live document (see
-// SelectIncremental for the id space and maintenance contract).
-func (q *CompiledQuery) EvalIncremental(ctx context.Context, d *Document) (*Database, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	db, rs, err := q.runIncrementalIn(ctx, d, q.cache)
-	if err != nil {
-		return nil, err
-	}
-	rs.Runs = 1
-	rs.Facts = int64(db.Size())
-	q.record(rs)
-	return db, nil
-}
-
-// AssignIncremental is Assign against a live document (see
-// SelectIncremental for the id space and maintenance contract).
-func (q *CompiledQuery) AssignIncremental(ctx context.Context, d *Document) (Assignment, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	db, rs, err := q.runIncrementalIn(ctx, d, q.cache)
-	if err != nil {
-		return nil, err
-	}
-	a := Assignment{}
-	var facts int64
-	for _, pred := range q.extract {
-		if ids := db.UnarySet(pred); len(ids) > 0 {
-			a[pred] = ids
-			facts += int64(len(ids))
-		}
-	}
-	rs.Runs = 1
-	rs.Facts = facts
-	q.record(rs)
-	return a, nil
+	return q.result(arenaSource{a: d.arena}, db, rs, err)
 }
 
 // RunIncremental is Run against a live document: the fused pass
@@ -470,7 +423,7 @@ func (s *QuerySet) RunIncremental(ctx context.Context, d *Document) []SetResult 
 			}
 			st := eval.AttributeShared(shared, len(s.fusedIdx))
 			st.Runs, st.FusedRuns = 1, 1
-			s.fill(res, arenaSource{a: d.arena}, dbs[j], st)
+			s.members[idx].Query.fill(res, arenaSource{a: d.arena}, dbs[j], st)
 		}
 	}
 	for i, m := range s.members {
@@ -488,7 +441,7 @@ func (s *QuerySet) RunIncremental(ctx context.Context, d *Document) []SetResult 
 			continue
 		}
 		rs.Runs = 1
-		s.fill(&out[i], arenaSource{a: d.arena}, db, rs)
+		m.Query.fill(&out[i], arenaSource{a: d.arena}, db, rs)
 	}
 	for i := range out {
 		total.Facts += out[i].Stats.Facts

@@ -49,7 +49,7 @@ func TestDocumentLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ids, err := q.SelectIncremental(ctx, doc)
+	ids, err := selectInc(ctx, q, doc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestDocumentLifecycle(t *testing.T) {
 	if err := doc.RemoveSubtree(id); err != nil {
 		t.Fatal(err)
 	}
-	ids, err = q.SelectIncremental(ctx, doc)
+	ids, err = selectInc(ctx, q, doc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,14 +88,14 @@ func TestDocumentDetectsOutOfBandMutation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := q.SelectIncremental(ctx, doc); err != nil {
+	if _, err := selectInc(ctx, q, doc); err != nil {
 		t.Fatal(err)
 	}
 	a := tr.Arena()
 	if _, err := a.InsertSubtree(a.NewDelta(), 0, 0, tree.New("x")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := q.SelectIncremental(ctx, doc); err == nil {
+	if _, err := selectInc(ctx, q, doc); err == nil {
 		t.Fatal("out-of-band mutation went undetected")
 	}
 }
@@ -116,7 +116,7 @@ func TestDocumentIncrementalFallback(t *testing.T) {
 	doc := NewDocument(tr)
 	for step := 0; step < 8; step++ {
 		randomDocEdit(t, rng, doc, labels)
-		got, err := q.SelectIncremental(ctx, doc)
+		got, err := selectInc(ctx, q, doc)
 		if err != nil {
 			t.Fatalf("step %d: %v", step, err)
 		}
@@ -167,7 +167,7 @@ func TestDocumentConcurrent(t *testing.T) {
 	for w := 0; w < 2; w++ {
 		go func() {
 			for i := 0; i < 50; i++ {
-				if _, err := q.SelectIncremental(ctx, doc); err != nil {
+				if _, err := selectInc(ctx, q, doc); err != nil {
 					done <- err
 					return
 				}
@@ -181,7 +181,7 @@ func TestDocumentConcurrent(t *testing.T) {
 		}
 	}
 	// The final maintained result must still match replay-from-scratch.
-	got, err := q.SelectIncremental(ctx, doc)
+	got, err := selectInc(ctx, q, doc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,4 +193,17 @@ func TestDocumentConcurrent(t *testing.T) {
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("after concurrent edits: %v, replay %v", got, want)
 	}
+}
+
+// selectInc is RunIncremental read as node ids — the node-selecting
+// shape most live-document tests check.
+func selectInc(ctx context.Context, q *CompiledQuery, d *Document) ([]int, error) {
+	res := q.RunIncremental(ctx, d)
+	return res.IDs, res.Err
+}
+
+// spansInc is RunIncremental read as span relations.
+func spansInc(ctx context.Context, q *CompiledQuery, d *Document) (SpanResult, error) {
+	res := q.RunIncremental(ctx, d)
+	return res.Spans, res.Err
 }

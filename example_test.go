@@ -64,9 +64,10 @@ func ExampleCompile() {
 	// caterpillar [7]
 }
 
-// An Elog⁻ wrapper (Section 6): extraction patterns become the node
-// assignment and the relabeled output tree.
-func ExampleCompiledQuery_WrapAssign() {
+// An Elog⁻ wrapper (Section 6): one run reads the answer out in every
+// shape — here the pattern → nodes assignment that Wrap relabels into
+// the output tree.
+func ExampleCompiledQuery_Run() {
 	q, err := mdlog.Compile(`
 item(x)  :- root(x0), subelem("html.body.table.tr", x0, x).
 price(x) :- item(x0), subelem("td.b", x0, x).
@@ -75,10 +76,11 @@ price(x) :- item(x0), subelem("td.b", x0, x).
 		log.Fatal(err)
 	}
 	doc := mdlog.ParseHTML(examplePage)
-	_, assign, err := q.WrapAssign(context.Background(), doc)
-	if err != nil {
-		log.Fatal(err)
+	res := q.Run(context.Background(), doc)
+	if res.Err != nil {
+		log.Fatal(res.Err)
 	}
+	assign := res.Assignment
 	patterns := make([]string, 0, len(assign))
 	for pat := range assign {
 		patterns = append(patterns, pat)
@@ -111,23 +113,26 @@ func ExampleParseHTMLReader() {
 	// Output: 1
 }
 
-// One wrapper, many pages: the Runner fans a compiled query over a
-// document collection with a bounded worker pool, results in input
-// order.
-func ExampleRunner() {
+// One wrapper, many pages: Map fans any run over a stream of inputs
+// with a bounded worker pool, results in input order. Here each worker
+// parses a raw page and runs the compiled query on it.
+func ExampleMap() {
 	q, err := mdlog.Compile("//td[b]", mdlog.LangXPath)
 	if err != nil {
 		log.Fatal(err)
 	}
-	docs := []*mdlog.Tree{
-		mdlog.ParseHTML(examplePage),
-		mdlog.ParseHTML(`<html><body><table><tr><td><b>9.99</b></td></tr></table></body></html>`),
+	pages := make(chan string, 2)
+	pages <- examplePage
+	pages <- `<html><body><table><tr><td><b>9.99</b></td></tr></table></body></html>`
+	close(pages)
+	selectPage := func(ctx context.Context, page string) ([]int, error) {
+		return q.Select(ctx, mdlog.ParseHTML(page))
 	}
-	for _, res := range (mdlog.Runner{Workers: 2}).SelectAll(context.Background(), q, docs) {
+	for res := range mdlog.Map(context.Background(), mdlog.Runner{Workers: 2}, pages, selectPage) {
 		if res.Err != nil {
 			log.Fatal(res.Err)
 		}
-		fmt.Printf("doc %d: %d match(es)\n", res.Index, len(res.Nodes))
+		fmt.Printf("doc %d: %d match(es)\n", res.Index, len(res.Value))
 	}
 	// Output:
 	// doc 0: 1 match(es)

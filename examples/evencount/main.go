@@ -56,12 +56,13 @@ func main() {
 		tree.MustParse("b(a(a,b),b(b))"),
 	}
 	ctx := context.Background()
-	for _, res := range (mdlog.Runner{}).SelectAll(ctx, q, docs) {
+	for _, res := range mdlog.MapAll(ctx, mdlog.Runner{}, docs, q.Select) {
 		if res.Err != nil {
 			log.Fatal(res.Err)
 		}
-		fmt.Printf("\nDocument %d:\n%s", res.Index, res.Doc.Pretty())
-		fmt.Printf("even-a nodes (linear engine): %v\n", res.Nodes)
-		fmt.Printf("reference count semantics:    %v\n", paperex.EvenASpec(res.Doc))
+		doc := docs[res.Index]
+		fmt.Printf("\nDocument %d:\n%s", res.Index, doc.Pretty())
+		fmt.Printf("even-a nodes (linear engine): %v\n", res.Value)
+		fmt.Printf("reference count semantics:    %v\n", paperex.EvenASpec(doc))
 	}
 }

@@ -89,12 +89,18 @@ status(x) :- item(x0), subelem("td.em.#text", x0, x).
 		docs[i] = mdlog.ParseHTML(html.ProductListing(rng, 6+2*i))
 	}
 	fmt.Println("\nVisual wrapper fanned out over new pages:")
-	for _, res := range (mdlog.Runner{Workers: 3}).WrapAll(ctx, vq, docs) {
+	for _, res := range mdlog.MapAll(ctx, mdlog.Runner{Workers: 3}, docs, vq.Wrap) {
 		if res.Err != nil {
 			log.Fatal(res.Err)
 		}
-		fmt.Printf("<!-- page %d: %d rows extracted -->\n", res.Index, len(res.Assignment["row"]))
-		mustXML(res.Output)
+		rows := 0
+		for _, n := range res.Value.Nodes {
+			if n.Label == "row" {
+				rows++
+			}
+		}
+		fmt.Printf("<!-- page %d: %d rows extracted -->\n", res.Index, rows)
+		mustXML(res.Value)
 	}
 	s := vq.Stats()
 	fmt.Printf("compiled once (%v), %d runs, cumulative eval %v\n", s.Compile, s.Runs, s.Eval)

@@ -43,13 +43,20 @@ func main() {
 	}
 
 	// Run many (here: once; see examples/products for the fan-out).
-	out, assign, err := q.WrapAssign(context.Background(), doc)
-	if err != nil {
-		log.Fatal(err)
+	ctx := context.Background()
+	res := q.Run(ctx, doc)
+	if res.Err != nil {
+		log.Fatal(res.Err)
 	}
 	fmt.Println("Pattern assignment:")
 	for _, pat := range q.ExtractPreds() {
-		fmt.Printf("  %-6s -> nodes %v\n", pat, assign[pat])
+		fmt.Printf("  %-6s -> nodes %v\n", pat, res.Assignment[pat])
+	}
+	// Wrap builds the output tree from the same assignment (a repeat
+	// run on the same tree is served from the result memo).
+	out, err := q.Wrap(ctx, doc)
+	if err != nil {
+		log.Fatal(err)
 	}
 	fmt.Println("\nExtracted tree:")
 	if err := wrap.WriteXML(os.Stdout, out); err != nil {

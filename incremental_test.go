@@ -1,8 +1,8 @@
 package mdlog
 
 // Differential testing of the live-document path: randomly edited
-// documents queried through SelectIncremental / EvalIncremental /
-// RunIncremental must match replay-from-scratch — a from-scratch
+// documents queried through CompiledQuery.RunIncremental and
+// QuerySet.RunIncremental must match replay-from-scratch — a from-scratch
 // evaluation of the canonical live tree, mapped back to arena ids
 // through the live preorder. Shares the program/tree generators and
 // MDLOG_FUZZ_N / MDLOG_FUZZ_SEED knobs with differential_test.go.
@@ -131,12 +131,12 @@ func TestIncrementalDifferential(t *testing.T) {
 			}
 			oracle := replayUnary(t, ctx, p, doc, preds)
 			for _, a := range arms {
-				db, err := a.q.EvalIncremental(ctx, doc)
-				if err != nil {
-					t.Fatalf("case %d step %d: incremental %v/%v: %v\nprogram:\n%s", i, step, a.e, a.lvl, err, p)
+				res := a.q.RunIncremental(ctx, doc)
+				if res.Err != nil {
+					t.Fatalf("case %d step %d: incremental %v/%v: %v\nprogram:\n%s", i, step, a.e, a.lvl, res.Err, p)
 				}
 				for _, pred := range preds {
-					if got := fmt.Sprint(db.UnarySet(pred)); got != fmt.Sprint(oracle[pred]) {
+					if got := fmt.Sprint(res.Assignment[pred]); got != fmt.Sprint(oracle[pred]) {
 						t.Fatalf("case %d step %d: incremental %v/%v: %s = %s, replay %v\nprogram:\n%s",
 							i, step, a.e, a.lvl, pred, got, oracle[pred], p)
 					}

@@ -3,15 +3,13 @@ package eval
 import (
 	"context"
 	"runtime"
-
-	"mdlog/internal/tree"
 )
 
-// Runner fans one prepared task over a stream of documents with a
+// Runner fans one prepared task over a stream of inputs with a
 // bounded worker pool, yielding results in submission order. It is the
 // execution half of the compile-once/run-many contract: the task
-// (typically a Plan.Run or a CompiledQuery method) is assumed safe for
-// concurrent use; each document is processed exactly once.
+// (typically a CompiledQuery or QuerySet run) is assumed safe for
+// concurrent use; each input is processed exactly once.
 type Runner struct {
 	// Workers bounds concurrent task invocations; ≤ 0 means
 	// runtime.GOMAXPROCS(0).
@@ -25,73 +23,27 @@ func (r Runner) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// Result is one document's outcome. Index is the document's position
-// in the input order.
+// Result is one input's outcome. Index is the input's position in the
+// input order; Err is f's error, or the context's for an input that
+// was accepted but not processed before cancellation.
 type Result[R any] struct {
 	Index int
-	Doc   *tree.Tree
 	Value R
 	Err   error
 }
 
-// MapAll runs f over docs with r's worker pool and returns one Result
-// per document, in input order. A canceled context marks the remaining
-// documents with ctx.Err() without invoking f on them.
-func MapAll[R any](ctx context.Context, r Runner, docs []*tree.Tree, f func(context.Context, *tree.Tree) (R, error)) []Result[R] {
-	out := make([]Result[R], len(docs))
-	if len(docs) == 0 {
-		return out
-	}
-	workers := r.workers()
-	if workers > len(docs) {
-		workers = len(docs)
-	}
-	next := make(chan int)
-	done := make(chan struct{})
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer func() { done <- struct{}{} }()
-			for i := range next {
-				res := Result[R]{Index: i, Doc: docs[i]}
-				if err := ctx.Err(); err != nil {
-					res.Err = err
-				} else {
-					res.Value, res.Err = f(ctx, docs[i])
-				}
-				out[i] = res
-			}
-		}()
-	}
-	for i := range docs {
-		next <- i
-	}
-	close(next)
-	for w := 0; w < workers; w++ {
-		<-done
-	}
-	return out
-}
-
-// MapStream runs f over a stream of documents and yields results on
-// the returned channel in input order, with backpressure: at most
-// r.Workers documents are in flight and at most r.Workers finished
-// results are buffered ahead of the consumer. The output channel is
-// closed after the input channel closes and every accepted document
-// has been yielded. On context cancellation the already-accepted
-// documents are still yielded (unprocessed ones carry ctx.Err()) and
-// the channel is closed without waiting for docs to close — the
-// consumer must drain the returned channel, and the producer must
-// guard its sends with the same ctx (or close docs), else its own
-// goroutine blocks on the abandoned channel.
-func MapStream[R any](ctx context.Context, r Runner, docs <-chan *tree.Tree, f func(context.Context, *tree.Tree) (R, error)) <-chan Result[R] {
-	return MapStreamFrom(ctx, r, docs, f, func(t *tree.Tree) *tree.Tree { return t })
-}
-
-// MapStreamFrom is MapStream over an arbitrary input stream — e.g.
-// io.Readers whose documents are parsed inside the worker pool. doc
-// extracts the Result.Doc from an input item for reporting; pass nil
-// to leave it unset (f can carry the parsed tree in R instead).
-func MapStreamFrom[T, R any](ctx context.Context, r Runner, in <-chan T, f func(context.Context, T) (R, error), doc func(T) *tree.Tree) <-chan Result[R] {
+// Map runs f over a stream of inputs and yields results on the
+// returned channel in input order, with backpressure: at most
+// r.Workers inputs are in flight and at most r.Workers finished
+// results are buffered ahead of the consumer. A failing input marks
+// only its own result. The output channel is closed after the input
+// channel closes and every accepted input has been yielded. On
+// context cancellation the already-accepted inputs are still yielded
+// (unprocessed ones carry ctx.Err()) and the channel is closed without
+// waiting for in to close — the consumer must drain the returned
+// channel, and the producer must guard its sends with the same ctx (or
+// close in), else its own goroutine blocks on the abandoned channel.
+func Map[T, R any](ctx context.Context, r Runner, in <-chan T, f func(context.Context, T) (R, error)) <-chan Result[R] {
 	workers := r.workers()
 	out := make(chan Result[R])
 	type job struct {
@@ -108,9 +60,6 @@ func MapStreamFrom[T, R any](ctx context.Context, r Runner, in <-chan T, f func(
 		go func() {
 			for j := range jobs {
 				res := Result[R]{Index: j.index}
-				if doc != nil {
-					res.Doc = doc(j.item)
-				}
 				if err := ctx.Err(); err != nil {
 					res.Err = err
 				} else {
@@ -121,7 +70,7 @@ func MapStreamFrom[T, R any](ctx context.Context, r Runner, in <-chan T, f func(
 		}()
 	}
 
-	// Dispatcher: assign indices and per-document result slots.
+	// Dispatcher: assign indices and per-input result slots.
 	go func() {
 		defer close(jobs)
 		defer close(pending)
@@ -130,13 +79,13 @@ func MapStreamFrom[T, R any](ctx context.Context, r Runner, in <-chan T, f func(
 			select {
 			case <-ctx.Done():
 				// Stop accepting. Returning closes pending, so the
-				// emitter yields the already-accepted documents and
-				// closes the output — the consumer never hangs, even
-				// if the producer abandons docs without closing it.
-				// Producers must guard their sends with the same ctx
-				// (or close docs); an unguarded sender blocks in its
-				// own goroutine, which is its bug to fix — draining it
-				// here would leak a receiver forever instead.
+				// emitter yields the already-accepted inputs and closes
+				// the output — the consumer never hangs, even if the
+				// producer abandons in without closing it. Producers
+				// must guard their sends with the same ctx (or close
+				// in); an unguarded sender blocks in its own goroutine,
+				// which is its bug to fix — draining it here would leak
+				// a receiver forever instead.
 				return
 			case item, ok := <-in:
 				if !ok {
@@ -150,12 +99,40 @@ func MapStreamFrom[T, R any](ctx context.Context, r Runner, in <-chan T, f func(
 		}
 	}()
 
-	// Emitter: forward per-document slots in order.
+	// Emitter: forward per-input slots in order.
 	go func() {
 		defer close(out)
 		for slot := range pending {
 			out <- <-slot
 		}
 	}()
+	return out
+}
+
+// MapAll is Map over a slice: it returns one Result per input, in
+// input order. A canceled context marks the inputs not yet processed
+// with ctx.Err() without invoking f on them.
+func MapAll[T, R any](ctx context.Context, r Runner, in []T, f func(context.Context, T) (R, error)) []Result[R] {
+	src := make(chan T)
+	go func() {
+		defer close(src)
+		for _, x := range in {
+			select {
+			case src <- x:
+			case <-ctx.Done():
+				return
+			}
+		}
+	}()
+	out := make([]Result[R], len(in))
+	n := 0
+	for res := range Map(ctx, r, src, f) {
+		out[n] = res
+		n++
+	}
+	// Map stops accepting only on cancellation.
+	for ; n < len(out); n++ {
+		out[n] = Result[R]{Index: n, Err: ctx.Err()}
+	}
 	return out
 }

@@ -151,7 +151,7 @@ func TestMapStreamOrderAndCancel(t *testing.T) {
 		}
 	}()
 	i := 0
-	for r := range MapStream(context.Background(), Runner{Workers: 5}, in,
+	for r := range Map(context.Background(), Runner{Workers: 5}, in,
 		func(_ context.Context, d *tree.Tree) (string, error) {
 			return d.Nodes[1].Label, nil
 		}) {
@@ -182,7 +182,7 @@ func TestMapStreamOrderAndCancel(t *testing.T) {
 			}
 		}
 	}()
-	out := MapStream(ctx, Runner{Workers: 2}, in2,
+	out := Map(ctx, Runner{Workers: 2}, in2,
 		func(ctx context.Context, _ *tree.Tree) (int, error) {
 			cancel()
 			return 0, ctx.Err()

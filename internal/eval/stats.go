@@ -17,8 +17,9 @@ type Stats struct {
 	Materialize time.Duration
 	// Eval is the time spent in the engine proper.
 	Eval time.Duration
-	// Facts is the number of result facts (selected nodes for Select,
-	// tuples over all intensional relations for Eval).
+	// Facts is the number of facts in the run's visible result
+	// relations — the projected database Eval returns, whichever
+	// answer shape (nodes, assignment, spans) is read from it.
 	Facts int64
 	// Runs is the number of executions aggregated into this Stats (1
 	// for a per-run value).

@@ -10,7 +10,7 @@ import (
 )
 
 // This file measures the live-document path: maintaining a wrapper's
-// result through arena edits (Document + SelectIncremental, DRed
+// result through arena edits (Document + RunIncremental, DRed
 // delta propagation) against the pre-session workflow of reparsing
 // the source and re-extracting from scratch on every revision.
 // cmd/benchtables -incremental serializes the same measurements as
@@ -101,7 +101,7 @@ func IncrementalData(cfg Config) []IncrementalPoint {
 					}
 					inserted = append(inserted, id)
 				}
-				if _, err := q.SelectIncremental(ctx, doc); err != nil {
+				if err := q.RunIncremental(ctx, doc).Err; err != nil {
 					panic(err)
 				}
 				for _, id := range inserted {
@@ -109,7 +109,7 @@ func IncrementalData(cfg Config) []IncrementalPoint {
 						panic(err)
 					}
 				}
-				if _, err := q.SelectIncremental(ctx, doc); err != nil {
+				if err := q.RunIncremental(ctx, doc).Err; err != nil {
 					panic(err)
 				}
 			})
@@ -137,7 +137,7 @@ func Incremental(cfg Config) Table {
 		Notes: "Product-listing documents; wrapper = td cells with a bold first child. " +
 			"full = reparse the HTML source and evaluate the compiled wrapper on the fresh tree; " +
 			"inc = apply the revision's edits through the Document mutation API and run one " +
-			"SelectIncremental (DRed delta propagation seeded from the arena delta). " +
+			"RunIncremental (DRed delta propagation seeded from the arena delta). " +
 			"Revisions alternate inserting and removing result-bearing subtrees, so both delta " +
 			"directions are exercised. cmd/benchtables -incremental emits these rows as JSON.",
 	}

@@ -155,7 +155,7 @@ func QuerySetData(cfg Config) []QuerySetPoint {
 		pt.SequentialNs = float64(timeIt(func() {
 			for _, doc := range docs {
 				for _, q := range queries {
-					if _, err := q.Assign(ctx, doc); err != nil {
+					if err := q.Run(ctx, doc).Err; err != nil {
 						panic(err)
 					}
 				}

@@ -124,11 +124,17 @@ func (c *docCache) get(h DocHash) (*mdlog.Tree, bool) {
 // trees (the caller forgets them from the result memos). A concurrent
 // add of the same hash keeps the first tree — both are parses of the
 // same bytes, so either is correct; keeping the installed one
-// preserves memo hits already keyed on it.
+// preserves memo hits already keyed on it. The losing lookup is
+// recounted as a hit: it is served the shared tree, so hits and misses
+// stay "lookups served a shared tree" and "distinct trees installed"
+// however concurrent duplicates interleave (two copies of a page in
+// one /batch count one hit whatever the worker count).
 func (c *docCache) add(h DocHash, t *mdlog.Tree, size int64) (shared *mdlog.Tree, evicted []*mdlog.Tree) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if e, ok := c.m[h]; ok {
+		c.misses.Add(-1)
+		c.hits.Add(1)
 		c.unlink(e)
 		c.pushTail(e)
 		return e.tree, nil
@@ -228,7 +234,9 @@ func (e *misrouteError) Error() string {
 
 // resolveDoc turns raw document bytes into a parsed tree through the
 // dedup cache when it is enabled, after enforcing the shard-ownership
-// guard when configured. The only possible error is a misroute.
+// guard when configured. The only possible error is a misroute, which
+// resolveDoc itself counts — in shard_misrouted and document_errors —
+// for every endpoint that resolves documents.
 func (s *Server) resolveDoc(body []byte) (*mdlog.Tree, error) {
 	var h DocHash
 	if s.shardN > 0 || s.docs != nil {
@@ -237,6 +245,7 @@ func (s *Server) resolveDoc(body []byte) (*mdlog.Tree, error) {
 	if s.shardN > 0 {
 		if owner := s.shardRing.Lookup(h.ringKey()); owner != s.shardIdx {
 			s.shardMisrouted.Add(1)
+			s.docErrors.Add(1)
 			return nil, &misrouteError{owner: owner, self: s.shardIdx, n: s.shardN}
 		}
 	}

@@ -20,11 +20,29 @@ import (
 type outputMode int
 
 const (
-	outNodes  outputMode = iota // selected node ids (CompiledQuery.Select)
-	outAssign                   // pattern → node ids (WrapAssign)
+	outNodes  outputMode = iota // the query predicate's node ids
+	outAssign                   // pattern → node ids
 	outXML                      // wrapped output tree serialized as XML
 	outSpans                    // span relations (spanner wrappers only)
 )
+
+// encoder renders one output mode of a run's SetResult: the reply
+// field it fills and the value that goes there. stats marks the modes
+// whose single-document /extract reply also reports the run's stats.
+type encoder struct {
+	field string
+	value func(mdlog.SetResult) any
+	stats bool
+}
+
+// encoders is the one table every extraction endpoint renders answers
+// through. outXML has no entry: an output tree is a per-wrapper
+// rendering, served via Wrap (see wrapXML).
+var encoders = map[outputMode]encoder{
+	outNodes:  {"nodes", func(r mdlog.SetResult) any { return nonNil(r.IDs) }, true},
+	outAssign: {"assign", func(r mdlog.SetResult) any { return assignJSON(r.Assignment) }, false},
+	outSpans:  {"spans", func(r mdlog.SetResult) any { return spanResultJSON(r.Spans) }, true},
+}
 
 func parseOutput(r *http.Request) (outputMode, error) {
 	switch v := r.URL.Query().Get("output"); v {
@@ -211,7 +229,6 @@ func (s *Server) handleExtract(w http.ResponseWriter, r *http.Request) {
 	if !spansOK(w, wr, mode) {
 		return
 	}
-	ctx := r.Context()
 	// Count the document on acceptance (before parsing), mirroring
 	// /batch — so document_errors can never exceed documents.
 	s.documents.Add(1)
@@ -219,52 +236,49 @@ func (s *Server) handleExtract(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	switch mode {
-	case outNodes:
-		ids, stats, err := wr.Query.SelectStats(ctx, doc)
-		if err != nil {
-			s.docErrors.Add(1)
-			writeError(w, evalErrStatus(err), "%v", err)
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]any{
-			"wrapper": wr.Name,
-			"nodes":   nonNil(ids),
-			"stats":   runStatsJSON(stats),
-		})
-	case outAssign:
-		assign, err := wr.Query.Assign(ctx, doc)
-		if err != nil {
-			s.docErrors.Add(1)
-			writeError(w, evalErrStatus(err), "%v", err)
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]any{
-			"wrapper": wr.Name,
-			"assign":  assignJSON(assign),
-		})
-	case outXML:
+	reply, stats, err := extract(r.Context(), wr, mode, doc)
+	if err != nil {
+		s.docErrors.Add(1)
+		writeError(w, evalErrStatus(err), "%v", err)
+		return
+	}
+	if mode == outXML {
+		w.Header().Set("Content-Type", "application/xml")
+		_, _ = io.WriteString(w, reply["xml"].(string))
+		return
+	}
+	reply["wrapper"] = wr.Name
+	if encoders[mode].stats {
+		reply["stats"] = runStatsJSON(stats)
+	}
+	writeJSON(w, http.StatusOK, reply)
+}
+
+// extract runs one wrapper over one document and renders the answer
+// as reply fields: through the encoder table, or — the one per-wrapper
+// special case — as the Wrap output tree serialized to XML.
+func extract(ctx context.Context, wr *Wrapper, mode outputMode, doc *mdlog.Tree) (map[string]any, mdlog.Stats, error) {
+	if mode == outNodes && wr.Query.QueryPred() == "" {
+		// Per-wrapper node output is Select's answer, and Select owns
+		// the error for a wrapper with no distinguished query predicate.
+		_, err := wr.Query.Select(ctx, doc)
+		return nil, mdlog.Stats{}, err
+	}
+	if mode == outXML {
 		out, err := wr.Query.Wrap(ctx, doc)
 		if err != nil {
-			s.docErrors.Add(1)
-			writeError(w, evalErrStatus(err), "%v", err)
-			return
+			return nil, mdlog.Stats{}, err
 		}
-		w.Header().Set("Content-Type", "application/xml")
-		_ = wrap.WriteXML(w, out)
-	case outSpans:
-		res, stats, err := wr.Query.SpansStats(ctx, doc)
-		if err != nil {
-			s.docErrors.Add(1)
-			writeError(w, evalErrStatus(err), "%v", err)
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]any{
-			"wrapper": wr.Name,
-			"spans":   spanResultJSON(res),
-			"stats":   runStatsJSON(stats),
-		})
+		var buf bytes.Buffer
+		_ = wrap.WriteXML(&buf, out) // a bytes.Buffer never fails
+		return map[string]any{"xml": buf.String()}, mdlog.Stats{}, nil
 	}
+	res := wr.Query.Run(ctx, doc)
+	if res.Err != nil {
+		return nil, res.Stats, res.Err
+	}
+	enc := encoders[mode]
+	return map[string]any{enc.field: enc.value(res)}, res.Stats, nil
 }
 
 // batchRequest is the JSON envelope of POST /batch/{name}.
@@ -300,18 +314,51 @@ func (s *Server) decodeBatch(w http.ResponseWriter, r *http.Request) (req batchR
 	return req, ndjson, true
 }
 
-// emitBatch writes a per-document result channel to the wire: NDJSON
-// lines flushed as each document completes, or one JSON document
-// (envelope wraps the collected items). If the client goes away
-// mid-NDJSON, the channel is drained so the workers can finish.
-func emitBatch(w http.ResponseWriter, ndjson bool, expect int, results <-chan map[string]any, envelope func([]map[string]any) map[string]any) {
+// runBatch is the one batch lane of /batch and /batchall: the
+// documents are fed through the worker pool, f runs on each inside the
+// pool, and the results come back in input order. The producer guards
+// its sends with ctx, so a client that goes away stops the feed.
+func (s *Server) runBatch(ctx context.Context, docs []batchDoc, f func(context.Context, batchDoc) (map[string]any, error)) <-chan mdlog.Result[map[string]any] {
+	in := make(chan batchDoc)
+	go func() {
+		defer close(in)
+		for _, d := range docs {
+			select {
+			case in <- d:
+			case <-ctx.Done():
+				return
+			}
+		}
+	}()
+	return mdlog.Map(ctx, s.runner, in, f)
+}
+
+// emitBatch writes the lane's results to the wire: NDJSON lines
+// flushed as each document completes, or one JSON document (envelope
+// wraps the collected items). Each item carries its document's index
+// and id; a failed document marks only its own item's "error" — the
+// batch continues. If the client goes away mid-NDJSON, the results are
+// drained so the workers can finish.
+func (s *Server) emitBatch(w http.ResponseWriter, ndjson bool, docs []batchDoc, results <-chan mdlog.Result[map[string]any], envelope func([]map[string]any) map[string]any) {
+	item := func(res mdlog.Result[map[string]any]) map[string]any {
+		it := res.Value
+		if res.Err != nil {
+			s.docErrors.Add(1)
+			it = map[string]any{"error": res.Err.Error()}
+		}
+		it["index"] = res.Index
+		if id := docs[res.Index].ID; id != "" {
+			it["id"] = id
+		}
+		return it
+	}
 	if ndjson {
 		w.Header().Set("Content-Type", "application/x-ndjson")
 		flusher, _ := w.(http.Flusher)
 		enc := json.NewEncoder(w)
 		enc.SetEscapeHTML(false)
-		for item := range results {
-			if err := enc.Encode(item); err != nil {
+		for res := range results {
+			if err := enc.Encode(item(res)); err != nil {
 				for range results {
 				}
 				return
@@ -322,18 +369,30 @@ func emitBatch(w http.ResponseWriter, ndjson bool, expect int, results <-chan ma
 		}
 		return
 	}
-	items := make([]map[string]any, 0, expect)
-	for item := range results {
-		items = append(items, item)
+	items := make([]map[string]any, 0, len(docs))
+	for res := range results {
+		items = append(items, item(res))
 	}
 	writeJSON(w, http.StatusOK, envelope(items))
 }
 
-// handleBatch fans the request's documents across the Runner worker
-// pool (parse + evaluate both inside the pool) and emits per-document
-// results in input order — as one JSON document, or as NDJSON lines
-// flushed as each document completes. A document that fails marks only
-// its own result; the batch continues.
+// onTree adapts a per-tree run to the batch lane: each document is
+// resolved through resolveDoc — the dedup cache and the shard guard,
+// exactly as /extract — inside the worker pool. A misrouted document
+// fails only its own item (resolveDoc has already counted it).
+func (s *Server) onTree(run func(context.Context, *mdlog.Tree) (map[string]any, error)) func(context.Context, batchDoc) (map[string]any, error) {
+	return func(ctx context.Context, d batchDoc) (map[string]any, error) {
+		t, err := s.resolveDoc([]byte(d.HTML))
+		if err != nil {
+			return map[string]any{"error": err.Error()}, nil
+		}
+		return run(ctx, t)
+	}
+}
+
+// handleBatch fans the request's documents across the worker pool
+// (resolve + evaluate both inside the pool) and emits per-document
+// results in input order.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	wr, ok := s.wrapper(w, r)
 	if !ok {
@@ -351,85 +410,19 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	results := s.runBatch(r.Context(), wr, mode, req.Docs)
-	emitBatch(w, ndjson, len(req.Docs), results, func(items []map[string]any) map[string]any {
+	results := s.runBatch(r.Context(), req.Docs, s.onTree(extractItem(wr, mode)))
+	s.emitBatch(w, ndjson, req.Docs, results, func(items []map[string]any) map[string]any {
 		return map[string]any{"wrapper": wr.Name, "results": items}
 	})
 }
 
-// runBatch pushes docs through the worker pool and yields one JSON
-// object per document, in input order. The producer guards its sends
-// with ctx, and per-document failures surface in that document's
-// "error" field — MapStream's per-item error contract, carried to the
-// wire.
-func (s *Server) runBatch(ctx context.Context, wr *Wrapper, mode outputMode, docs []batchDoc) <-chan map[string]any {
-	srcs := make(chan io.Reader)
-	go func() {
-		defer close(srcs)
-		for _, d := range docs {
-			select {
-			case srcs <- strings.NewReader(d.HTML):
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
-	out := make(chan map[string]any)
-	finish := func(item map[string]any, index int, err error) map[string]any {
-		if id := docs[index].ID; id != "" {
-			item["id"] = id
-		}
-		if err != nil {
-			s.docErrors.Add(1)
-			item["error"] = err.Error()
-		}
-		return item
+// extractItem is /batch's per-document run: extract without the
+// stats, which only the single-document reply reports.
+func extractItem(wr *Wrapper, mode outputMode) func(context.Context, *mdlog.Tree) (map[string]any, error) {
+	return func(ctx context.Context, t *mdlog.Tree) (map[string]any, error) {
+		item, _, err := extract(ctx, wr, mode, t)
+		return item, err
 	}
-	go func() {
-		defer close(out)
-		switch mode {
-		case outNodes:
-			for res := range s.runner.SelectHTMLStream(ctx, wr.Query, srcs) {
-				item := map[string]any{"index": res.Index}
-				if res.Err == nil {
-					item["nodes"] = nonNil(res.Nodes)
-				}
-				out <- finish(item, res.Index, res.Err)
-			}
-		case outAssign:
-			// Tree-free: only the assignment goes on the wire, so skip
-			// output-tree construction entirely.
-			for res := range s.runner.AssignHTMLStream(ctx, wr.Query, srcs) {
-				item := map[string]any{"index": res.Index}
-				if res.Err == nil {
-					item["assign"] = assignJSON(res.Assignment)
-				}
-				out <- finish(item, res.Index, res.Err)
-			}
-		case outXML:
-			for res := range s.runner.WrapHTMLStream(ctx, wr.Query, srcs) {
-				item := map[string]any{"index": res.Index}
-				if res.Err == nil {
-					var buf bytes.Buffer
-					if err := wrap.WriteXML(&buf, res.Output); err != nil {
-						out <- finish(item, res.Index, err)
-						continue
-					}
-					item["xml"] = buf.String()
-				}
-				out <- finish(item, res.Index, res.Err)
-			}
-		case outSpans:
-			for res := range s.runner.SpansHTMLStream(ctx, wr.Query, srcs) {
-				item := map[string]any{"index": res.Index}
-				if res.Err == nil {
-					item["spans"] = spanResultJSON(res.Spans)
-				}
-				out <- finish(item, res.Index, res.Err)
-			}
-		}
-	}()
-	return out
 }
 
 // ---------------------------------------------------------------------
@@ -451,24 +444,27 @@ func setOutput(r *http.Request) (outputMode, error) {
 	return mode, nil
 }
 
-// setResultItem renders one wrapper's SetResult. Wrapper failures are
-// isolated: an "error" field on the failing wrapper's entry, never an
-// HTTP error for the whole document.
+// setResultItem renders one wrapper's SetResult through the encoder
+// table. Wrapper failures are isolated: an "error" field on the
+// failing wrapper's entry, never an HTTP error for the whole document.
 func setResultItem(res mdlog.SetResult, mode outputMode) map[string]any {
 	item := map[string]any{"wrapper": res.Name}
 	if res.Err != nil {
 		item["error"] = res.Err.Error()
 		return item
 	}
-	switch mode {
-	case outNodes:
-		item["nodes"] = nonNil(res.IDs)
-	case outAssign:
-		item["assign"] = assignJSON(res.Assignment)
-	case outSpans:
-		item["spans"] = spanResultJSON(res.Spans)
-	}
+	enc := encoders[mode]
+	item[enc.field] = enc.value(res)
 	return item
+}
+
+// setItems renders every wrapper's SetResult for one document.
+func setItems(results []mdlog.SetResult, mode outputMode) []map[string]any {
+	items := make([]map[string]any, len(results))
+	for i, res := range results {
+		items[i] = setResultItem(res, mode)
+	}
+	return items
 }
 
 // handleExtractAll parses the request body once and runs EVERY
@@ -495,22 +491,20 @@ func (s *Server) handleExtractAll(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	results := set.Run(r.Context(), doc)
-	items := make([]map[string]any, len(results))
-	for i, res := range results {
-		items[i] = setResultItem(res, mode)
-	}
 	writeJSON(w, http.StatusOK, map[string]any{
 		"wrappers": set.Len(),
 		"fused":    set.FusedLen(),
-		"results":  items,
+		"results":  setItems(set.Run(r.Context(), doc), mode),
 	})
 }
 
 // handleBatchAll is /batchall: the batch envelope of /batch, every
 // registered wrapper per document, one fused pass per document, fanned
-// across the Runner worker pool. Response shape mirrors /batch with a
-// per-document "results" array of per-wrapper entries.
+// across the worker pool through the same lane as /batch. Each
+// document's item carries a "results" array of per-wrapper entries;
+// wrapper-level failures surface inside it. An empty registry still
+// yields one entry per document (with empty results, no parse), so
+// the response always has the one-entry-per-document shape of /batch.
 func (s *Server) handleBatchAll(w http.ResponseWriter, r *http.Request) {
 	mode, err := setOutput(r)
 	if err != nil {
@@ -526,165 +520,17 @@ func (s *Server) handleBatchAll(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	results := s.runBatchAll(r.Context(), set, mode, req.Docs)
-	emitBatch(w, ndjson, len(req.Docs), results, func(items []map[string]any) map[string]any {
+	f := func(context.Context, batchDoc) (map[string]any, error) {
+		return map[string]any{"results": []any{}}, nil
+	}
+	if set != nil {
+		f = s.onTree(func(ctx context.Context, t *mdlog.Tree) (map[string]any, error) {
+			return map[string]any{"results": setItems(set.Run(ctx, t), mode)}, nil
+		})
+	}
+	s.emitBatch(w, ndjson, req.Docs, s.runBatch(r.Context(), req.Docs, f), func(items []map[string]any) map[string]any {
 		return map[string]any{"results": items}
 	})
-}
-
-// runBatchAll pushes docs through Runner.SetHTMLStream and yields one
-// JSON object per document, in input order. A document-level failure
-// (unparseable HTML) sets the document's "error"; wrapper-level
-// failures surface inside its "results" entries. An empty registry
-// still yields one entry per document (with empty results), so the
-// response always has the one-entry-per-document shape of /batch.
-func (s *Server) runBatchAll(ctx context.Context, set *mdlog.QuerySet, mode outputMode, docs []batchDoc) <-chan map[string]any {
-	out := make(chan map[string]any)
-	if set == nil {
-		go func() {
-			defer close(out)
-			for i, d := range docs {
-				item := map[string]any{"index": i, "results": []any{}}
-				if d.ID != "" {
-					item["id"] = d.ID
-				}
-				select {
-				case out <- item:
-				case <-ctx.Done():
-					return
-				}
-			}
-		}()
-		return out
-	}
-	if len(docs) == 0 {
-		close(out)
-		return out
-	}
-	if s.docs != nil || s.shardN > 0 {
-		return s.runBatchAllCached(ctx, set, mode, docs, out)
-	}
-	srcs := make(chan io.Reader)
-	go func() {
-		defer close(srcs)
-		for _, d := range docs {
-			select {
-			case srcs <- strings.NewReader(d.HTML):
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
-	go func() {
-		defer close(out)
-		for res := range s.runner.SetHTMLStream(ctx, set, srcs) {
-			item := map[string]any{"index": res.Index}
-			if id := docs[res.Index].ID; id != "" {
-				item["id"] = id
-			}
-			if res.Err != nil {
-				s.docErrors.Add(1)
-				item["error"] = res.Err.Error()
-			} else {
-				items := make([]map[string]any, len(res.Results))
-				for i, sr := range res.Results {
-					items[i] = setResultItem(sr, mode)
-				}
-				item["results"] = items
-			}
-			out <- item
-		}
-	}()
-	return out
-}
-
-// runBatchAllCached is runBatchAll with the content-hash dedup cache
-// (or the shard-ownership guard) in the loop: every document resolves
-// through Server.resolveDoc first — duplicates share one parsed arena
-// and its memoized fused results — and the worker pool then runs the
-// set over trees (Runner.SetStream). A misrouted document (shard mode)
-// fails only its own entry, mirroring a parse failure.
-func (s *Server) runBatchAllCached(ctx context.Context, set *mdlog.QuerySet, mode outputMode, docs []batchDoc, out chan map[string]any) <-chan map[string]any {
-	trees := make([]*mdlog.Tree, len(docs))
-	errs := make([]error, len(docs))
-	order := make([]int, 0, len(docs)) // fed position → doc index
-	for i, d := range docs {
-		trees[i], errs[i] = s.resolveDoc([]byte(d.HTML))
-		if errs[i] == nil {
-			order = append(order, i)
-		} else {
-			s.docErrors.Add(1)
-		}
-	}
-	feed := make(chan *mdlog.Tree)
-	go func() {
-		defer close(feed)
-		for _, i := range order {
-			select {
-			case feed <- trees[i]:
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
-	go func() {
-		defer close(out)
-		emit := func(item map[string]any) bool {
-			select {
-			case out <- item:
-				return true
-			case <-ctx.Done():
-				return false
-			}
-		}
-		item := func(i int) map[string]any {
-			it := map[string]any{"index": i}
-			if id := docs[i].ID; id != "" {
-				it["id"] = id
-			}
-			return it
-		}
-		// Stream results arrive in fed order — increasing doc index —
-		// so failed documents interleave back by flushing every failed
-		// index below the next streamed one.
-		next := 0
-		flushErrsBelow := func(di int) bool {
-			for ; next < di; next++ {
-				if errs[next] == nil {
-					continue
-				}
-				it := item(next)
-				it["error"] = errs[next].Error()
-				if !emit(it) {
-					return false
-				}
-			}
-			return true
-		}
-		for res := range s.runner.SetStream(ctx, set, feed) {
-			di := order[res.Index]
-			if !flushErrsBelow(di) {
-				return
-			}
-			next = di + 1
-			it := item(di)
-			if res.Err != nil {
-				s.docErrors.Add(1)
-				it["error"] = res.Err.Error()
-			} else {
-				items := make([]map[string]any, len(res.Results))
-				for i, sr := range res.Results {
-					items[i] = setResultItem(sr, mode)
-				}
-				it["results"] = items
-			}
-			if !emit(it) {
-				return
-			}
-		}
-		flushErrsBelow(len(docs))
-	}()
-	return out
 }
 
 // ---------------------------------------------------------------------

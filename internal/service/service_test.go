@@ -372,9 +372,9 @@ func TestBatchCancellation(t *testing.T) {
 	for i := range docs {
 		docs[i] = batchDoc{HTML: page}
 	}
-	results := s.runBatch(ctx, wr, outNodes, docs)
-	if first, ok := <-results; !ok || first["error"] != nil {
-		t.Fatalf("first doc: %v ok=%v", first, ok)
+	results := s.runBatch(ctx, docs, s.onTree(extractItem(wr, outNodes)))
+	if first, ok := <-results; !ok || first.Err != nil || first.Value["error"] != nil {
+		t.Fatalf("first doc: %+v ok=%v", first, ok)
 	}
 	cancel()
 	count := 1

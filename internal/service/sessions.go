@@ -330,11 +330,7 @@ func (s *Server) handleSessionExtractAll(w http.ResponseWriter, r *http.Request)
 		writeJSON(w, http.StatusOK, base)
 		return
 	}
-	results := set.RunIncremental(r.Context(), ss.doc)
-	items := make([]map[string]any, len(results))
-	for i, res := range results {
-		items[i] = setResultItem(res, mode)
-	}
+	items := setItems(set.RunIncremental(r.Context(), ss.doc), mode)
 	base["wrappers"], base["fused"], base["results"] = set.Len(), set.FusedLen(), items
 	writeJSON(w, http.StatusOK, base)
 }

@@ -156,11 +156,10 @@ func TestParseShardOf(t *testing.T) {
 // TestShardOwnershipGuard: a worker booted -shard-of rejects documents
 // the ring assigns elsewhere with 421, accepts its own, and counts the
 // misroutes.
-func TestShardOwnershipGuard(t *testing.T) {
-	const n = 4
+// shardDocs returns one document owned by shard 0 of an n-shard ring
+// and one owned by some other shard.
+func shardDocs(n int) (mine, theirs string) {
 	ring := NewRing(n, 0)
-	// Find documents owned by shard 0 and by some other shard.
-	var mine, theirs string
 	for i := 0; mine == "" || theirs == ""; i++ {
 		doc := fmt.Sprintf("<html><body><table><tr><td>doc %d</td></tr></table></body></html>", i)
 		if ring.Lookup(HashDoc([]byte(doc)).ringKey()) == 0 {
@@ -171,6 +170,12 @@ func TestShardOwnershipGuard(t *testing.T) {
 			theirs = doc
 		}
 	}
+	return mine, theirs
+}
+
+func TestShardOwnershipGuard(t *testing.T) {
+	const n = 4
+	mine, theirs := shardDocs(n)
 	cfg := bootConfig()
 	cfg.ShardOf = "0/" + strconv.Itoa(n)
 	_, ts := newTestServer(t, cfg)
@@ -189,6 +194,91 @@ func TestShardOwnershipGuard(t *testing.T) {
 	shard := stats["service"].(map[string]any)["shard"].(map[string]any)
 	if shard["index"].(float64) != 0 || shard["of"].(float64) != n || shard["misrouted"].(float64) != 1 {
 		t.Errorf("shard stats %v, want index=0 of=%d misrouted=1", shard, n)
+	}
+}
+
+// shardServer boots worker 0 of n behind the ownership guard.
+func shardServer(t *testing.T, n int) string {
+	t.Helper()
+	cfg := bootConfig()
+	cfg.ShardOf = "0/" + strconv.Itoa(n)
+	_, ts := newTestServer(t, cfg)
+	return ts.URL
+}
+
+// serviceCounter reads one counter of the /stats service section.
+func serviceCounter(t *testing.T, base string, path ...string) float64 {
+	t.Helper()
+	status, stats := doJSON(t, http.MethodGet, base+"/stats", "")
+	if status != http.StatusOK {
+		t.Fatalf("stats: status %d", status)
+	}
+	v := stats["service"]
+	for _, k := range path {
+		v = v.(map[string]any)[k]
+	}
+	return v.(float64)
+}
+
+// TestShardBatchGuardAndDedup: /batch on a shard worker resolves each
+// document like /extract does — a foreign-owned document fails only
+// its own entry with the misroute error and counts as misrouted, and
+// byte-identical documents in one batch share one parse.
+func TestShardBatchGuardAndDedup(t *testing.T) {
+	mine, theirs := shardDocs(2)
+	base := shardServer(t, 2)
+	b, _ := json.Marshal(map[string]any{"docs": []map[string]any{
+		{"id": "a", "html": mine},
+		{"id": "x", "html": theirs},
+		{"id": "b", "html": mine},
+	}})
+	status, body := doJSON(t, http.MethodPost, base+"/batch/items", string(b))
+	if status != http.StatusOK {
+		t.Fatalf("batch: status %d, body %v", status, body)
+	}
+	results := body["results"].([]any)
+	if len(results) != 3 {
+		t.Fatalf("got %d results, want 3", len(results))
+	}
+	for i, raw := range results {
+		item := raw.(map[string]any)
+		if int(item["index"].(float64)) != i {
+			t.Errorf("result %d has index %v (order lost)", i, item["index"])
+		}
+		msg, failed := item["error"].(string)
+		if want := i == 1; failed != want {
+			t.Errorf("result %d: failed=%v, want %v (%v)", i, failed, want, item)
+		} else if failed && !strings.Contains(msg, "maps to shard") {
+			t.Errorf("result %d: want the misroute error, got %q", i, msg)
+		}
+	}
+	if got := serviceCounter(t, base, "shard", "misrouted"); got != 1 {
+		t.Errorf("misrouted = %v, want 1", got)
+	}
+	cs := docCacheCounters(t, base)
+	if cs["entries"] != 1 || cs["misses"] != 1 || cs["hits"] != 1 {
+		t.Errorf("batch cache counters %v, want entries=1 misses=1 hits=1", cs)
+	}
+}
+
+// TestMisrouteCountsAsDocumentError: a misrouted document is a failed
+// document on every endpoint — /extract's 421 and a /batchall entry
+// each count once in document_errors.
+func TestMisrouteCountsAsDocumentError(t *testing.T) {
+	_, theirs := shardDocs(2)
+	base := shardServer(t, 2)
+	if status, body := doJSON(t, http.MethodPost, base+"/extract/items", theirs); status != http.StatusMisdirectedRequest {
+		t.Fatalf("extract: status %d, want 421; body %v", status, body)
+	}
+	b, _ := json.Marshal(map[string]any{"docs": []map[string]any{{"html": theirs}}})
+	if status, body := doJSON(t, http.MethodPost, base+"/batchall", string(b)); status != http.StatusOK {
+		t.Fatalf("batchall: status %d, body %v", status, body)
+	}
+	if got := serviceCounter(t, base, "document_errors"); got != 2 {
+		t.Errorf("document_errors = %v, want 2", got)
+	}
+	if got := serviceCounter(t, base, "shard", "misrouted"); got != 2 {
+		t.Errorf("misrouted = %v, want 2", got)
 	}
 }
 

@@ -133,7 +133,9 @@ func TestServiceSpanner(t *testing.T) {
 		t.Fatal(err)
 	}
 	metrics := string(raw)
-	if !strings.Contains(metrics, `mdlogd_wrapper_spans_total{wrapper="prices"} 2`) {
+	// Two runs of prices, two price spans each: every run of a spanner
+	// wrapper enumerates its spans, whatever the output mode.
+	if !strings.Contains(metrics, `mdlogd_wrapper_spans_total{wrapper="prices"} 4`) {
 		t.Errorf("metrics lack the per-wrapper span counter")
 	}
 	if !strings.Contains(metrics, "mdlogd_spans_total") {

@@ -32,9 +32,9 @@
 // span relations ([CompiledQuery.Spans]) instead of bare node ids.
 //
 // Documents come from [ParseHTML] / [ParseHTMLReader] (streaming,
-// arena-backed) or term syntax via [ParseTree]; [Runner] fans a
-// compiled query over document collections and streams with a bounded
-// worker pool. Many wrappers over the same pages fuse into a
+// arena-backed) or term syntax via [ParseTree]; [Map] and [MapAll]
+// fan any run — a query, a wrapper, a whole set — over document
+// streams and collections with a bounded worker pool. Many wrappers over the same pages fuse into a
 // [QuerySet] — one shared evaluation pass per document, per-wrapper
 // results and error isolation. cmd/mdlogd serves a registry of
 // compiled wrappers over HTTP (internal/service), including fused
@@ -47,8 +47,6 @@
 package mdlog
 
 import (
-	"context"
-	"fmt"
 	"io"
 
 	"mdlog/internal/caterpillar"
@@ -135,36 +133,6 @@ const (
 // "seminaive", "naive", "lit") into an Engine.
 func ParseEngineFlag(s string) (Engine, error) { return eval.ParseEngine(s) }
 
-// EvalOnTree evaluates a monadic program on a tree with the chosen
-// engine, returning the intensional relations.
-//
-// It is a single-shot shim over the compile-once path: each call pays
-// the full preparation cost. Use CompileProgram + CompiledQuery.Eval
-// to amortize it over many documents.
-func EvalOnTree(p *Program, t *Tree, e Engine) (*Database, error) {
-	q, err := CompileProgram(p, WithEngine(e), WithoutCache())
-	if err != nil {
-		return nil, err
-	}
-	return q.Eval(context.Background(), t)
-}
-
-// Query evaluates the program's distinguished query predicate with the
-// linear engine (Theorem 4.2) and returns the selected node ids.
-//
-// Single-shot shim; see CompileProgram + CompiledQuery.Select for the
-// amortized path.
-func Query(p *Program, t *Tree) ([]int, error) {
-	if p.Query == "" {
-		return nil, fmt.Errorf("eval: program has no distinguished query predicate")
-	}
-	q, err := CompileProgram(p, WithoutCache())
-	if err != nil {
-		return nil, err
-	}
-	return q.Select(context.Background(), t)
-}
-
 // MSO (Sections 2 and 4.2).
 type (
 	// MSOFormula is a monadic second-order formula over τ_ur.
@@ -211,25 +179,6 @@ type CaterpillarExpr = caterpillar.Expr
 // ParseCaterpillar reads e.g. "child+ | (child^-1)*.nextsibling+.child*".
 func ParseCaterpillar(src string) (CaterpillarExpr, error) { return caterpillar.Parse(src) }
 
-// CaterpillarSelect evaluates the unary query root.E.
-//
-// Single-shot shim over CompileCaterpillar: every call pays the full
-// translate/normalize/plan cost — use CompileCaterpillar directly to
-// amortize it. Expressions the datalog translation cannot prepare
-// fall back to the direct evaluator, preserving the never-fails
-// contract of the legacy signature.
-func CaterpillarSelect(e CaterpillarExpr, t *Tree) []int {
-	q, err := CompileCaterpillar(e, WithoutCache())
-	if err != nil {
-		return caterpillar.SelectFromRoot(e, t)
-	}
-	ids, err := q.Select(context.Background(), t)
-	if err != nil {
-		return caterpillar.SelectFromRoot(e, t)
-	}
-	return ids
-}
-
 // Elog (Section 6).
 type (
 	// ElogProgram is an Elog⁻ / Elog⁻Δ program.
@@ -254,26 +203,6 @@ type XPath = xpath.Path
 // ParseXPath reads a Core XPath expression, e.g. "//table/tr[td/b]/td".
 func ParseXPath(src string) (*XPath, error) { return xpath.Parse(src) }
 
-// XPathSelect evaluates a Core XPath query (supports not(·) via the
-// direct-evaluator plan).
-//
-// Single-shot shim over CompileXPath: every call pays the full
-// translate/normalize/plan cost — use CompileXPath directly to
-// amortize it. Queries the datalog translation cannot prepare fall
-// back to the reference evaluator, preserving the never-fails
-// contract of the legacy signature.
-func XPathSelect(p *XPath, t *Tree) []int {
-	q, err := CompileXPath(p, WithoutCache())
-	if err != nil {
-		return xpath.Select(p, t)
-	}
-	ids, err := q.Select(context.Background(), t)
-	if err != nil {
-		return xpath.Select(p, t)
-	}
-	return ids
-}
-
 // XPathToDatalog translates a positive Core XPath query into monadic
 // datalog over τ_ur ∪ {child}; compose with ToTMNF for the linear-time
 // engine.
@@ -282,11 +211,6 @@ func XPathToDatalog(p *XPath, queryPred string) (*Program, error) {
 }
 
 // Wrapping (Section 6 intro).
-type (
-	// Wrapper runs a monadic datalog program as a wrapper.
-	Wrapper = wrap.Wrapper
-	// ElogWrapper runs an Elog program as a wrapper.
-	ElogWrapper = wrap.ElogWrapper
-	// Assignment maps patterns to selected nodes.
-	Assignment = wrap.Assignment
-)
+
+// Assignment maps patterns to selected nodes.
+type Assignment = wrap.Assignment

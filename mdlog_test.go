@@ -1,6 +1,7 @@
 package mdlog
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -31,7 +32,11 @@ first(X) :- li(X), firstchild(Y,X).
 	if err != nil {
 		t.Fatal(err)
 	}
-	ids, err := Query(p, doc)
+	cq, err := CompileProgram(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids, err := cq.Select(context.Background(), doc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +45,11 @@ first(X) :- li(X), firstchild(Y,X).
 	}
 
 	// Engine dispatch.
-	res, err := EvalOnTree(p, doc, EngineSemiNaive)
+	sq, err := CompileProgram(p, WithEngine(EngineSemiNaive))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sq.Eval(context.Background(), doc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +83,11 @@ first(X) :- li(X), firstchild(Y,X).
 	if err := IsTMNF(tp); err != nil {
 		t.Fatal(err)
 	}
-	got, err := EvalOnTree(tp, doc, EngineLinear)
+	lq, err := CompileProgram(tp, WithEngine(EngineLinear))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := lq.Eval(context.Background(), doc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,8 +100,12 @@ first(X) :- li(X), firstchild(Y,X).
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(CaterpillarSelect(e, doc)) == 0 {
-		t.Error("caterpillar select empty")
+	cat, err := CompileCaterpillar(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ids, err := cat.Select(context.Background(), doc); err != nil || len(ids) == 0 {
+		t.Errorf("caterpillar select empty (%v)", err)
 	}
 
 	// Elog route with the visual builder.
@@ -116,8 +133,7 @@ first(X) :- li(X), firstchild(Y,X).
 	}
 
 	// Wrapper route.
-	w := &Wrapper{Program: p}
-	out, _, err := w.Run(doc)
+	out, err := cq.Wrap(context.Background(), doc)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,10 +3,11 @@ package mdlog
 // The unified compile-once / run-many query API. The paper proves six
 // formalisms equivalent in expressive power; this file makes them
 // equivalent in use: every source language compiles through
-// Compile(src, lang) into one CompiledQuery value whose Select / Eval
-// / Wrap methods execute a prepared plan against any number of
-// documents, concurrently, with per-document state memoized in a
-// TreeCache. See DESIGN.md for the architecture.
+// Compile(src, lang) into one CompiledQuery value whose one run path,
+// Run (with Select / Eval / Wrap as readings of it), executes a
+// prepared plan against any number of documents, concurrently, with
+// per-document state memoized in a TreeCache. See DESIGN.md for the
+// architecture.
 
 import (
 	"context"
@@ -363,7 +364,7 @@ func newPlanKey(p *Program, engine Engine, project []string) planKey {
 // Compile parses src in the given language, normalizes it onto one of
 // the engine-ready forms (datalog plan, tree automaton, or direct
 // evaluator), and prepares the execution plan. The result amortizes
-// all of that across every later Select / Eval / Wrap call.
+// all of that across every later Run.
 func Compile(src string, lang Language, opts ...Option) (*CompiledQuery, error) {
 	start := time.Now()
 	build, err := parseSource(src, lang, opts)
@@ -798,6 +799,63 @@ func (q *CompiledQuery) Stats() Stats {
 
 func (q *CompiledQuery) record(rs Stats) { q.agg.record(rs) }
 
+// Run runs the plan on one document and projects the answer — the
+// one run path every other entry point goes through. A query is a
+// one-member QuerySet, so the result is a SetResult (Index 0, no
+// Name): IDs for the query predicate, the Assignment of the
+// extraction predicates and, for a spanner, the Spans. An evaluation
+// failure lands in Err.
+func (q *CompiledQuery) Run(ctx context.Context, t *Tree) SetResult {
+	_, res := q.run(ctx, t)
+	return res
+}
+
+// run is Run also returning the visible result database.
+func (q *CompiledQuery) run(ctx context.Context, t *Tree) (*Database, SetResult) {
+	db, rs, err := q.runCached(ctx, t)
+	return db, q.result(treeSource{t: t}, db, rs, err)
+}
+
+// result builds a standalone run's SetResult; src supplies character
+// data for spanner queries in db's id space.
+func (q *CompiledQuery) result(src span.Source, db *Database, rs Stats, err error) SetResult {
+	res := SetResult{Err: err}
+	if err == nil {
+		rs.Runs = 1
+		q.fill(&res, src, db, rs)
+	}
+	return res
+}
+
+// fill completes one run's SetResult from its visible database and
+// records the run's stats on the query, so per-wrapper aggregates
+// (service /stats, /metrics) reflect fused runs too. It is the single
+// projection of the node/assignment/span answer shapes, shared by Run,
+// RunIncremental and both QuerySet paths. src supplies character data
+// for spanner queries (the tree, or a live document's arena); the node
+// ids in db must be in src's id space.
+func (q *CompiledQuery) fill(res *SetResult, src span.Source, db *Database, st Stats) {
+	if q.queryPred != "" {
+		res.IDs = db.UnarySet(q.queryPred)
+	}
+	a := Assignment{}
+	for _, pred := range q.extract {
+		if ids := db.UnarySet(pred); len(ids) > 0 {
+			a[pred] = ids
+		}
+	}
+	res.Assignment = a
+	if sp, ok := q.plan.(*spannerPlan); ok {
+		start := time.Now()
+		res.Spans = sp.eval.Eval(src, db.UnarySet)
+		st.Eval += time.Since(start)
+		st.Spans = int64(res.Spans.Tuples())
+	}
+	st.Facts = int64(db.Size())
+	res.Stats = st
+	q.record(st)
+}
+
 // Eval runs the plan on one document and returns the visible result
 // relations (all intensional predicates for datalog programs, the
 // query predicate for MSO/XPath/caterpillar, every pattern for Elog).
@@ -806,8 +864,8 @@ func (q *CompiledQuery) record(rs Stats) { q.agg.record(rs) }
 // and with concurrent callers: treat it as read-only and Clone before
 // mutating.
 func (q *CompiledQuery) Eval(ctx context.Context, t *Tree) (*Database, error) {
-	db, _, err := q.EvalStats(ctx, t)
-	return db, err
+	db, res := q.run(ctx, t)
+	return db, res.Err
 }
 
 // runCached consults the per-(query, tree) result memo before the
@@ -839,82 +897,30 @@ func (q *CompiledQuery) runCachedIn(ctx context.Context, t *Tree, cache *TreeCac
 	return db, rs, err
 }
 
-// EvalStats is Eval returning per-run statistics. The returned
-// database is shared (see Eval) — read-only.
-func (q *CompiledQuery) EvalStats(ctx context.Context, t *Tree) (*Database, Stats, error) {
-	db, rs, err := q.runCached(ctx, t)
-	if err != nil {
-		return nil, rs, err
-	}
-	rs.Runs = 1
-	rs.Facts = int64(db.Size())
-	q.record(rs)
-	return db, rs, nil
-}
-
 // Select runs the plan on one document and returns the sorted
 // document-order ids of the nodes its query predicate selects — the
 // paper's unary-query interface, uniform across all seven languages
 // (for a spanner it selects the node part's ?- predicate; Spans
-// returns the span relations).
+// returns the span relations). It is Run's IDs, erroring when the
+// query has no distinguished query predicate.
 func (q *CompiledQuery) Select(ctx context.Context, t *Tree) ([]int, error) {
-	ids, _, err := q.SelectStats(ctx, t)
-	return ids, err
-}
-
-// SelectStats is Select returning per-run statistics.
-func (q *CompiledQuery) SelectStats(ctx context.Context, t *Tree) ([]int, Stats, error) {
 	if q.queryPred == "" {
-		return nil, Stats{}, fmt.Errorf("mdlog: %v query has no distinguished query predicate; compile with WithQueryPred or add a ?- directive / Extract list", q.lang)
+		return nil, fmt.Errorf("mdlog: %v query has no distinguished query predicate; compile with WithQueryPred or add a ?- directive / Extract list", q.lang)
 	}
-	db, rs, err := q.runCached(ctx, t)
-	if err != nil {
-		return nil, rs, err
-	}
-	ids := db.UnarySet(q.queryPred)
-	rs.Runs = 1
-	rs.Facts = int64(len(ids))
-	q.record(rs)
-	return ids, rs, nil
+	res := q.Run(ctx, t)
+	return res.IDs, res.Err
 }
 
 // Wrap runs the plan as a wrapper (Section 6): the nodes selected by
-// the extraction predicates are kept, relabeled by pattern name, and
-// reconnected through the transitive closure of the edge relation.
+// the extraction predicates — Run's Assignment — are kept, relabeled
+// by pattern name, and reconnected through the transitive closure of
+// the edge relation.
 func (q *CompiledQuery) Wrap(ctx context.Context, t *Tree) (*Tree, error) {
-	out, _, err := q.WrapAssign(ctx, t)
-	return out, err
-}
-
-// WrapAssign is Wrap also returning the pattern → nodes assignment.
-func (q *CompiledQuery) WrapAssign(ctx context.Context, t *Tree) (*Tree, Assignment, error) {
-	a, err := q.Assign(ctx, t)
-	if err != nil {
-		return nil, nil, err
+	res := q.Run(ctx, t)
+	if res.Err != nil {
+		return nil, res.Err
 	}
-	return wrap.BuildOutput(t, a, q.wrapOpts), a, nil
-}
-
-// Assign runs the plan and returns only the pattern → nodes
-// assignment — Wrap without constructing the output tree, for
-// consumers (APIs, services) that serialize the assignment directly.
-func (q *CompiledQuery) Assign(ctx context.Context, t *Tree) (Assignment, error) {
-	db, rs, err := q.runCached(ctx, t)
-	if err != nil {
-		return nil, err
-	}
-	a := Assignment{}
-	var facts int64
-	for _, pred := range q.extract {
-		if ids := db.UnarySet(pred); len(ids) > 0 {
-			a[pred] = ids
-			facts += int64(len(ids))
-		}
-	}
-	rs.Runs = 1
-	rs.Facts = facts
-	q.record(rs)
-	return a, nil
+	return wrap.BuildOutput(t, res.Assignment, q.wrapOpts), nil
 }
 
 // ---------------------------------------------------------------------

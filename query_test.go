@@ -9,8 +9,11 @@ import (
 	"sync"
 	"testing"
 
+	"mdlog/internal/eval"
 	"mdlog/internal/html"
 	"mdlog/internal/tree"
+	"mdlog/internal/wrap"
+	"mdlog/internal/xpath"
 )
 
 const crossPage = `
@@ -46,7 +49,7 @@ func TestCompileCrossFormalismEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := fmt.Sprint(XPathSelect(xp, doc))
+	want := fmt.Sprint(xpath.Select(xp, doc))
 	if want == "[]" {
 		t.Fatalf("reference query selects nothing; bad test document")
 	}
@@ -97,7 +100,7 @@ func TestCompileTMNFRoute(t *testing.T) {
 		t.Fatal(err)
 	}
 	xp, _ := ParseXPath("//td[b]")
-	if want := fmt.Sprint(XPathSelect(xp, doc)); fmt.Sprint(got) != want {
+	if want := fmt.Sprint(xpath.Select(xp, doc)); fmt.Sprint(got) != want {
 		t.Errorf("TMNF route selects %v, want %v", got, want)
 	}
 
@@ -166,10 +169,12 @@ price(x) :- row(x0), subelem("td.b.#text", x0, x).
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, assign, err := q.WrapAssign(context.Background(), doc)
+	ctx := context.Background()
+	out, err := q.Wrap(ctx, doc)
 	if err != nil {
 		t.Fatal(err)
 	}
+	assign := q.Run(ctx, doc).Assignment
 	if len(assign["row"]) != 3 || len(assign["price"]) != 2 {
 		t.Fatalf("assignment = %v", assign)
 	}
@@ -178,7 +183,7 @@ price(x) :- row(x0), subelem("td.b.#text", x0, x).
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := &ElogWrapper{Program: prog, Options: WrapOptions{KeepText: true}}
+	w := &wrap.ElogWrapper{Program: prog, Options: WrapOptions{KeepText: true}}
 	lout, lassign, err := w.Run(doc)
 	if err != nil {
 		t.Fatal(err)
@@ -232,18 +237,25 @@ func TestCompiledQueryStats(t *testing.T) {
 	if _, err := q.Select(ctx, doc); err != nil {
 		t.Fatal(err)
 	}
-	ids, rs, err := q.SelectStats(ctx, doc)
+	res := q.Run(ctx, doc)
+	if res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	// Facts counts the run's visible result relations — here the one
+	// relation q, so exactly the selected nodes.
+	rs := res.Stats
+	db, err := q.Eval(ctx, doc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rs.Runs != 1 || rs.Facts != int64(len(ids)) {
+	if rs.Runs != 1 || rs.Facts != int64(db.Size()) || rs.Facts != int64(len(res.IDs)) {
 		t.Errorf("per-run stats = %+v", rs)
 	}
 	if rs.CacheHits != 1 {
 		t.Errorf("second run on same tree should hit the cache: %+v", rs)
 	}
 	agg := q.Stats()
-	if agg.Runs != 2 || agg.CacheHits < 1 {
+	if agg.Runs != 3 || agg.CacheHits < 2 {
 		t.Errorf("aggregate stats = %+v", agg)
 	}
 	if agg.Compile <= 0 {
@@ -278,9 +290,9 @@ func TestSharedCacheAcrossQueries(t *testing.T) {
 	if _, err := q1.Select(ctx, doc); err != nil {
 		t.Fatal(err)
 	}
-	if _, rs, err := q2.SelectStats(ctx, doc); err != nil {
-		t.Fatal(err)
-	} else if rs.CacheHits != 1 {
+	if res := q2.Run(ctx, doc); res.Err != nil {
+		t.Fatal(res.Err)
+	} else if rs := res.Stats; rs.CacheHits != 1 {
 		t.Errorf("q2 should reuse q1's cached document state: %+v", rs)
 	}
 	if tc.Len() != 1 {
@@ -371,9 +383,9 @@ b(X) :- label_tr(X).
 	// A byte-identical plan from a separate Compile call SHARES the
 	// entry: cross-query amortization, the flip side of the hash key.
 	qaDup := compile("a", OptFull)
-	if _, rs, err := qaDup.EvalStats(ctx, doc); err != nil {
-		t.Fatal(err)
-	} else if rs.CacheHits != 1 {
+	if res := qaDup.Run(ctx, doc); res.Err != nil {
+		t.Fatal(res.Err)
+	} else if rs := res.Stats; rs.CacheHits != 1 {
 		t.Errorf("identical plan should hit the shared memo: %+v", rs)
 	}
 	if got := tc.Stats().Results; got != 3 {
@@ -405,7 +417,7 @@ func TestRunnerFanOut(t *testing.T) {
 	}
 
 	r := Runner{Workers: 8}
-	res := r.SelectAll(ctx, q, docs)
+	res := MapAll(ctx, r, docs, q.Select)
 	if len(res) != len(docs) {
 		t.Fatalf("got %d results", len(res))
 	}
@@ -413,11 +425,11 @@ func TestRunnerFanOut(t *testing.T) {
 		if x.Err != nil {
 			t.Fatalf("doc %d: %v", i, x.Err)
 		}
-		if x.Index != i || x.Doc != docs[i] {
+		if x.Index != i {
 			t.Fatalf("result %d out of order (index %d)", i, x.Index)
 		}
-		if fmt.Sprint(x.Nodes) != fmt.Sprint(want[i]) {
-			t.Errorf("doc %d: %v, want %v", i, x.Nodes, want[i])
+		if fmt.Sprint(x.Value) != fmt.Sprint(want[i]) {
+			t.Errorf("doc %d: %v, want %v", i, x.Value, want[i])
 		}
 	}
 
@@ -430,15 +442,15 @@ func TestRunnerFanOut(t *testing.T) {
 		}
 	}()
 	i := 0
-	for x := range r.SelectStream(ctx, q, in) {
+	for x := range Map(ctx, r, in, q.Select) {
 		if x.Err != nil {
 			t.Fatalf("stream doc %d: %v", i, x.Err)
 		}
 		if x.Index != i {
 			t.Fatalf("stream result %d has index %d", i, x.Index)
 		}
-		if fmt.Sprint(x.Nodes) != fmt.Sprint(want[i]) {
-			t.Errorf("stream doc %d: %v, want %v", i, x.Nodes, want[i])
+		if fmt.Sprint(x.Value) != fmt.Sprint(want[i]) {
+			t.Errorf("stream doc %d: %v, want %v", i, x.Value, want[i])
 		}
 		i++
 	}
@@ -483,18 +495,23 @@ price(x) :- item(x0), subelem("td.b.#text", x0, x).
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := Runner{Workers: 3}.WrapAll(context.Background(), q, docs)
+	ctx := context.Background()
+	res := MapAll(ctx, Runner{Workers: 3}, docs, q.Wrap)
 	for i, x := range res {
 		if x.Err != nil {
 			t.Fatalf("doc %d: %v", i, x.Err)
 		}
-		if len(x.Assignment["item"]) == 0 {
-			t.Errorf("doc %d extracted nothing: %v", i, x.Assignment)
+		if x.Value == nil || x.Value.Size() < 2 {
+			t.Errorf("doc %d: output tree %v", i, x.Value)
+		}
+		if a := q.Run(ctx, docs[i]).Assignment; len(a["item"]) == 0 {
+			t.Errorf("doc %d extracted nothing: %v", i, a)
 		}
 	}
 	// ProductListing emits one header row plus the item rows.
-	if len(res[0].Assignment["item"]) != 4 || len(res[1].Assignment["item"]) != 6 {
-		t.Errorf("row counts: %v / %v", res[0].Assignment, res[1].Assignment)
+	a0, a1 := q.Run(ctx, docs[0]).Assignment, q.Run(ctx, docs[1]).Assignment
+	if len(a0["item"]) != 4 || len(a1["item"]) != 6 {
+		t.Errorf("row counts: %v / %v", a0, a1)
 	}
 }
 
@@ -506,7 +523,7 @@ func TestRunnerContextCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	docs := []*Tree{MustParseTree(t, "a(b,c)"), MustParseTree(t, "a(a)")}
-	res := Runner{Workers: 2}.SelectAll(ctx, q, docs)
+	res := MapAll(ctx, Runner{Workers: 2}, docs, q.Select)
 	for i, x := range res {
 		if x.Err == nil {
 			t.Errorf("doc %d should carry the cancellation error", i)
@@ -523,8 +540,10 @@ func MustParseTree(t *testing.T, s string) *Tree {
 	return tr
 }
 
-// TestShimsMatchCompiled pins the legacy free functions to the new
-// path they now delegate to.
+// TestShimsMatchCompiled pins the compiled path to the single-shot
+// oracles the former façade shims wrapped: the Theorem 4.2 query
+// evaluator, the direct Core XPath evaluator (not(·) included) and the
+// direct caterpillar evaluator.
 func TestShimsMatchCompiled(t *testing.T) {
 	doc := ParseHTML(crossPage)
 	ctx := context.Background()
@@ -533,7 +552,7 @@ func TestShimsMatchCompiled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy, err := Query(p, doc)
+	legacy, err := eval.Query(p, doc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -553,9 +572,16 @@ func TestShimsMatchCompiled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := XPathSelect(xp, doc)
-	if len(got) != 1 {
-		t.Errorf("negation query selects %v, want one row", got)
+	xq, err := CompileXPath(xp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := xq.Select(ctx, doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 || fmt.Sprint(got) != fmt.Sprint(xpath.Select(xp, doc)) {
+		t.Errorf("negation query selects %v, want the one row the direct evaluator selects", got)
 	}
 
 	ce, err := ParseCaterpillar("child.child")
@@ -570,8 +596,8 @@ func TestShimsMatchCompiled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fmt.Sprint(CaterpillarSelect(ce, doc)) != fmt.Sprint(cids) {
-		t.Errorf("CaterpillarSelect disagrees with compiled route")
+	if fmt.Sprint(selectRoot(ce, doc)) != fmt.Sprint(cids) {
+		t.Errorf("direct caterpillar evaluator disagrees with compiled route")
 	}
 }
 
@@ -605,18 +631,15 @@ func TestRunnerSelectHTMLStream(t *testing.T) {
 	}()
 	r := Runner{Workers: 6}
 	i := 0
-	for x := range r.SelectHTMLStream(ctx, q, in) {
+	for x := range Map(ctx, r, in, selectHTML(q)) {
 		if x.Err != nil {
 			t.Fatalf("doc %d: %v", i, x.Err)
 		}
 		if x.Index != i {
 			t.Fatalf("result %d has index %d", i, x.Index)
 		}
-		if x.Doc == nil || x.Doc.Size() == 0 {
-			t.Fatalf("doc %d missing parsed tree", i)
-		}
-		if fmt.Sprint(x.Nodes) != fmt.Sprint(want[i]) {
-			t.Errorf("doc %d: %v, want %v", i, x.Nodes, want[i])
+		if fmt.Sprint(x.Value) != fmt.Sprint(want[i]) {
+			t.Errorf("doc %d: %v, want %v", i, x.Value, want[i])
 		}
 		i++
 	}
@@ -630,7 +653,7 @@ func TestRunnerSelectHTMLStream(t *testing.T) {
 	in2 <- iotestErrReader{}
 	close(in2)
 	var errs, oks int
-	for x := range r.SelectHTMLStream(ctx, q, in2) {
+	for x := range Map(ctx, r, in2, selectHTML(q)) {
 		if x.Err != nil {
 			errs++
 		} else {

@@ -25,7 +25,6 @@ import (
 	"mdlog/internal/datalog"
 	"mdlog/internal/eval"
 	"mdlog/internal/opt"
-	"mdlog/internal/span"
 )
 
 // FuseReport describes what fusing a QuerySet did: total member rules
@@ -57,10 +56,13 @@ type SetSpec struct {
 	Options []Option
 }
 
-// SetResult is one member's outcome for one document.
+// SetResult is one run's answer for one document: a QuerySet
+// member's, or a CompiledQuery's (a one-member set). Every language's
+// answer is a set of unary relations, read out here in all three
+// shapes at once.
 type SetResult struct {
 	// Name and Index identify the member (Index is its position in the
-	// set).
+	// set); empty and 0 for CompiledQuery.Run.
 	Name  string
 	Index int
 	// IDs are the sorted node ids of the member's query predicate
@@ -68,7 +70,8 @@ type SetResult struct {
 	// query predicate.
 	IDs []int
 	// Assignment maps each of the member's extraction predicates with
-	// a non-empty extension to its sorted node ids (Assign semantics).
+	// a non-empty extension to its sorted node ids (the pattern → nodes
+	// assignment Wrap builds its output tree from).
 	Assignment Assignment
 	// Spans holds a spanner member's span relations (Spans semantics);
 	// nil for members of every other language.
@@ -401,7 +404,7 @@ func (s *QuerySet) Run(ctx context.Context, t *Tree) []SetResult {
 			if s.fused.MemberSubsumed(j) {
 				st.SubsumedRuns = 1
 			}
-			s.fill(res, treeSource{t: t}, dbs[j], st)
+			s.members[idx].Query.fill(res, treeSource{t: t}, dbs[j], st)
 		}
 	}
 	for i, m := range s.members {
@@ -424,7 +427,7 @@ func (s *QuerySet) Run(ctx context.Context, t *Tree) []SetResult {
 			continue
 		}
 		rs.Runs = 1
-		s.fill(&out[i], treeSource{t: t}, db, rs)
+		m.Query.fill(&out[i], treeSource{t: t}, db, rs)
 	}
 	for i := range out {
 		total.Facts += out[i].Stats.Facts
@@ -432,37 +435,6 @@ func (s *QuerySet) Run(ctx context.Context, t *Tree) []SetResult {
 	total.Runs = 1
 	s.agg.record(total)
 	return out
-}
-
-// fill completes one member's SetResult from its visible database and
-// records the attributed stats on the member query, so per-wrapper
-// aggregates (service /stats, /metrics) reflect fused runs too. src
-// supplies character data for spanner members (the tree for Run, the
-// live arena for RunIncremental); the node ids in db must be in src's
-// id space.
-func (s *QuerySet) fill(res *SetResult, src span.Source, db *Database, st Stats) {
-	q := s.members[res.Index].Query
-	if q.queryPred != "" {
-		res.IDs = db.UnarySet(q.queryPred)
-	}
-	a := Assignment{}
-	var facts int64
-	for _, pred := range q.extract {
-		if ids := db.UnarySet(pred); len(ids) > 0 {
-			a[pred] = ids
-			facts += int64(len(ids))
-		}
-	}
-	if sp, ok := q.plan.(*spannerPlan); ok {
-		start := time.Now()
-		res.Spans = sp.eval.Eval(src, db.UnarySet)
-		st.Eval += time.Since(start)
-		st.Spans = int64(res.Spans.Tuples())
-	}
-	res.Assignment = a
-	st.Facts = facts
-	res.Stats = st
-	q.record(st)
 }
 
 // isFused reports whether member i is covered by the fused plan.

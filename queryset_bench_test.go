@@ -38,7 +38,7 @@ func BenchmarkQuerySetFused(b *testing.B) {
 	b.Run("sequential", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, q := range queries {
-				if _, err := q.Assign(ctx, doc); err != nil {
+				if err := q.Run(ctx, doc).Err; err != nil {
 					b.Fatal(err)
 				}
 			}

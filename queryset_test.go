@@ -113,11 +113,11 @@ func TestQuerySetDifferential(t *testing.T) {
 							t.Errorf("%s: fused IDs %v, individual %v", res.Name, res.IDs, ids)
 						}
 					}
-					a, err := q.Assign(ctx, doc)
-					if err != nil {
-						t.Fatalf("%s: individual Assign: %v", res.Name, err)
+					ind := q.Run(ctx, doc)
+					if ind.Err != nil {
+						t.Fatalf("%s: individual Run: %v", res.Name, ind.Err)
 					}
-					if assignString(res.Assignment) != assignString(a) {
+					if a := ind.Assignment; assignString(res.Assignment) != assignString(a) {
 						t.Errorf("%s: fused assignment %q, individual %q",
 							res.Name, assignString(res.Assignment), assignString(a))
 					}
@@ -269,8 +269,8 @@ func mustCompileQS(t *testing.T, src string, lang Language, opts ...Option) *Com
 	return q
 }
 
-// TestRunnerSetAll: the Runner fan-out preserves order and per-member
-// results, race-clean under -race.
+// TestRunnerSetAll: the MapAll fan-out of a whole set preserves order
+// and per-member results, race-clean under -race.
 func TestRunnerSetAll(t *testing.T) {
 	set, err := CompileSet(querySetSpecs())
 	if err != nil {
@@ -280,7 +280,8 @@ func TestRunnerSetAll(t *testing.T) {
 	for i := range docs {
 		docs[i] = ParseHTML(querySetPage)
 	}
-	res := (Runner{Workers: 8}).SetAll(context.Background(), set, docs)
+	res := MapAll(context.Background(), Runner{Workers: 8}, docs,
+		func(ctx context.Context, t *Tree) ([]SetResult, error) { return set.Run(ctx, t), nil })
 	if len(res) != len(docs) {
 		t.Fatalf("got %d results", len(res))
 	}
@@ -289,7 +290,7 @@ func TestRunnerSetAll(t *testing.T) {
 		if dr.Err != nil {
 			t.Fatalf("doc %d: %v", dr.Index, dr.Err)
 		}
-		for i, r := range dr.Results {
+		for i, r := range dr.Value {
 			if r.Err != nil {
 				t.Fatalf("doc %d member %s: %v", dr.Index, r.Name, r.Err)
 			}
@@ -316,25 +317,34 @@ func TestRunnerSetHTMLStream(t *testing.T) {
 	srcs <- &failingReader{prefix: "<html><td>", err: fmt.Errorf("stream cut")}
 	srcs <- strings.NewReader(querySetPage)
 	close(srcs)
-	var got []SetDocResult
-	for res := range (Runner{Workers: 2}).SetHTMLStream(context.Background(), set, srcs) {
+	// Parse inside the pool; a member's failure would land in its own
+	// SetResult, a read failure in the document's Err.
+	setHTML := func(ctx context.Context, rd io.Reader) ([]SetResult, error) {
+		doc, err := ParseHTMLReader(rd)
+		if err != nil {
+			return nil, err
+		}
+		return set.Run(ctx, doc), nil
+	}
+	var got []Result[[]SetResult]
+	for res := range Map(context.Background(), Runner{Workers: 2}, srcs, setHTML) {
 		got = append(got, res)
 	}
 	if len(got) != 3 {
 		t.Fatalf("got %d results", len(got))
 	}
-	if got[1].Err == nil || got[1].Results != nil {
+	if got[1].Err == nil || got[1].Value != nil {
 		t.Fatalf("failing document not isolated: %+v", got[1])
 	}
 	for _, i := range []int{0, 2} {
 		if got[i].Err != nil {
 			t.Fatalf("doc %d: %v", i, got[i].Err)
 		}
-		if len(got[i].Results) != 2 || got[i].Results[0].Err != nil {
-			t.Fatalf("doc %d results: %+v", i, got[i].Results)
+		if len(got[i].Value) != 2 || got[i].Value[0].Err != nil {
+			t.Fatalf("doc %d results: %+v", i, got[i].Value)
 		}
-		if len(got[i].Results[0].IDs) == 0 || len(got[i].Results[1].IDs) == 0 {
-			t.Fatalf("doc %d selected nothing: %+v", i, got[i].Results)
+		if len(got[i].Value[0].IDs) == 0 || len(got[i].Value[1].IDs) == 0 {
+			t.Fatalf("doc %d selected nothing: %+v", i, got[i].Value)
 		}
 	}
 }

@@ -1,388 +1,40 @@
 package mdlog
 
-// Runner fans a CompiledQuery (or a whole wrapper) across many
-// documents with a bounded worker pool — the serving shape of
-// "A Formal Comparison of Visual Web Wrapper Generators": one wrapper
-// compiled once, a stream of pages pushed through it. Results always
-// come back in input order, so downstream consumers need no
-// re-sequencing.
+// One fan-out for every run shape — the serving shape of "A Formal
+// Comparison of Visual Web Wrapper Generators": one wrapper compiled
+// once, a stream of pages pushed through it. The task is any function
+// of one input (a tree, an io.Reader parsed inside the pool, a batch
+// entry), so a query, a wrapper or a whole QuerySet fans out the same
+// way. Results always come back in input order, so downstream
+// consumers need no re-sequencing.
 
 import (
 	"context"
-	"io"
 
 	"mdlog/internal/eval"
-	"mdlog/internal/html"
-	"mdlog/internal/tree"
 )
 
-// Runner is a bounded worker pool for running compiled queries over
-// document collections and streams. The zero value uses
-// runtime.GOMAXPROCS(0) workers.
-type Runner struct {
-	// Workers bounds concurrency; ≤ 0 means GOMAXPROCS.
-	Workers int
+// Runner is a bounded worker pool for Map and MapAll. The zero value
+// uses runtime.GOMAXPROCS(0) workers.
+type Runner = eval.Runner
+
+// Result is one input's outcome from Map or MapAll: its position in
+// the input order, f's value, and f's error (or the context's, for an
+// input accepted but not processed before cancellation).
+type Result[R any] = eval.Result[R]
+
+// Map runs f over a stream of inputs with r's worker pool and yields
+// the results in input order, with backpressure bounded by the worker
+// count. A failing input marks only its own result. The returned
+// channel closes after in closes (or ctx is canceled) and every
+// accepted input has been yielded; a producer must guard its sends
+// with the same ctx.
+func Map[T, R any](ctx context.Context, r Runner, in <-chan T, f func(context.Context, T) (R, error)) <-chan Result[R] {
+	return eval.Map(ctx, r, in, f)
 }
 
-// SelectResult is one document's Select outcome.
-type SelectResult struct {
-	// Index is the document's position in the input order.
-	Index int
-	Doc   *Tree
-	Nodes []int
-	Err   error
-}
-
-// EvalResult is one document's Eval outcome. DB may be shared with
-// the query's result memo — treat it as read-only (see
-// CompiledQuery.Eval).
-type EvalResult struct {
-	Index int
-	Doc   *Tree
-	DB    *Database
-	Err   error
-}
-
-// WrapResult is one document's Wrap outcome.
-type WrapResult struct {
-	Index      int
-	Doc        *Tree
-	Output     *Tree
-	Assignment Assignment
-	Err        error
-}
-
-// SpanDocResult is one document's Spans outcome (spanner queries).
-type SpanDocResult struct {
-	// Index is the document's position in the input order.
-	Index int
-	Doc   *Tree
-	// Spans holds the extracted span relations; nil when Err is set.
-	Spans SpanResult
-	Err   error
-}
-
-// SetDocResult is one document's QuerySet outcome: a SetResult per
-// member in set order, plus a document-level error (a failed parse on
-// the HTML paths, or a canceled context) that preempted evaluation.
-type SetDocResult struct {
-	// Index is the document's position in the input order.
-	Index int
-	Doc   *Tree
-	// Results holds one entry per set member; nil when Err is set.
-	Results []SetResult
-	// Err is a document-level failure; member-level failures live in
-	// Results[i].Err.
-	Err error
-}
-
-func (r Runner) pool() eval.Runner { return eval.Runner{Workers: r.Workers} }
-
-// SetAll runs s.Run — every member wrapper, fused where possible —
-// over every document concurrently, returning per-document results in
-// input order.
-func (r Runner) SetAll(ctx context.Context, s *QuerySet, docs []*Tree) []SetDocResult {
-	res := eval.MapAll(ctx, r.pool(), docs, func(ctx context.Context, t *tree.Tree) ([]SetResult, error) {
-		return s.Run(ctx, t), nil
-	})
-	out := make([]SetDocResult, len(res))
-	for i, x := range res {
-		out[i] = SetDocResult{Index: x.Index, Doc: x.Doc, Results: x.Value, Err: x.Err}
-	}
-	return out
-}
-
-// SetStream runs s.Run over a stream of documents, yielding results in
-// input order (see SelectStream for channel semantics).
-func (r Runner) SetStream(ctx context.Context, s *QuerySet, docs <-chan *Tree) <-chan SetDocResult {
-	res := eval.MapStream(ctx, r.pool(), docs, func(ctx context.Context, t *tree.Tree) ([]SetResult, error) {
-		return s.Run(ctx, t), nil
-	})
-	out := make(chan SetDocResult)
-	go func() {
-		defer close(out)
-		for x := range res {
-			out <- SetDocResult{Index: x.Index, Doc: x.Doc, Results: x.Value, Err: x.Err}
-		}
-	}()
-	return out
-}
-
-// SetHTMLStream is SetStream for raw HTML: each document is parsed
-// from its reader inside the worker pool, then run through every
-// member of the set with one shared fused pass. Error semantics are
-// those of SelectHTMLStream — a failing reader marks only its own
-// document (Err set, Results nil), a canceled context stops the
-// stream — with the extra layer that a member's evaluation failure
-// lands in its own SetResult, not the document's Err.
-func (r Runner) SetHTMLStream(ctx context.Context, s *QuerySet, srcs <-chan io.Reader) <-chan SetDocResult {
-	type parsed struct {
-		doc     *Tree
-		results []SetResult
-	}
-	res := eval.MapStreamFrom(ctx, r.pool(), srcs, func(ctx context.Context, rd io.Reader) (parsed, error) {
-		doc, err := html.ParseReader(rd)
-		if err != nil {
-			return parsed{}, err
-		}
-		return parsed{doc: doc, results: s.Run(ctx, doc)}, nil
-	}, nil)
-	out := make(chan SetDocResult)
-	go func() {
-		defer close(out)
-		for x := range res {
-			out <- SetDocResult{Index: x.Index, Doc: x.Value.doc, Results: x.Value.results, Err: x.Err}
-		}
-	}()
-	return out
-}
-
-// SpansAll runs q.Spans — a spanner query's span extraction — over
-// every document concurrently, returning per-document results in
-// input order. Every result carries the same error when q is not a
-// spanner query.
-func (r Runner) SpansAll(ctx context.Context, q *CompiledQuery, docs []*Tree) []SpanDocResult {
-	res := eval.MapAll(ctx, r.pool(), docs, func(ctx context.Context, t *tree.Tree) (SpanResult, error) {
-		return q.Spans(ctx, t)
-	})
-	out := make([]SpanDocResult, len(res))
-	for i, x := range res {
-		out[i] = SpanDocResult{Index: x.Index, Doc: x.Doc, Spans: x.Value, Err: x.Err}
-	}
-	return out
-}
-
-// SpansStream runs q.Spans over a stream of documents, yielding
-// results in input order (see SelectStream for channel semantics).
-func (r Runner) SpansStream(ctx context.Context, q *CompiledQuery, docs <-chan *Tree) <-chan SpanDocResult {
-	res := eval.MapStream(ctx, r.pool(), docs, func(ctx context.Context, t *tree.Tree) (SpanResult, error) {
-		return q.Spans(ctx, t)
-	})
-	out := make(chan SpanDocResult)
-	go func() {
-		defer close(out)
-		for x := range res {
-			out <- SpanDocResult{Index: x.Index, Doc: x.Doc, Spans: x.Value, Err: x.Err}
-		}
-	}()
-	return out
-}
-
-// SpansHTMLStream is SpansStream for raw HTML: each document is
-// parsed from its reader inside the worker pool, then run through
-// q.Spans. Error semantics are those of SelectHTMLStream: a failing
-// reader marks only its own result, a canceled context stops the
-// stream.
-func (r Runner) SpansHTMLStream(ctx context.Context, q *CompiledQuery, srcs <-chan io.Reader) <-chan SpanDocResult {
-	type parsed struct {
-		doc   *Tree
-		spans SpanResult
-	}
-	res := eval.MapStreamFrom(ctx, r.pool(), srcs, func(ctx context.Context, rd io.Reader) (parsed, error) {
-		doc, err := html.ParseReader(rd)
-		if err != nil {
-			return parsed{}, err
-		}
-		spans, err := q.Spans(ctx, doc)
-		return parsed{doc: doc, spans: spans}, err
-	}, nil)
-	out := make(chan SpanDocResult)
-	go func() {
-		defer close(out)
-		for x := range res {
-			out <- SpanDocResult{Index: x.Index, Doc: x.Value.doc, Spans: x.Value.spans, Err: x.Err}
-		}
-	}()
-	return out
-}
-
-// SelectAll runs q.Select over every document concurrently and
-// returns per-document results in input order.
-func (r Runner) SelectAll(ctx context.Context, q *CompiledQuery, docs []*Tree) []SelectResult {
-	res := eval.MapAll(ctx, r.pool(), docs, func(ctx context.Context, t *tree.Tree) ([]int, error) {
-		return q.Select(ctx, t)
-	})
-	out := make([]SelectResult, len(res))
-	for i, x := range res {
-		out[i] = SelectResult{Index: x.Index, Doc: x.Doc, Nodes: x.Value, Err: x.Err}
-	}
-	return out
-}
-
-// SelectStream runs q.Select over a stream of documents, yielding
-// results in input order with backpressure bounded by the worker
-// count. The returned channel closes after docs closes (or the
-// context is canceled) and all accepted documents have been yielded.
-func (r Runner) SelectStream(ctx context.Context, q *CompiledQuery, docs <-chan *Tree) <-chan SelectResult {
-	res := eval.MapStream(ctx, r.pool(), docs, func(ctx context.Context, t *tree.Tree) ([]int, error) {
-		return q.Select(ctx, t)
-	})
-	out := make(chan SelectResult)
-	go func() {
-		defer close(out)
-		for x := range res {
-			out <- SelectResult{Index: x.Index, Doc: x.Doc, Nodes: x.Value, Err: x.Err}
-		}
-	}()
-	return out
-}
-
-// SelectHTMLStream is SelectStream for raw HTML: each document is
-// parsed from its reader inside the worker pool (the streaming arena
-// ingestion path), then run through q.Select — so tokenization,
-// tree construction and evaluation all fan out together. The result's
-// Doc is the parsed tree; a parse (read) error surfaces in Err with a
-// nil Doc. Document failures are isolated: a reader that errors
-// mid-stream marks only its own result and the remaining documents
-// still parse and evaluate. Canceling the context instead stops the
-// whole stream — already-accepted, not-yet-processed documents are
-// yielded with ctx.Err(). Channel semantics are those of
-// SelectStream.
-func (r Runner) SelectHTMLStream(ctx context.Context, q *CompiledQuery, srcs <-chan io.Reader) <-chan SelectResult {
-	type parsed struct {
-		doc   *Tree
-		nodes []int
-	}
-	res := eval.MapStreamFrom(ctx, r.pool(), srcs, func(ctx context.Context, rd io.Reader) (parsed, error) {
-		doc, err := html.ParseReader(rd)
-		if err != nil {
-			return parsed{}, err
-		}
-		nodes, err := q.Select(ctx, doc)
-		return parsed{doc: doc, nodes: nodes}, err
-	}, nil)
-	out := make(chan SelectResult)
-	go func() {
-		defer close(out)
-		for x := range res {
-			out <- SelectResult{Index: x.Index, Doc: x.Value.doc, Nodes: x.Value.nodes, Err: x.Err}
-		}
-	}()
-	return out
-}
-
-// WrapHTMLStream is WrapStream for raw HTML: each document is parsed
-// from its reader inside the worker pool, then run through
-// q.WrapAssign. Error semantics are those of SelectHTMLStream: a
-// failing reader marks only its own result, a canceled context stops
-// the stream.
-func (r Runner) WrapHTMLStream(ctx context.Context, q *CompiledQuery, srcs <-chan io.Reader) <-chan WrapResult {
-	type parsed struct {
-		doc    *Tree
-		out    *Tree
-		assign Assignment
-	}
-	res := eval.MapStreamFrom(ctx, r.pool(), srcs, func(ctx context.Context, rd io.Reader) (parsed, error) {
-		doc, err := html.ParseReader(rd)
-		if err != nil {
-			return parsed{}, err
-		}
-		out, a, err := q.WrapAssign(ctx, doc)
-		return parsed{doc: doc, out: out, assign: a}, err
-	}, nil)
-	out := make(chan WrapResult)
-	go func() {
-		defer close(out)
-		for x := range res {
-			out <- WrapResult{Index: x.Index, Doc: x.Value.doc, Output: x.Value.out, Assignment: x.Value.assign, Err: x.Err}
-		}
-	}()
-	return out
-}
-
-// AssignHTMLStream is WrapHTMLStream without output-tree
-// construction: each document is parsed inside the worker pool and
-// run through q.Assign, so consumers that only serialize the pattern
-// → nodes assignment skip the tree build entirely. Results carry a
-// nil Output; error semantics are those of SelectHTMLStream.
-func (r Runner) AssignHTMLStream(ctx context.Context, q *CompiledQuery, srcs <-chan io.Reader) <-chan WrapResult {
-	type parsed struct {
-		doc    *Tree
-		assign Assignment
-	}
-	res := eval.MapStreamFrom(ctx, r.pool(), srcs, func(ctx context.Context, rd io.Reader) (parsed, error) {
-		doc, err := html.ParseReader(rd)
-		if err != nil {
-			return parsed{}, err
-		}
-		a, err := q.Assign(ctx, doc)
-		return parsed{doc: doc, assign: a}, err
-	}, nil)
-	out := make(chan WrapResult)
-	go func() {
-		defer close(out)
-		for x := range res {
-			out <- WrapResult{Index: x.Index, Doc: x.Value.doc, Assignment: x.Value.assign, Err: x.Err}
-		}
-	}()
-	return out
-}
-
-// EvalAll runs q.Eval over every document concurrently, in input order.
-func (r Runner) EvalAll(ctx context.Context, q *CompiledQuery, docs []*Tree) []EvalResult {
-	res := eval.MapAll(ctx, r.pool(), docs, func(ctx context.Context, t *tree.Tree) (*Database, error) {
-		return q.Eval(ctx, t)
-	})
-	out := make([]EvalResult, len(res))
-	for i, x := range res {
-		out[i] = EvalResult{Index: x.Index, Doc: x.Doc, DB: x.Value, Err: x.Err}
-	}
-	return out
-}
-
-type wrapped struct {
-	out    *tree.Tree
-	assign Assignment
-}
-
-// WrapAll runs q.Wrap over every document concurrently, in input order.
-func (r Runner) WrapAll(ctx context.Context, q *CompiledQuery, docs []*Tree) []WrapResult {
-	res := eval.MapAll(ctx, r.pool(), docs, func(ctx context.Context, t *tree.Tree) (wrapped, error) {
-		out, a, err := q.WrapAssign(ctx, t)
-		return wrapped{out, a}, err
-	})
-	return wrapResults(res)
-}
-
-// WrapStream runs q.Wrap over a stream of documents, yielding results
-// in input order (see SelectStream for channel semantics).
-func (r Runner) WrapStream(ctx context.Context, q *CompiledQuery, docs <-chan *Tree) <-chan WrapResult {
-	res := eval.MapStream(ctx, r.pool(), docs, func(ctx context.Context, t *tree.Tree) (wrapped, error) {
-		out, a, err := q.WrapAssign(ctx, t)
-		return wrapped{out, a}, err
-	})
-	out := make(chan WrapResult)
-	go func() {
-		defer close(out)
-		for x := range res {
-			out <- WrapResult{Index: x.Index, Doc: x.Doc, Output: x.Value.out, Assignment: x.Value.assign, Err: x.Err}
-		}
-	}()
-	return out
-}
-
-// RunWrapper fans a legacy datalog Wrapper over every document.
-func (r Runner) RunWrapper(ctx context.Context, w *Wrapper, docs []*Tree) []WrapResult {
-	res := eval.MapAll(ctx, r.pool(), docs, func(_ context.Context, t *tree.Tree) (wrapped, error) {
-		out, a, err := w.Run(t)
-		return wrapped{out, a}, err
-	})
-	return wrapResults(res)
-}
-
-// RunElogWrapper fans a legacy ElogWrapper over every document.
-func (r Runner) RunElogWrapper(ctx context.Context, w *ElogWrapper, docs []*Tree) []WrapResult {
-	res := eval.MapAll(ctx, r.pool(), docs, func(_ context.Context, t *tree.Tree) (wrapped, error) {
-		out, a, err := w.Run(t)
-		return wrapped{out, a}, err
-	})
-	return wrapResults(res)
-}
-
-func wrapResults(res []eval.Result[wrapped]) []WrapResult {
-	out := make([]WrapResult, len(res))
-	for i, x := range res {
-		out[i] = WrapResult{Index: x.Index, Doc: x.Doc, Output: x.Value.out, Assignment: x.Value.assign, Err: x.Err}
-	}
-	return out
+// MapAll is Map over a slice: one Result per input, in input order. A
+// canceled context marks the inputs not yet processed with ctx.Err().
+func MapAll[T, R any](ctx context.Context, r Runner, in []T, f func(context.Context, T) (R, error)) []Result[R] {
+	return eval.MapAll(ctx, r, in, f)
 }

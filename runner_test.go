@@ -1,8 +1,8 @@
 package mdlog
 
-// Tests for the HTML ingestion fan-out: per-document error isolation
-// (a reader failing mid-stream must not abort the batch), wrap
-// streaming, and context cancellation semantics.
+// Tests for the HTML ingestion fan-out through Map: per-document
+// error isolation (a reader failing mid-stream must not abort the
+// batch), wrap streaming, and context cancellation semantics.
 
 import (
 	"context"
@@ -34,6 +34,19 @@ const streamPage = `<html><body><table>
 <tr><td>Water</td><td>1.00</td></tr>
 </table></body></html>`
 
+// selectHTML is the HTML ingestion task: parse the reader inside the
+// worker pool, then Select — a parse (read) error fails only its own
+// document.
+func selectHTML(q *CompiledQuery) func(context.Context, io.Reader) ([]int, error) {
+	return func(ctx context.Context, rd io.Reader) ([]int, error) {
+		doc, err := ParseHTMLReader(rd)
+		if err != nil {
+			return nil, err
+		}
+		return q.Select(ctx, doc)
+	}
+}
+
 func streamQuery(t *testing.T) *CompiledQuery {
 	t.Helper()
 	q, err := Compile("//td[b]", LangXPath)
@@ -43,9 +56,9 @@ func streamQuery(t *testing.T) *CompiledQuery {
 	return q
 }
 
-// TestSelectHTMLStreamMidStreamFailure: document 1's reader dies
-// mid-stream; documents 0 and 2 must still parse and evaluate, and
-// results must arrive in input order.
+// TestSelectHTMLStreamMidStreamFailure: parse-then-Select through Map;
+// document 1's reader dies mid-stream, documents 0 and 2 must still
+// parse and evaluate, and results must arrive in input order.
 func TestSelectHTMLStreamMidStreamFailure(t *testing.T) {
 	q := streamQuery(t)
 	boom := errors.New("connection reset")
@@ -55,8 +68,8 @@ func TestSelectHTMLStreamMidStreamFailure(t *testing.T) {
 	srcs <- strings.NewReader(streamPage)
 	close(srcs)
 
-	var got []SelectResult
-	for res := range (Runner{Workers: 2}).SelectHTMLStream(context.Background(), q, srcs) {
+	var got []Result[[]int]
+	for res := range Map(context.Background(), Runner{Workers: 2}, srcs, selectHTML(q)) {
 		got = append(got, res)
 	}
 	if len(got) != 3 {
@@ -70,21 +83,21 @@ func TestSelectHTMLStreamMidStreamFailure(t *testing.T) {
 	if got[1].Err == nil || !errors.Is(got[1].Err, boom) {
 		t.Errorf("doc 1: want the reader's error, got %v", got[1].Err)
 	}
-	if got[1].Doc != nil {
-		t.Errorf("doc 1: want nil Doc on parse failure, got %v", got[1].Doc)
+	if got[1].Value != nil {
+		t.Errorf("doc 1: want no nodes on parse failure, got %v", got[1].Value)
 	}
 	for _, i := range []int{0, 2} {
 		if got[i].Err != nil {
 			t.Fatalf("doc %d: batch aborted by sibling failure: %v", i, got[i].Err)
 		}
-		if len(got[i].Nodes) != 1 {
-			t.Errorf("doc %d: got nodes %v, want exactly one //td[b] match", i, got[i].Nodes)
+		if len(got[i].Value) != 1 {
+			t.Errorf("doc %d: got nodes %v, want exactly one //td[b] match", i, got[i].Value)
 		}
 	}
 }
 
-// TestWrapHTMLStreamMidStreamFailure: same isolation contract on the
-// wrapping path.
+// TestWrapHTMLStreamMidStreamFailure: same isolation contract for a
+// parse-then-wrap task.
 func TestWrapHTMLStreamMidStreamFailure(t *testing.T) {
 	q, err := Compile(`
 item(x)  :- root(x0), subelem("html.body.table.tr", x0, x).
@@ -99,8 +112,26 @@ price(x) :- item(x0), subelem("td.b", x0, x).
 	srcs <- strings.NewReader(streamPage)
 	close(srcs)
 
-	var got []WrapResult
-	for res := range (Runner{Workers: 2}).WrapHTMLStream(context.Background(), q, srcs) {
+	// The task parses inside the pool and returns both answer shapes:
+	// the assignment (Run) and the output tree (Wrap, a memo hit).
+	type wrapped struct {
+		res SetResult
+		out *Tree
+	}
+	wrapHTML := func(ctx context.Context, rd io.Reader) (wrapped, error) {
+		doc, err := ParseHTMLReader(rd)
+		if err != nil {
+			return wrapped{}, err
+		}
+		res := q.Run(ctx, doc)
+		if res.Err != nil {
+			return wrapped{}, res.Err
+		}
+		out, err := q.Wrap(ctx, doc)
+		return wrapped{res, out}, err
+	}
+	var got []Result[wrapped]
+	for res := range Map(context.Background(), Runner{Workers: 2}, srcs, wrapHTML) {
 		got = append(got, res)
 	}
 	if len(got) != 2 {
@@ -112,15 +143,15 @@ price(x) :- item(x0), subelem("td.b", x0, x).
 	if got[1].Err != nil {
 		t.Fatalf("doc 1: batch aborted by sibling failure: %v", got[1].Err)
 	}
-	if len(got[1].Assignment["item"]) != 2 {
-		t.Errorf("doc 1: assignment %v, want 2 item nodes", got[1].Assignment)
+	if a := got[1].Value.res.Assignment; len(a["item"]) != 2 {
+		t.Errorf("doc 1: assignment %v, want 2 item nodes", a)
 	}
-	if got[1].Output == nil {
+	if got[1].Value.out == nil {
 		t.Error("doc 1: want an output tree")
 	}
 }
 
-// TestSelectHTMLStreamCancellation: canceling mid-stream marks the
+// TestSelectHTMLStreamCancellation: canceling a Map mid-stream marks the
 // not-yet-processed documents with ctx.Err() and closes the channel;
 // it never deadlocks the consumer.
 func TestSelectHTMLStreamCancellation(t *testing.T) {
@@ -137,7 +168,7 @@ func TestSelectHTMLStreamCancellation(t *testing.T) {
 			}
 		}
 	}()
-	out := (Runner{Workers: 2}).SelectHTMLStream(ctx, q, srcs)
+	out := Map(ctx, Runner{Workers: 2}, srcs, selectHTML(q))
 	first, ok := <-out
 	if !ok {
 		t.Fatal("stream closed before yielding anything")

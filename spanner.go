@@ -61,7 +61,7 @@ func ParseSpanner(src string) (*SpannerProgram, error) { return span.ParseProgra
 
 // spannerPlan wraps the node part's grounding plan with the compiled
 // span evaluator. The node part runs (and caches) like any grounding
-// plan; Spans/SpansIncremental add the span enumeration on top.
+// plan; CompiledQuery.fill adds the span enumeration on top.
 type spannerPlan struct {
 	inner queryPlan
 	eval  *span.Evaluator
@@ -120,15 +120,6 @@ func CompileSpanner(p *SpannerProgram, opts ...Option) (*CompiledQuery, error) {
 	return q, nil
 }
 
-// spannerOf returns the plan's spanner parts, or an error for queries
-// of any other language.
-func (q *CompiledQuery) spannerOf() (*spannerPlan, error) {
-	if sp, ok := q.plan.(*spannerPlan); ok {
-		return sp, nil
-	}
-	return nil, fmt.Errorf("mdlog: Spans requires a spanner query (this query is %v)", q.lang)
-}
-
 // treeSource adapts an immutable Tree to the span evaluator's Source:
 // ids are document-order node ids.
 type treeSource struct{ t *Tree }
@@ -180,46 +171,9 @@ func (q *CompiledQuery) Spans(ctx context.Context, t *Tree) (SpanResult, error) 
 // SpansStats is Spans returning per-run statistics (Stats.Spans
 // counts the extracted rows).
 func (q *CompiledQuery) SpansStats(ctx context.Context, t *Tree) (SpanResult, Stats, error) {
-	sp, err := q.spannerOf()
-	if err != nil {
-		return nil, Stats{}, err
+	if _, ok := q.plan.(*spannerPlan); !ok {
+		return nil, Stats{}, fmt.Errorf("mdlog: Spans requires a spanner query (this query is %v)", q.lang)
 	}
-	db, rs, err := q.runCached(ctx, t)
-	if err != nil {
-		return nil, rs, err
-	}
-	start := time.Now()
-	res := sp.eval.Eval(treeSource{t: t}, db.UnarySet)
-	rs.Eval += time.Since(start)
-	rs.Runs = 1
-	rs.Facts = int64(db.Size())
-	rs.Spans = int64(res.Tuples())
-	q.record(rs)
-	return res, rs, nil
-}
-
-// SpansIncremental is Spans against a live document: the node part is
-// delta-maintained (or falls back to the snapshot path, see
-// SelectIncremental), and the automata read the arena's current text
-// — including SetText/AppendText edits — so results always reflect
-// the live document. Returned node ids are arena ids.
-func (q *CompiledQuery) SpansIncremental(ctx context.Context, d *Document) (SpanResult, error) {
-	sp, err := q.spannerOf()
-	if err != nil {
-		return nil, err
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	db, rs, err := q.runIncrementalIn(ctx, d, q.cache)
-	if err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	res := sp.eval.Eval(arenaSource{a: d.arena}, db.UnarySet)
-	rs.Eval += time.Since(start)
-	rs.Runs = 1
-	rs.Facts = int64(db.Size())
-	rs.Spans = int64(res.Tuples())
-	q.record(rs)
-	return res, nil
+	res := q.Run(ctx, t)
+	return res.Spans, res.Stats, res.Err
 }

@@ -174,7 +174,7 @@ func TestSpannerIncrementalEdits(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	res, err := q.SpansIncremental(ctx, d)
+	res, err := spansInc(ctx, q, d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestSpannerIncrementalEdits(t *testing.T) {
 	if err := d.SetText(node, "$9.99 (was $2.20)"); err != nil {
 		t.Fatal(err)
 	}
-	res, err = q.SpansIncremental(ctx, d)
+	res, err = spansInc(ctx, q, d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestSpannerIncrementalEdits(t *testing.T) {
 	if err := d.AppendText(node, " now $8.88"); err != nil {
 		t.Fatal(err)
 	}
-	res, err = q.SpansIncremental(ctx, d)
+	res, err = spansInc(ctx, q, d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestSpannerIncrementalEdits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tdIDs, err := tds.SelectIncremental(ctx, d)
+	tdIDs, err := selectInc(ctx, tds, d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestSpannerIncrementalEdits(t *testing.T) {
 	if _, err := d.InsertSubtree(tdIDs[0], 0, cell); err == nil {
 		// td inside td is fine for the spanner: the new #text child of
 		// the inserted td matches cell(X).
-		res, err = q.SpansIncremental(ctx, d)
+		res, err = spansInc(ctx, q, d)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -302,7 +302,7 @@ func TestSpannerIncrementalBitmap(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	res, err := q.SpansIncremental(ctx, d)
+	res, err := spansInc(ctx, q, d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +313,7 @@ func TestSpannerIncrementalBitmap(t *testing.T) {
 	if err := d.SetText(node, "no price anymore"); err != nil {
 		t.Fatal(err)
 	}
-	res, err = q.SpansIncremental(ctx, d)
+	res, err = spansInc(ctx, q, d)
 	if err != nil {
 		t.Fatal(err)
 	}
