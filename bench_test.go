@@ -707,3 +707,42 @@ price(X, A) :- cell(X), text(X, S), match(S, /(?<amt>[0-9]+\.[0-9][0-9])/, A).
 		}
 	}
 }
+
+// BenchmarkDocumentEdit — EXT-LIVE: one live-document splice, an
+// insert and then a removal of one product row in the middle of a
+// 1k-row and a 10k-row table. A splice rewires only the parent and
+// the two neighboring rows; the only part that grows with the table is
+// the NextSibling walk to the insertion point. Renumbering the
+// following siblings, as a stored child-position column would need,
+// costs ~100x more on the 10k lane (EXPERIMENTS.md § EXT-LIVE).
+func BenchmarkDocumentEdit(b *testing.B) {
+	for _, rows := range []int{1000, 10000} {
+		b.Run(fmt.Sprintf("rows=%d", rows), func(b *testing.B) {
+			doc := NewDocument(ParseHTML(html.ProductListing(rand.New(rand.NewSource(1)), rows)))
+			table := -1
+			for _, n := range doc.Tree().Nodes {
+				if n.Label == "table" {
+					table = n.ID
+					break
+				}
+			}
+			if table < 0 {
+				b.Fatal("no table in the product listing")
+			}
+			mid := len(doc.Tree().Nodes[table].Children) / 2
+			// The arena copies the inserted subtree, so one row serves
+			// every iteration.
+			row := tree.New("tr", tree.New("td", tree.New("#text")), tree.New("td", tree.New("b")), tree.New("td"))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				v, err := doc.InsertSubtree(table, mid, row)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := doc.RemoveSubtree(v); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

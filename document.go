@@ -300,13 +300,13 @@ func (d *Document) incRunLocked(ctx context.Context, key any, project []string, 
 		}
 		st.applied = d.total
 	}
-	db, err := st.inc.Database()
+	db, err := st.inc.Database(project)
 	if err != nil {
 		return nil, rs, err
 	}
 	rs.Eval = time.Since(start)
 	d.pruneLocked()
-	return db.Project(project), rs, nil
+	return db, rs, nil
 }
 
 // pruneLocked drops edit windows every maintainer has consumed.

@@ -168,6 +168,11 @@ func (db *Database) Rel(name string, arity int) *Relation {
 // RelOrNil returns the named relation or nil if it does not exist.
 func (db *Database) RelOrNil(name string) *Relation { return db.rels[name] }
 
+// Share installs r under name without copying it, so db and every
+// other database holding r see the same tuples: all of them must treat
+// r as read-only from then on.
+func (db *Database) Share(name string, r *Relation) { db.rels[name] = r }
+
 // Add inserts the fact pred(args...).
 func (db *Database) Add(pred string, args ...int) bool {
 	return db.Rel(pred, len(args)).Add(args)
@@ -195,13 +200,18 @@ func (db *Database) Unary(pred string) []bool {
 
 // UnarySet returns the sorted extension of a unary predicate.
 func (db *Database) UnarySet(pred string) []int {
-	var out []int
-	if r := db.rels[pred]; r != nil && r.Arity == 1 {
-		for _, t := range r.tuples {
-			out = append(out, t[0])
-		}
+	r := db.rels[pred]
+	if r == nil || r.Arity != 1 || len(r.tuples) == 0 {
+		return nil
 	}
-	sort.Ints(out)
+	out := make([]int, len(r.tuples))
+	for i, t := range r.tuples {
+		out[i] = t[0]
+	}
+	// Engines emit unary extensions in id order; sort only what is not.
+	if !sort.IntsAreSorted(out) {
+		sort.Ints(out)
+	}
 	return out
 }
 
@@ -215,33 +225,41 @@ func (db *Database) Preds() []string {
 	return out
 }
 
+// clone returns an independent copy of r with its tuples in one slab.
+// r is duplicate-free, so the copy needs no per-tuple hashing: its
+// membership set is rebuilt lazily, like a bulk-loaded relation's.
+func (r *Relation) clone() *Relation {
+	nr := newRelation(r.Arity)
+	if len(r.tuples) == 0 {
+		return nr
+	}
+	slab := make([]int, 0, len(r.tuples)*r.Arity)
+	nr.tuples = make([][]int, len(r.tuples))
+	for i, t := range r.tuples {
+		lo := len(slab)
+		slab = append(slab, t...)
+		nr.tuples[i] = slab[lo:len(slab):len(slab)]
+	}
+	return nr
+}
+
 // Clone returns a deep copy of the database.
 func (db *Database) Clone() *Database {
 	c := NewDatabase(db.Dom)
 	for name, r := range db.rels {
-		nr := newRelation(r.Arity)
-		for _, t := range r.tuples {
-			nr.Add(t)
-		}
-		c.rels[name] = nr
+		c.rels[name] = r.clone()
 	}
 	return c
 }
 
-// Project returns a new database over the same domain containing only
-// the named relations (those that exist).
+// Project returns a new database over the same domain containing
+// copies of only the named relations (those that exist).
 func (db *Database) Project(preds []string) *Database {
 	c := NewDatabase(db.Dom)
 	for _, name := range preds {
-		r, ok := db.rels[name]
-		if !ok {
-			continue
+		if r, ok := db.rels[name]; ok {
+			c.rels[name] = r.clone()
 		}
-		nr := newRelation(r.Arity)
-		for _, t := range r.tuples {
-			nr.Add(t)
-		}
-		c.rels[name] = nr
 	}
 	return c
 }

@@ -1,6 +1,7 @@
 package datalog
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -154,6 +155,76 @@ func TestDatabaseBasics(t *testing.T) {
 	}
 	if !strings.Contains(db.String(), "e(0,1).") {
 		t.Errorf("String = %q", db.String())
+	}
+}
+
+// TestDatabaseCopiesIndependent checks that Clone and Project copy
+// tuples rather than alias them: adding to a copy (including through a
+// relation whose membership set the source had already built) leaves
+// the source intact, and the copy still deduplicates through its lazily
+// rebuilt membership set.
+func TestDatabaseCopiesIndependent(t *testing.T) {
+	db := NewDatabase(10)
+	db.Add("e", 0, 1)
+	db.Add("e", 1, 2)
+	db.Rel("u", 1).AddUnarySet([]int{3, 4, 5})
+	db.Add("p")
+	for name, cp := range map[string]*Database{
+		"Clone":   db.Clone(),
+		"Project": db.Project([]string{"e", "u", "p"}),
+	} {
+		if cp.Size() != db.Size() {
+			t.Fatalf("%s: size %d, want %d", name, cp.Size(), db.Size())
+		}
+		if !cp.Has("e", 1, 2) || !cp.Has("u", 4) || !cp.Has("p") || cp.Has("e", 2, 1) {
+			t.Fatalf("%s: membership wrong", name)
+		}
+		if cp.Add("e", 0, 1) || cp.Add("u", 3) || cp.Add("p") {
+			t.Fatalf("%s: Add on the copy accepted a duplicate", name)
+		}
+		if !cp.Add("e", 7, 8) || !cp.Add("u", 9) {
+			t.Fatalf("%s: Add on the copy rejected a new tuple", name)
+		}
+		if cp.Add("e", 7, 8) {
+			t.Fatalf("%s: second Add of the same tuple accepted", name)
+		}
+		if db.Has("e", 7, 8) || db.Has("u", 9) || db.Size() != 6 {
+			t.Fatalf("%s: mutating the copy changed the source", name)
+		}
+		// Overwriting a copied tuple in place must not reach the source.
+		cp.RelOrNil("e").Tuples()[0][0] = 9
+		if !db.Has("e", 0, 1) || db.RelOrNil("e").Tuples()[0][0] != 0 {
+			t.Fatalf("%s: copy aliases the source's tuples", name)
+		}
+	}
+	if db.Project([]string{"missing"}).Size() != 0 {
+		t.Error("Project of a missing relation is nonempty")
+	}
+}
+
+// TestUnarySet checks UnarySet on a relation loaded out of id order
+// (the result is sorted), that the result is the caller's to modify,
+// and that empty, missing and non-unary relations yield nil.
+func TestUnarySet(t *testing.T) {
+	db := NewDatabase(10)
+	r := db.Rel("u", 1)
+	for _, v := range []int{5, 2, 7} {
+		r.AddUnchecked([]int{v})
+	}
+	got := db.UnarySet("u")
+	if !slices.Equal(got, []int{2, 5, 7}) {
+		t.Fatalf("UnarySet = %v, want [2 5 7]", got)
+	}
+	got[0] = 9
+	if again := db.UnarySet("u"); again[0] != 2 {
+		t.Fatalf("modifying a UnarySet result reached the relation: %v", again)
+	}
+	db.Rel("empty", 1)
+	db.Add("e", 1, 2)
+	for _, pred := range []string{"empty", "missing", "e"} {
+		if got := db.UnarySet(pred); got != nil {
+			t.Errorf("UnarySet(%q) = %v, want nil", pred, got)
+		}
 	}
 }
 

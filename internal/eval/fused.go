@@ -117,7 +117,7 @@ func (f *FusedPlan) MemberSubsumed(i int) bool {
 
 // Run executes the fused plan once over nav and splits the result into
 // one database per member, carrying the member's visible predicate
-// names. The returned databases are freshly built and independent.
+// names. The returned databases share relations (see Split).
 func (f *FusedPlan) Run(nav *Nav) ([]*datalog.Database, error) {
 	full, err := f.RunFull(nav)
 	if err != nil {
@@ -128,25 +128,20 @@ func (f *FusedPlan) Run(nav *Nav) ([]*datalog.Database, error) {
 
 // Split projects an already-computed fused result database into the
 // per-member visible databases (same order as the members given to
-// NewFusedPlan). It is what makes memoizing the fused database safe:
-// the memo stores the shared result once, and every later run re-slices
-// it without re-evaluating.
+// NewFusedPlan). It lets a memo store the fused database once: every
+// later run re-slices it without re-evaluating. A member database
+// shares its relations with full (and with every member projecting the
+// same fused predicate) instead of copying them, so a split costs
+// O(members × visible predicates) however large the answer; full and
+// the member databases are all read-only.
 func (f *FusedPlan) Split(full *datalog.Database) []*datalog.Database {
 	out := make([]*datalog.Database, len(f.members))
 	for i, m := range f.members {
 		db := datalog.NewDatabase(full.Dom)
 		for vis, fusedPred := range m.Project {
 			r := full.RelOrNil(fusedPred)
-			if r == nil {
-				continue
-			}
-			switch r.Arity {
-			case 1:
-				db.Rel(vis, 1).AddUnarySet(full.UnarySet(fusedPred))
-			case 0:
-				if r.Len() > 0 {
-					db.Rel(vis, 0).Add(nil)
-				}
+			if r != nil && (r.Arity == 1 || r.Arity == 0 && r.Len() > 0) {
+				db.Share(vis, r)
 			}
 		}
 		out[i] = db

@@ -3,13 +3,16 @@ package eval
 // Incremental maintenance of the least model under live-document
 // edits. An arena mutation (tree.InsertSubtree / RemoveSubtree)
 // changes the τ_ur EDB in a precisely bounded way: every added,
-// removed, or relinked row is named by the recorded ArenaDelta, and a
-// τ_ur fact can appear or disappear only at a node whose row changed —
-// firstchild, nextsibling, lastchild, child_k are all stored (or
-// derived) per-row, and the node-class predicates (root, leaf,
-// lastsibling, firstsibling) read only a node's own row. Text and
-// attribute edits are invisible here: they are outside the τ_ur
-// signature, so no fact changes.
+// removed, or relinked row is named by the recorded ArenaDelta, and
+// every τ_ur fact that appears or disappears has some argument whose
+// row changed — firstchild, nextsibling, lastchild are stored per-row,
+// the node-class predicates (root, leaf, lastsibling, firstsibling)
+// read only a node's own row, and a splice that shifts the positions
+// of following siblings changes child_k facts whose first argument is
+// the parent, which every splice records. (So the delta stays O(1)
+// rows per splice: no sibling is renumbered.) Text and attribute edits
+// are invisible here: they are outside the τ_ur signature, so no fact
+// changes.
 //
 // IncState exploits that bound with delete-rederive (DRed) on top of
 // the bitmap engine's semi-naive machinery:
@@ -81,6 +84,8 @@ type IncState struct {
 	// run is the persistent scratch state the rederivation fixpoint
 	// executes in; its unary slice aliases the maintained extensions.
 	run *bitmapRun
+	// ids is Database's scratch list of one extension's node ids.
+	ids []int
 
 	stats IncStats
 }
@@ -395,18 +400,30 @@ func (s *IncState) Apply(d *tree.ArenaDelta) error {
 	return nil
 }
 
-// Database returns the intensional relations at the arena's current
-// generation — the result of the maintained model, or a full run in
-// fallback mode. It errors when Apply has not caught up with the
-// arena (the caller skipped a delta).
-func (s *IncState) Database() (*datalog.Database, error) {
+// Database returns the named intensional relations (those the program
+// defines) at the arena's current generation — copied straight from
+// the maintained extensions, or projected from a full run in fallback
+// mode. It errors when Apply has not caught up with the arena (the
+// caller skipped a delta).
+func (s *IncState) Database(preds []string) (*datalog.Database, error) {
 	if g := s.arena.Gen(); g != s.gen {
 		return nil, fmt.Errorf("eval: incremental state at generation %d is behind the arena (generation %d); apply the missing deltas first", s.gen, g)
 	}
 	if s.fallback {
-		return s.bp.Run(NavOf(s.arena))
+		db, err := s.bp.Run(NavOf(s.arena))
+		if err != nil {
+			return nil, err
+		}
+		return db.Project(preds), nil
 	}
-	return materialize(s.bp.pl, s.unary, nil, s.dom), nil
+	out := datalog.NewDatabase(s.dom)
+	for _, pred := range preds {
+		if pi, ok := s.bp.pl.unaryID[pred]; ok && out.RelOrNil(pred) == nil {
+			s.ids = s.unary[pi].AppendBits(s.ids[:0])
+			out.Rel(pred, 1).AddUnarySet(s.ids)
+		}
+	}
+	return out, nil
 }
 
 // oldView reconstructs the pre-edit structure of one delta window on
@@ -481,13 +498,6 @@ func (o *oldView) lastChild(v int) int {
 	return int(o.nav.LastChild[v])
 }
 
-func (o *oldView) childIdx(v int) int {
-	if t, ok := o.old[int32(v)]; ok {
-		return int(t.OldChildIdx)
-	}
-	return int(o.nav.ChildIdx[v])
-}
-
 // edgeForward is binEdge.forward under the old structure.
 func (o *oldView) edgeForward(e binEdge, v int) int {
 	switch e.kind {
@@ -524,7 +534,11 @@ func (o *oldView) edgeBackward(e binEdge, v int) int {
 			return o.parent(v)
 		}
 	case binChildK:
-		if o.childIdx(v) == e.k-1 {
+		c, k := v, e.k
+		for ; k > 1 && c != -1; k-- {
+			c = o.prev(c)
+		}
+		if k == 1 && c != -1 && o.prev(c) == -1 {
 			return o.parent(v)
 		}
 	}

@@ -88,7 +88,7 @@ func TestIncrementalEval(t *testing.T) {
 					if err := inc.Apply(d); err != nil {
 						t.Fatalf("step %d: %v", step, err)
 					}
-					got, err := inc.Database()
+					got, err := inc.Database(preds)
 					if err != nil {
 						t.Fatalf("step %d: %v", step, err)
 					}
@@ -178,13 +178,13 @@ func TestIncStateBehind(t *testing.T) {
 		t.Fatal(err)
 	}
 	inc := pl.NewIncState(a)
-	if _, err := inc.Database(); err != nil {
+	if _, err := inc.Database([]string{"q"}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := a.InsertSubtree(a.NewDelta(), 0, 0, tree.New("x")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := inc.Database(); err == nil {
+	if _, err := inc.Database([]string{"q"}); err == nil {
 		t.Fatal("Database served a stale generation without error")
 	}
 }
@@ -216,7 +216,7 @@ func TestIncStateComposedWindows(t *testing.T) {
 		if err := inc.Apply(tree.ComposeDeltas(ds)); err != nil {
 			t.Fatal(err)
 		}
-		got, err := inc.Database()
+		got, err := inc.Database([]string{"q"})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -226,6 +226,164 @@ func TestIncStateComposedWindows(t *testing.T) {
 		}
 		if diff := SameResults(got, full, []string{"q"}); diff != "" {
 			t.Fatalf("trial %d: composed window diverged: %s", trial, diff)
+		}
+	}
+}
+
+// TestIncSpliceOverdeleteWidth inserts one row into the middle of a
+// 1k-row table and checks that DRed overdeletes O(1) facts: a splice
+// records only the parent and the two neighboring rows, so rows after
+// the insertion point keep their second_cell facts untouched.
+func TestIncSpliceOverdeleteWidth(t *testing.T) {
+	prog := datalog.MustParseProgram(`
+		second_cell(X) :- label_tr(Y), firstchild(Y, Z), nextsibling(Z, X), label_td(X).
+		?- second_cell.`)
+	pl, err := NewPlan(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := func() *tree.Node { return tree.New("tr", tree.New("td"), tree.New("td")) }
+	table := tree.New("table")
+	for i := 0; i < 1000; i++ {
+		table.Add(row())
+	}
+	a := tree.NewTree(table).Arena()
+	inc := pl.NewIncState(a)
+	d := a.NewDelta()
+	if _, err := a.InsertSubtree(d, 0, 500, row()); err != nil {
+		t.Fatal(err)
+	}
+	if err := inc.Apply(d); err != nil {
+		t.Fatal(err)
+	}
+	if od := inc.Stats().Overdeleted; od > 2 {
+		t.Fatalf("one-row insert overdeleted %d second_cell facts, want at most 2 (the neighbors')", od)
+	}
+	got, err := inc.Database([]string{"second_cell"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := got.RelOrNil("second_cell").Len(); n != 1001 {
+		t.Fatalf("second_cell has %d facts, want 1001", n)
+	}
+	checkAgainstLiveTree(t, pl, a, got, []string{"second_cell"})
+}
+
+// childKProgram binds child_1, child_2 and child_3 in both step
+// directions: c_k anchors on the child and steps back to the parent
+// (the PrevSibling walk), p_k anchors on the parent and steps forward;
+// down and up recurse through child_2 and child_3 so DRed's worklist
+// walks the same edges.
+const childKProgram = `
+	c1(X) :- child_1(Y, X), label_a(Y).
+	c2(X) :- child_2(Y, X), label_a(Y).
+	c3(X) :- child_3(Y, X), label_a(Y).
+	p1(Y) :- child_1(Y, X), label_b(X).
+	p2(Y) :- child_2(Y, X), label_b(X).
+	p3(Y) :- child_3(Y, X), label_b(X).
+	down(X) :- root(X).
+	down(X) :- child_2(Y, X), down(Y).
+	up(X) :- leaf(X), label_b(X).
+	up(Y) :- child_3(Y, X), up(X).
+	?- c2.`
+
+// TestIncChildKSplices splices at positions 0, 1, 2, 3, the middle and
+// the end of a wide sibling list — one window per edit and composed
+// windows — and checks linear, bitmap and IncState against a
+// from-scratch run on the re-parsed live tree.
+func TestIncChildKSplices(t *testing.T) {
+	prog := datalog.MustParseProgram(childKProgram)
+	pl, err := NewPlan(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	preds := headPreds(prog)
+	const width = 40
+	labels := []string{"a", "b"}
+	wide := func(rng *rand.Rand) *tree.Arena {
+		root := tree.New("a")
+		for i := 0; i < width; i++ {
+			c := tree.New(labels[rng.Intn(2)])
+			for j := rng.Intn(4); j > 0; j-- {
+				c.Add(tree.New(labels[rng.Intn(2)]))
+			}
+			root.Add(c)
+		}
+		return tree.NewTree(root).Arena()
+	}
+	// splice inserts at pos, or removes the child at pos, under the root.
+	splice := func(rng *rand.Rand, a *tree.Arena, d *tree.ArenaDelta, pos int) {
+		n := 0
+		for c := a.FirstChild[0]; c != tree.NoNode; c = a.NextSibling[c] {
+			n++
+		}
+		if pos < 0 || pos > n {
+			pos = n
+		}
+		if rng.Intn(2) == 0 && pos < n {
+			if err := a.RemoveSubtree(d, a.ChildK(0, pos+1)); err != nil {
+				t.Fatal(err)
+			}
+			return
+		}
+		sub := tree.New(labels[rng.Intn(2)], tree.New("b"), tree.New("a"), tree.New("b"))
+		if _, err := a.InsertSubtree(d, 0, pos, sub); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(what string, a *tree.Arena, inc *IncState) {
+		t.Helper()
+		got, err := inc.Database(preds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lin, err := pl.Run(NavOf(a))
+		if err != nil {
+			t.Fatal(err)
+		}
+		bm, err := bitmapPlanOf(pl).Run(NavOf(a))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if diff := SameResults(got, lin, preds); diff != "" {
+			t.Fatalf("%s: incremental vs linear: %s", what, diff)
+		}
+		if diff := SameResults(got, bm, preds); diff != "" {
+			t.Fatalf("%s: incremental vs bitmap: %s", what, diff)
+		}
+		checkAgainstLiveTree(t, pl, a, got, preds)
+	}
+	positions := []int{0, 1, 2, 3, width / 2, -1} // -1: the end
+	rng := rand.New(rand.NewSource(14))
+	for trial := 0; trial < 4; trial++ {
+		a := wide(rng)
+		inc := pl.NewIncState(a)
+		if inc.Fallback() {
+			t.Fatal("child_k program took the full-re-evaluation fallback")
+		}
+		for _, pos := range positions {
+			d := a.NewDelta()
+			splice(rng, a, d, pos)
+			if err := inc.Apply(d); err != nil {
+				t.Fatal(err)
+			}
+			check(fmt.Sprintf("trial %d single window at %d", trial, pos), a, inc)
+		}
+
+		a = wide(rng)
+		inc = pl.NewIncState(a)
+		for i := 0; i < 3; i++ {
+			var ds []*tree.ArenaDelta
+			for _, pos := range positions {
+				d := a.NewDelta()
+				splice(rng, a, d, pos)
+				ds = append(ds, d)
+			}
+			rng.Shuffle(len(positions), func(i, j int) { positions[i], positions[j] = positions[j], positions[i] })
+			if err := inc.Apply(tree.ComposeDeltas(ds)); err != nil {
+				t.Fatal(err)
+			}
+			check(fmt.Sprintf("trial %d composed window %d", trial, i), a, inc)
 		}
 	}
 }

@@ -162,9 +162,7 @@ func (e binEdge) backward(nav *Nav, v int) int {
 			return int(nav.Parent[v])
 		}
 	case binChildK:
-		if int(nav.ChildIdx[v]) == e.k-1 {
-			return int(nav.Parent[v])
-		}
+		return nav.childKParent(v, e.k)
 	}
 	return -1
 }

@@ -225,13 +225,8 @@ func TreeDB(t *tree.Tree, opts ...TreeDBOption) *datalog.Database {
 // tree aliases the arena columns with no copying; labels are interned
 // symbol ids, so the engine's label tests are integer compares.
 type Nav struct {
-	Tree *tree.Tree
-	// A is the backing arena (nil for NewNavFromNodes baselines).
-	A *tree.Arena
 	// FC, NS, Parent, Prev, LastChild map node id → node id or -1.
 	FC, NS, Parent, Prev, LastChild []int32
-	// ChildIdx is the 0-based position of a node among its siblings.
-	ChildIdx []int32
 	// Label holds per-node symbol ids resolved against Syms.
 	Label []int32
 	Syms  *tree.Symbols
@@ -247,9 +242,7 @@ func (nav *Nav) Alive(v int) bool { return nav.Dead == nil || !nav.Dead[v] }
 // NewNav returns the navigation view of t, aliasing its arena (built
 // on first use, O(|dom|), and memoized on the tree).
 func NewNav(t *tree.Tree) *Nav {
-	nav := NavOf(t.Arena())
-	nav.Tree = t
-	return nav
+	return NavOf(t.Arena())
 }
 
 // NavOf wraps a bare arena — the zero-copy path for pipelines that
@@ -257,9 +250,8 @@ func NewNav(t *tree.Tree) *Nav {
 // (e.g. html.ParseArena → Plan.Run).
 func NavOf(a *tree.Arena) *Nav {
 	return &Nav{
-		A:  a,
 		FC: a.FirstChild, NS: a.NextSibling, Parent: a.Parent,
-		Prev: a.PrevSibling, LastChild: a.LastChild, ChildIdx: a.ChildIdx,
+		Prev: a.PrevSibling, LastChild: a.LastChild,
 		Label: a.Label, Syms: a.Syms, Dead: a.Dead(),
 	}
 }
@@ -271,13 +263,11 @@ func NavOf(a *tree.Arena) *Nav {
 func NewNavFromNodes(t *tree.Tree) *Nav {
 	n := t.Size()
 	nav := &Nav{
-		Tree:      t,
 		FC:        make([]int32, n),
 		NS:        make([]int32, n),
 		Parent:    make([]int32, n),
 		Prev:      make([]int32, n),
 		LastChild: make([]int32, n),
-		ChildIdx:  make([]int32, n),
 		Label:     make([]int32, n),
 		Syms:      tree.NewSymbols(),
 	}
@@ -292,7 +282,6 @@ func NewNavFromNodes(t *tree.Tree) *Nav {
 		}
 		for i, c := range nd.Children {
 			nav.Parent[c.ID] = int32(nd.ID)
-			nav.ChildIdx[c.ID] = int32(i)
 			if i > 0 {
 				nav.Prev[c.ID] = int32(nd.Children[i-1].ID)
 			}
@@ -307,16 +296,31 @@ func NewNavFromNodes(t *tree.Tree) *Nav {
 // Dom returns |dom|, the number of nodes.
 func (nav *Nav) Dom() int { return len(nav.Parent) }
 
-// ChildK returns the k-th (1-based) child of v, or -1.
+// ChildK returns the k-th (1-based) child of v, or -1, by walking
+// at most k sibling steps.
 func (nav *Nav) ChildK(v, k int) int {
-	if nav.A != nil {
-		return int(nav.A.ChildK(int32(v), k))
-	}
-	nd := nav.Tree.Nodes[v]
-	if k < 1 || k > len(nd.Children) {
+	if k < 1 {
 		return -1
 	}
-	return nd.Children[k-1].ID
+	c := int(nav.FC[v])
+	for ; k > 1 && c != -1; k-- {
+		c = int(nav.NS[c])
+	}
+	return c
+}
+
+// childKParent inverts child_k: v's parent if v is its k-th (1-based)
+// child, else -1. It walks at most k PrevSibling steps, the mirror of
+// ChildK.
+func (nav *Nav) childKParent(v, k int) int {
+	c := v
+	for ; k > 1 && c != -1; k-- {
+		c = int(nav.Prev[c])
+	}
+	if k != 1 || c == -1 || nav.Prev[c] != -1 {
+		return -1
+	}
+	return int(nav.Parent[v])
 }
 
 // LabelID resolves a label string against the nav's symbol table; -1

@@ -181,9 +181,12 @@ func (e *Evaluator) Eval(src Source, nodes func(pred string) []int) Result {
 			// the doubling-growth copies on large extractions.
 			rel.Rows = make([]Binding, 0, len(cands))
 		}
-		for _, id := range cands {
+		for ci, id := range cands {
 			st.reset(cr, id)
 			st.step(src, 0, func() {
+				if len(rel.Rows) == cap(rel.Rows) {
+					rel.Rows = growRows(rel.Rows, ci+1, len(cands))
+				}
 				rel.Rows = append(rel.Rows, st.row())
 			})
 		}
@@ -272,6 +275,16 @@ func (st *evalState) step(src Source, i int, done func()) {
 			st.step(src, i+1, done)
 		}
 	}
+}
+
+// growRows returns rows with room for more: its length extrapolated
+// from done of total candidates to all of them, plus an eighth, and
+// never less than half again its length. A rule that yields several
+// rows per candidate then grows once instead of doubling its way up.
+func growRows(rows []Binding, done, total int) []Binding {
+	n := len(rows) * total / done
+	n = max(n+n/8, len(rows)+len(rows)/2+1)
+	return append(make([]Binding, 0, n), rows...)
 }
 
 func (st *evalState) row() Binding {

@@ -302,6 +302,77 @@ func TestEvaluatorDedup(t *testing.T) {
 	}
 }
 
+// TestEvaluatorManyRowsPerCandidate runs a rule whose row count per
+// candidate varies from none to hundreds, early and late, so the rows
+// slice outgrows its presize mid-run; every span must survive growth.
+func TestEvaluatorManyRowsPerCandidate(t *testing.T) {
+	p := MustParseProgram(`all(X, A) :- text(X, S), match(S, /(?<a>.+)/, A).`)
+	ev, err := NewEvaluator(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := mapSource{text: map[int]string{}}
+	var cands []int
+	want := 0
+	for id := 0; id < 300; id++ {
+		n := id % 7 // .+ over n characters: n(n+1)/2 spans
+		if id > 250 {
+			n = 30
+		}
+		src.text[id] = strings.Repeat("x", n)
+		cands = append(cands, id)
+		want += n * (n + 1) / 2
+	}
+	rows := ev.Eval(src, func(string) []int { return cands }).Rel("all").Rows
+	if len(rows) != want {
+		t.Fatalf("%d rows, want %d", len(rows), want)
+	}
+	for i, r := range rows {
+		if i > 0 && cmpRows(rows[i-1], r) >= 0 {
+			t.Fatalf("rows %d and %d out of order: %+v, %+v", i-1, i, rows[i-1], r)
+		}
+		if sp := r.Spans[0]; sp.Text != src.text[r.Node][sp.Start:sp.End] {
+			t.Fatalf("row %+v: span text does not match its node", r)
+		}
+	}
+}
+
+// TestGrowRows checks the rows growth policy: with rows spread evenly
+// over the candidates one extrapolated growth suffices, and with every
+// row in the last candidates growth stays geometric.
+func TestGrowRows(t *testing.T) {
+	const total = 1000
+	// fill appends perCand(ci) rows per candidate after presizing to
+	// total, as Eval does, and returns the capacity allocated overall
+	// and the final row count.
+	fill := func(perCand func(ci int) int) (allocated, final int) {
+		rows := make([]Binding, 0, total)
+		allocated = total
+		for ci := 0; ci < total; ci++ {
+			for j := perCand(ci); j > 0; j-- {
+				if len(rows) == cap(rows) {
+					rows = growRows(rows, ci+1, total)
+					allocated += cap(rows)
+				}
+				rows = append(rows, Binding{Node: ci})
+			}
+		}
+		return allocated, len(rows)
+	}
+	if a, n := fill(func(int) int { return 3 }); a > 3*n/2 {
+		t.Errorf("even rows: allocated %d for %d rows, want at most %d", a, n, 3*n/2)
+	}
+	late := func(ci int) int {
+		if ci >= total-10 {
+			return 1000
+		}
+		return 0
+	}
+	if a, n := fill(late); a > 4*n {
+		t.Errorf("late rows: allocated %d for %d rows, want at most %d", a, n, 4*n)
+	}
+}
+
 func TestRandomFormulaAlwaysParses(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 500; i++ {

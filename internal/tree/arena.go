@@ -94,11 +94,11 @@ type Arena struct {
 	Label []int32
 	// Parent[v], FirstChild[v], NextSibling[v], PrevSibling[v],
 	// LastChild[v] are the navigation partial functions of
-	// Proposition 4.1.
+	// Proposition 4.1. A node's position among its siblings is not
+	// stored: ChildK walks NextSibling from the parent and the inverse
+	// of child_k walks PrevSibling, both O(k), so a splice rewires only
+	// its immediate neighbors.
 	Parent, FirstChild, NextSibling, PrevSibling, LastChild []int32
-	// ChildIdx[v] is v's 0-based position among its siblings (0 for
-	// the root).
-	ChildIdx []int32
 	// Blob concatenates all character data; TextStart/TextEnd[v] span
 	// node v's text within it. One string for the whole document means
 	// text storage costs one allocation and no per-node pointers for
@@ -138,15 +138,6 @@ func (a *Arena) Text(v int32) string {
 		}
 	}
 	return a.Blob[a.TextStart[v]:a.TextEnd[v]]
-}
-
-// NumChildren returns the number of children of v in O(1).
-func (a *Arena) NumChildren(v int32) int32 {
-	lc := a.LastChild[v]
-	if lc == NoNode {
-		return 0
-	}
-	return a.ChildIdx[lc] + 1
 }
 
 // ChildK returns the k-th (1-based) child of v, or NoNode. It walks
@@ -198,7 +189,6 @@ func (b *ArenaBuilder) Grow(n int) {
 	grow(&b.a.NextSibling)
 	grow(&b.a.PrevSibling)
 	grow(&b.a.LastChild)
-	grow(&b.a.ChildIdx)
 	grow(&b.a.TextStart)
 	grow(&b.a.TextEnd)
 }
@@ -223,17 +213,14 @@ func (b *ArenaBuilder) OpenSym(sym int32) int32 {
 	a.TextEnd = append(a.TextEnd, int32(len(b.blob)))
 	if len(b.stack) == 0 {
 		a.Parent = append(a.Parent, NoNode)
-		a.ChildIdx = append(a.ChildIdx, 0)
 	} else {
 		p := b.stack[len(b.stack)-1]
 		a.Parent = append(a.Parent, p)
 		if prev := a.LastChild[p]; prev != NoNode {
 			a.NextSibling[prev] = id
 			a.PrevSibling[id] = prev
-			a.ChildIdx = append(a.ChildIdx, a.ChildIdx[prev]+1)
 		} else {
 			a.FirstChild[p] = id
-			a.ChildIdx = append(a.ChildIdx, 0)
 		}
 		a.LastChild[p] = id
 	}
@@ -340,13 +327,13 @@ func FromArena(a *Arena) *Tree {
 		nd.Label = a.Syms.Name(a.Label[v])
 		nd.Text = a.Text(int32(v))
 		nd.ID = v
-		nd.pos = int(a.ChildIdx[v])
 		if p := a.Parent[v]; p != NoNode {
 			nd.Parent = &slab[p]
 		}
-		if kids := int(a.NumChildren(int32(v))); kids > 0 {
+		if a.FirstChild[v] != NoNode {
 			start := len(childPtrs)
 			for c := a.FirstChild[v]; c != NoNode; c = a.NextSibling[c] {
+				slab[c].pos = len(childPtrs) - start
 				childPtrs = append(childPtrs, &slab[c])
 			}
 			nd.Children = childPtrs[start:len(childPtrs):len(childPtrs)]
@@ -379,7 +366,6 @@ func arenaFromNodes(t *Tree) *Arena {
 		NextSibling: make([]int32, n),
 		PrevSibling: make([]int32, n),
 		LastChild:   make([]int32, n),
-		ChildIdx:    make([]int32, n),
 		TextStart:   make([]int32, n),
 		TextEnd:     make([]int32, n),
 	}
@@ -403,7 +389,6 @@ func arenaFromNodes(t *Tree) *Arena {
 		for i, c := range nd.Children {
 			cv := int32(c.ID)
 			a.Parent[cv] = v
-			a.ChildIdx[cv] = int32(i)
 			if i > 0 {
 				a.PrevSibling[cv] = int32(nd.Children[i-1].ID)
 			}

@@ -61,29 +61,21 @@ func checkArenaMatches(t *testing.T, tr *Tree, a *Arena) {
 		if a.PrevSibling[v] != id(n.PrevSibling()) {
 			t.Errorf("node %d: prevsibling %d vs %d", v, a.PrevSibling[v], id(n.PrevSibling()))
 		}
-		if int(a.ChildIdx[v]) != maxInt(n.childIndex(), 0) {
-			t.Errorf("node %d: childidx %d vs %d", v, a.ChildIdx[v], n.childIndex())
-		}
-		if int(a.NumChildren(v)) != len(n.Children) {
-			t.Errorf("node %d: numchildren %d vs %d", v, a.NumChildren(v), len(n.Children))
-		}
+		// Positions are not stored: ChildK must name the k-th child for
+		// every k, and nothing past the last one.
 		for k := 1; k <= len(n.Children)+1; k++ {
 			want := NoNode
 			if k <= len(n.Children) {
 				want = int32(n.Children[k-1].ID)
+				if n.Children[k-1].pos != k-1 {
+					t.Errorf("node %d: child %d has cached position %d", v, k-1, n.Children[k-1].pos)
+				}
 			}
 			if got := a.ChildK(v, k); got != want {
 				t.Errorf("node %d: childK(%d) = %d, want %d", v, k, got, want)
 			}
 		}
 	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 func TestArenaFromNodes(t *testing.T) {

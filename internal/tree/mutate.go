@@ -13,10 +13,16 @@ package tree
 //     globally preorder; LivePreorder recovers the document order).
 //   - Removed subtrees are tombstoned, not cleared: a removed node
 //     keeps its own column values, and only its *live* neighbors
-//     (parent, adjacent siblings, following siblings' ChildIdx) are
-//     rewired — with their pre-edit values saved in the delta, so the
-//     pre-edit structure stays reconstructible for delete-rederive
-//     maintenance (see eval/incremental.go).
+//     (parent, previous and next sibling) are rewired — with their
+//     pre-edit values saved in the delta, so the pre-edit structure
+//     stays reconstructible for delete-rederive maintenance (see
+//     eval/incremental.go).
+//   - No column stores a node's position among its siblings, so a
+//     splice leaves the following siblings untouched: one insert or
+//     removal records at most the parent, the previous and the next
+//     sibling, however long the sibling list is. The parent is
+//     recorded even when its own columns keep their values, because
+//     the positions of its children — its child_k facts — shift.
 //
 // Invariant: the navigation columns of a live node never reference a
 // dead node, so any walk that starts from a live node stays within
@@ -32,9 +38,9 @@ import (
 type TouchedNode struct {
 	// ID is the touched node.
 	ID int32
-	// OldParent .. OldChildIdx are the node's column values before the
-	// first edit of the batch touched it.
-	OldParent, OldFirstChild, OldNextSibling, OldPrevSibling, OldLastChild, OldChildIdx int32
+	// OldParent .. OldLastChild are the node's column values before
+	// the first edit of the batch touched it.
+	OldParent, OldFirstChild, OldNextSibling, OldPrevSibling, OldLastChild int32
 }
 
 // ArenaDelta records one batch of arena mutations: which rows were
@@ -116,7 +122,6 @@ func (d *ArenaDelta) touch(a *Arena, v int32) {
 		OldNextSibling: a.NextSibling[v],
 		OldPrevSibling: a.PrevSibling[v],
 		OldLastChild:   a.LastChild[v],
-		OldChildIdx:    a.ChildIdx[v],
 	})
 }
 
@@ -191,7 +196,6 @@ func (a *Arena) appendRow(d *ArenaDelta, n *Node) int32 {
 	a.NextSibling = append(a.NextSibling, NoNode)
 	a.PrevSibling = append(a.PrevSibling, NoNode)
 	a.LastChild = append(a.LastChild, NoNode)
-	a.ChildIdx = append(a.ChildIdx, 0)
 	a.TextStart = append(a.TextStart, 0)
 	a.TextEnd = append(a.TextEnd, 0)
 	if a.dead != nil {
@@ -219,10 +223,9 @@ func (a *Arena) appendRow(d *ArenaDelta, n *Node) int32 {
 func (a *Arena) appendSubtree(d *ArenaDelta, n *Node) int32 {
 	id := a.appendRow(d, n)
 	prev := NoNode
-	for i, c := range n.Children {
+	for _, c := range n.Children {
 		cid := a.appendSubtree(d, c)
 		a.Parent[cid] = id
-		a.ChildIdx[cid] = int32(i)
 		if prev == NoNode {
 			a.FirstChild[id] = cid
 		} else {
@@ -248,43 +251,26 @@ func (a *Arena) InsertSubtree(d *ArenaDelta, parent int32, pos int, sub *Node) (
 		return NoNode, fmt.Errorf("tree: insert of a nil subtree")
 	}
 	v := a.appendSubtree(d, sub)
-	if n := int(a.NumChildren(parent)); pos < 0 {
-		pos = 0
-	} else if pos > n {
-		pos = n
+	// next is the current occupant of position pos (NoNode: append),
+	// found by the same O(pos) walk as ChildK.
+	next := a.ChildK(parent, max(pos, 0)+1)
+	prev := a.LastChild[parent]
+	if next != NoNode {
+		prev = a.PrevSibling[next]
 	}
 	d.touch(a, parent)
-	a.Parent[v] = parent
-	var before int32 = NoNode // current occupant of position pos (NoNode: append)
-	if pos < int(a.NumChildren(parent)) {
-		before = a.ChildK(parent, pos+1)
+	a.Parent[v], a.PrevSibling[v], a.NextSibling[v] = parent, prev, next
+	if prev == NoNode {
+		a.FirstChild[parent] = v
+	} else {
+		d.touch(a, prev)
+		a.NextSibling[prev] = v
 	}
-	if before == NoNode {
-		if last := a.LastChild[parent]; last == NoNode {
-			a.FirstChild[parent] = v
-		} else {
-			d.touch(a, last)
-			a.NextSibling[last] = v
-			a.PrevSibling[v] = last
-			a.ChildIdx[v] = a.ChildIdx[last] + 1
-		}
+	if next == NoNode {
 		a.LastChild[parent] = v
 	} else {
-		a.ChildIdx[v] = a.ChildIdx[before]
-		if prev := a.PrevSibling[before]; prev == NoNode {
-			a.FirstChild[parent] = v
-		} else {
-			d.touch(a, prev)
-			a.NextSibling[prev] = v
-			a.PrevSibling[v] = prev
-		}
-		d.touch(a, before)
-		a.NextSibling[v] = before
-		a.PrevSibling[before] = v
-		for c := before; c != NoNode; c = a.NextSibling[c] {
-			d.touch(a, c)
-			a.ChildIdx[c]++
-		}
+		d.touch(a, next)
+		a.PrevSibling[next] = v
 	}
 	a.bump(d)
 	return v, nil
@@ -317,10 +303,6 @@ func (a *Arena) RemoveSubtree(d *ArenaDelta, v int32) error {
 	}
 	if a.LastChild[p] == v {
 		a.LastChild[p] = prev
-	}
-	for c := next; c != NoNode; c = a.NextSibling[c] {
-		d.touch(a, c)
-		a.ChildIdx[c]--
 	}
 	if a.dead == nil {
 		a.dead = make([]bool, a.Len())

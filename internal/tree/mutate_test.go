@@ -7,9 +7,10 @@ import (
 )
 
 // checkLive walks the live structure and verifies every invariant the
-// mutation layer promises: link symmetry, ChildIdx density, the
-// live-never-references-dead rule, and agreement with want (term
-// syntax) via the canonical LiveTree view.
+// mutation layer promises: link symmetry, the live-never-references-dead
+// rule, positional agreement of ChildK with the canonical LiveTree view
+// (the i-th live child is ChildK(v, i)), and agreement with want (term
+// syntax) via that view.
 func checkLive(t *testing.T, a *Arena, want string) {
 	t.Helper()
 	alive := 0
@@ -24,7 +25,7 @@ func checkLive(t *testing.T, a *Arena, want string) {
 			}
 		}
 		if fc := a.FirstChild[v]; fc != NoNode {
-			if a.Parent[fc] != v || a.PrevSibling[fc] != NoNode || a.ChildIdx[fc] != 0 {
+			if a.Parent[fc] != v || a.PrevSibling[fc] != NoNode {
 				t.Fatalf("first child %d of %d mislinked", fc, v)
 			}
 		}
@@ -32,7 +33,7 @@ func checkLive(t *testing.T, a *Arena, want string) {
 			t.Fatalf("last child %d of %d mislinked", lc, v)
 		}
 		if ns := a.NextSibling[v]; ns != NoNode {
-			if a.PrevSibling[ns] != v || a.ChildIdx[ns] != a.ChildIdx[v]+1 {
+			if a.PrevSibling[ns] != v || a.Parent[ns] != a.Parent[v] {
 				t.Fatalf("sibling link %d -> %d broken", v, ns)
 			}
 		}
@@ -40,10 +41,23 @@ func checkLive(t *testing.T, a *Arena, want string) {
 	if alive != a.NumAlive() {
 		t.Fatalf("NumAlive = %d, counted %d", a.NumAlive(), alive)
 	}
-	if got := len(a.LivePreorder()); got != alive {
-		t.Fatalf("LivePreorder length %d, want %d", got, alive)
+	pre := a.LivePreorder() // preorder position -> arena id
+	if len(pre) != alive {
+		t.Fatalf("LivePreorder length %d, want %d", len(pre), alive)
 	}
-	if got := a.LiveTree().String(); got != want {
+	lt := a.LiveTree()
+	for i, n := range lt.Nodes {
+		for k := 1; k <= len(n.Children)+1; k++ {
+			want := NoNode
+			if k <= len(n.Children) {
+				want = pre[n.Children[k-1].ID]
+			}
+			if got := a.ChildK(pre[i], k); got != want {
+				t.Fatalf("ChildK(%d, %d) = %d, want live child %d", pre[i], k, got, want)
+			}
+		}
+	}
+	if got := lt.String(); got != want {
 		t.Fatalf("live tree = %s, want %s", got, want)
 	}
 }
@@ -68,7 +82,7 @@ func TestArenaMutation(t *testing.T) {
 	if len(d.Added) != 2 || d.OldLen != 5 || d.NewLen != 7 {
 		t.Fatalf("delta after insert: %+v", d)
 	}
-	// b (nextsibling rewired), e (prev + childidx) and a (parent) must
+	// b (nextsibling rewired), e (prevsibling) and a (parent) must
 	// carry old values; first-write-wins means b's old nextsibling is e.
 	if old, ok := d.OldOf(1); !ok || old.OldNextSibling != 4 {
 		t.Fatalf("old of b: %+v ok=%v", old, ok)
@@ -276,6 +290,56 @@ func TestArenaMutationRandom(t *testing.T) {
 		lt := a.LiveTree()
 		if !lt.Equal(mirror) {
 			t.Fatalf("trial %d: live tree diverged from mirror:\n%s\n%s", trial, lt, mirror)
+		}
+	}
+}
+
+// TestSpliceDeltaWidth pins the delta of one splice to its immediate
+// neighbors: inserting into or removing from the middle of a sibling
+// list records at most the parent and the previous and next sibling,
+// whether the list has ten children or ten thousand.
+func TestSpliceDeltaWidth(t *testing.T) {
+	for _, n := range []int{10, 10000} {
+		a := Flat(n+1, "a").Arena() // root plus n children
+		mid := a.ChildK(0, n/2+1)
+		prev, next := a.PrevSibling[mid], mid
+		allowed := map[int32]bool{0: true, prev: true, next: true}
+		checkWidth := func(op string, d *ArenaDelta) {
+			t.Helper()
+			if len(d.Touched) > 3 {
+				t.Fatalf("n=%d %s: %d touched rows, want at most 3", n, op, len(d.Touched))
+			}
+			for _, tn := range d.Touched {
+				if !allowed[tn.ID] {
+					t.Fatalf("n=%d %s: touched %d, outside {parent %d, prev %d, next %d}", n, op, tn.ID, 0, prev, next)
+				}
+			}
+		}
+
+		d := a.NewDelta()
+		x, err := a.InsertSubtree(d, 0, n/2, New("x", New("y")))
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkWidth("insert", d)
+		if got := a.ChildK(0, n/2+1); got != x {
+			t.Fatalf("n=%d: ChildK after insert = %d, want %d", n, got, x)
+		}
+		if got := a.ChildK(0, n/2+2); got != mid {
+			t.Fatalf("n=%d: displaced child at %d, want %d", n, got, mid)
+		}
+
+		// Removing the inserted row touches the same neighbors.
+		d = a.NewDelta()
+		if err := a.RemoveSubtree(d, x); err != nil {
+			t.Fatal(err)
+		}
+		checkWidth("remove", d)
+		if got := a.ChildK(0, n/2+1); got != mid {
+			t.Fatalf("n=%d: ChildK after remove = %d, want %d", n, got, mid)
+		}
+		if n <= 10 {
+			checkLive(t, a, Flat(n+1, "a").String())
 		}
 	}
 }
