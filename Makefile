@@ -61,11 +61,13 @@ bench-queryset:
 	$(GO) run ./cmd/benchtables -queryset BENCH_queryset.json
 
 # Bounded run of the cross-engine differential fuzzer: 400 random
-# monadic programs × 2 random trees × {linear, bitmap, LIT,
-# semi-naive, naive} × {-O0, -O1}, all engines compared on every
-# visible relation, plus all-linear and all-bitmap fused QuerySet
-# passes against their individual evaluations, plus the random
-# edit-script oracle (incremental maintenance ≡ replay from scratch).
+# monadic programs × 2 random trees, the compiled query on {linear,
+# bitmap} × {-O0, -O1} and the raw program on {semi-naive, LIT}, all
+# compared with the naive fixpoint on every visible relation, plus
+# all-linear and all-bitmap fused QuerySet passes against their
+# individual evaluations, plus the random edit-script oracle
+# (incremental maintenance — grounding plans and the MSO snapshot
+# fallback — ≡ replay from scratch).
 # Override the workload with MDLOG_FUZZ_N / MDLOG_FUZZ_SEED.
 # The store restart round-trip rides along: persistence must survive a
 # kill/reboot byte-identically, and it's fast enough for the quick path.

@@ -47,7 +47,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		keepText    = fs.Bool("text", true, "copy #text content into the output")
 		showAssign  = fs.Bool("assign", false, "also print the node assignment per pattern")
 		workers     = fs.Int("workers", 0, "worker pool size (0: GOMAXPROCS)")
-		engineArg   = cliflag.Engine(fs)
 		optArg      = cliflag.OptLevel(fs)
 	)
 	if err := fs.Parse(args); err != nil {
@@ -59,10 +58,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *programFile == "" || fs.NArg() == 0 {
 		return fmt.Errorf("need -program and at least one HTML file argument")
 	}
-	engine, err := engineArg()
-	if err != nil {
-		return err
-	}
 	optLevel, err := optArg()
 	if err != nil {
 		return err
@@ -73,7 +68,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	opts := []mdlog.Option{
 		mdlog.WithWrapOptions(mdlog.WrapOptions{KeepText: *keepText}),
-		mdlog.WithEngine(engine), mdlog.WithOptLevel(optLevel),
+		mdlog.WithOptLevel(optLevel),
 	}
 	if *patterns != "" {
 		opts = append(opts, mdlog.WithExtract(strings.Split(*patterns, ",")...))

@@ -5,11 +5,16 @@ package main
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"flag"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	mdlog "mdlog"
+	"mdlog/internal/wrap"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -64,33 +69,56 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{"-program", "testdata/missing.elog", "testdata/page.html"}, &out, &errb); err == nil {
 		t.Error("want an error for a missing program file")
 	}
-	err := run([]string{"-program", "testdata/wrapper.elog", "-engine", "warp", "testdata/page.html"}, &out, &errb)
-	if err == nil || !strings.Contains(err.Error(), "valid engines: linear, bitmap, seminaive, naive, lit") {
-		t.Errorf("unknown -engine must name the valid options, got %v", err)
+	// There is no -engine flag: the CLI always runs the library default engine.
+	errb.Reset()
+	err := run([]string{"-program", "testdata/wrapper.elog", "-engine", "linear", "testdata/page.html"}, &out, &errb)
+	if !errors.Is(err, errFlagParse) || !strings.Contains(errb.String(), "flag provided but not defined: -engine") {
+		t.Errorf("-engine must fail flag parsing, got %v (stderr: %s)", err, errb.String())
 	}
 	if err := run([]string{"-program", "testdata/wrapper.elog", "-O", "max", "testdata/page.html"}, &out, &errb); err == nil {
 		t.Error("want an error for a bad -O level")
 	}
 }
 
-// TestEnginesAgree wraps the fixture page through every engine at both
-// optimization levels; the XML output must be byte-identical.
+// TestEnginesAgree: the CLI wraps the fixture page on the library
+// default engine at both optimization levels; its XML must be
+// byte-identical to the library's wrap of the same page on each
+// grounding engine at that level.
 func TestEnginesAgree(t *testing.T) {
-	// LIT is absent: the Theorem 6.4 translation's subelem chains are
-	// neither all-monadic nor guarded, so the LIT engine rejects them
-	// by design (Proposition 3.7).
-	var want []byte
-	for _, engine := range []string{"linear", "seminaive", "naive"} {
-		for _, o := range []string{"-O0", "-O1"} {
-			var out, errb bytes.Buffer
-			args := []string{"-program", "testdata/wrapper.elog", "-engine", engine, o, "testdata/page.html"}
-			if err := run(args, &out, &errb); err != nil {
-				t.Fatalf("%s %s: %v (stderr: %s)", engine, o, err, errb.String())
+	src, err := os.ReadFile("testdata/wrapper.elog")
+	if err != nil {
+		t.Fatal(err)
+	}
+	page, err := os.ReadFile("testdata/page.html")
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := mdlog.ParseHTML(string(page))
+	for _, o := range []string{"-O0", "-O1"} {
+		var out, errb bytes.Buffer
+		if err := run([]string{"-program", "testdata/wrapper.elog", o, "testdata/page.html"}, &out, &errb); err != nil {
+			t.Fatalf("%s: %v (stderr: %s)", o, err, errb.String())
+		}
+		lvl, err := mdlog.ParseOptLevel(o[1:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range []mdlog.Engine{mdlog.EngineLinear, mdlog.EngineBitmap} {
+			q, err := mdlog.Compile(string(src), mdlog.LangElog, mdlog.WithEngine(e), mdlog.WithOptLevel(lvl),
+				mdlog.WithWrapOptions(mdlog.WrapOptions{KeepText: true}))
+			if err != nil {
+				t.Fatal(err)
 			}
-			if want == nil {
-				want = out.Bytes()
-			} else if !bytes.Equal(out.Bytes(), want) {
-				t.Errorf("%s %s output differs:\n%s\nvs\n%s", engine, o, out.Bytes(), want)
+			wrapped, err := q.Wrap(context.Background(), doc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want bytes.Buffer
+			if err := wrap.WriteXML(&want, wrapped); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(out.Bytes(), want.Bytes()) {
+				t.Errorf("%s: CLI output differs from the %v wrap:\n%s\nvs\n%s", o, e, out.Bytes(), want.Bytes())
 			}
 		}
 	}

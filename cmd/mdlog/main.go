@@ -6,7 +6,7 @@
 //	mdlog -lang xpath -query '//table/tr[td/b]/td' -html page.html
 //	mdlog -lang elog -program wrapper.elog -html p1.html -html p2.html
 //	mdlog -lang spanner -program prices.span -html page.html
-//	mdlog -program wrapper.dl -html page.html -engine seminaive -stats
+//	mdlog -program wrapper.dl -html page.html -O0 -stats
 //
 // With -lang spanner the program combines node rules with span rules
 // (text/attr/match atoms); the output is one line per extracted span
@@ -77,7 +77,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		treeArgs     multiFlag
 		treeFiles    multiFlag
 		htmlFiles    multiFlag
-		engineArg    = cliflag.Engine(fs)
 		optArg       = cliflag.OptLevel(fs)
 		predArg      = fs.String("pred", "", "query predicate to select (overrides the program's ?- directive)")
 		workers      = fs.Int("workers", 0, "worker pool size for multiple documents (0: GOMAXPROCS)")
@@ -122,15 +121,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	engine, err := engineArg()
-	if err != nil {
-		return err
-	}
 	optLevel, err := optArg()
 	if err != nil {
 		return err
 	}
-	opts := []mdlog.Option{mdlog.WithEngine(engine), mdlog.WithOptLevel(optLevel)}
+	opts := []mdlog.Option{mdlog.WithOptLevel(optLevel)}
 	if *predArg != "" {
 		opts = append(opts, mdlog.WithQueryPred(*predArg))
 	}

@@ -5,12 +5,18 @@ package main
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
+
+	mdlog "mdlog"
+	"mdlog/internal/eval"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -85,30 +91,61 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{"-h"}, &out, &errb); err != nil {
 		t.Errorf("-h should print usage and succeed, got %v", err)
 	}
-	err := run([]string{"-query", "p(X) :- label_a(X). ?- p.", "-tree", "a", "-engine", "bogus"}, &out, &errb)
-	if err == nil || !strings.Contains(err.Error(), "valid engines: linear, bitmap, seminaive, naive, lit") {
-		t.Errorf("unknown -engine must name the valid options, got %v", err)
+	// There is no -engine flag: the CLI always runs the library default engine.
+	errb.Reset()
+	err := run([]string{"-query", "p(X) :- label_a(X). ?- p.", "-tree", "a", "-engine", "bitmap"}, &out, &errb)
+	if !errors.Is(err, errFlagParse) || !strings.Contains(errb.String(), "flag provided but not defined: -engine") {
+		t.Errorf("-engine must fail flag parsing, got %v (stderr: %s)", err, errb.String())
 	}
 	if err := run([]string{"-query", "p(X) :- label_a(X). ?- p.", "-tree", "a", "-O", "7"}, &out, &errb); err == nil {
 		t.Error("want an error for a bad -O level")
 	}
 }
 
-// TestEngineOptMatrix runs one query through every engine and both
-// optimization levels; stdout must be identical across the matrix.
+// TestEngineOptMatrix runs one query through the CLI at both
+// optimization levels; stdout must be identical across levels and
+// match every evaluation engine's answer on the raw program.
 func TestEngineOptMatrix(t *testing.T) {
-	var want string
-	for _, engine := range []string{"linear", "seminaive", "naive", "lit"} {
-		for _, o := range []string{"-O0", "-O1"} {
-			var out, errb bytes.Buffer
-			args := []string{"-program", "testdata/wrapper.dl", "-html", "testdata/page.html", "-engine", engine, o}
-			if err := run(args, &out, &errb); err != nil {
-				t.Fatalf("%s %s: %v (stderr: %s)", engine, o, err, errb.String())
+	src, err := os.ReadFile("testdata/wrapper.dl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	page, err := os.ReadFile("testdata/page.html")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := mdlog.ParseProgram(string(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := mdlog.ParseHTML(string(page))
+	for _, o := range []string{"-O0", "-O1"} {
+		var out, errb bytes.Buffer
+		args := []string{"-program", "testdata/wrapper.dl", "-html", "testdata/page.html", o}
+		if err := run(args, &out, &errb); err != nil {
+			t.Fatalf("%s: %v (stderr: %s)", o, err, errb.String())
+		}
+		answers := map[string][]int{}
+		for _, e := range []mdlog.Engine{mdlog.EngineLinear, mdlog.EngineBitmap} {
+			q, err := mdlog.CompileProgram(p, mdlog.WithEngine(e))
+			if err != nil {
+				t.Fatal(err)
 			}
-			if want == "" {
-				want = out.String()
-			} else if out.String() != want {
-				t.Errorf("%s %s prints %q, want %q", engine, o, out.String(), want)
+			if answers[e.String()], err = q.Select(context.Background(), doc); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// The set-oriented engines read child/2 directly, no TMNF.
+		for _, e := range []eval.Engine{eval.EngineSemiNaive, eval.EngineNaive, eval.EngineLIT} {
+			db, err := eval.EvalOnTree(p, doc, e)
+			if err != nil {
+				t.Fatalf("%v: %v", e, err)
+			}
+			answers[e.String()] = db.UnarySet(p.Query)
+		}
+		for e, ids := range answers {
+			if want := fmt.Sprintf("%s: %v\n", p.Query, ids); out.String() != want {
+				t.Errorf("%s prints %q, %s engine selects %q", o, out.String(), e, want)
 			}
 		}
 	}

@@ -81,7 +81,6 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 		front       = fs.String("front", "", "run as the fleet front tier over these comma-separated worker URLs")
 		frontInFl   = fs.Int("front-worker-inflight", 0, "front tier: forwarded requests bound per worker (0: default, <0: unbounded)")
 		optArg      = cliflag.OptLevel(fs)
-		engineArg   = cliflag.Engine(fs)
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -114,15 +113,6 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 	// own "opt" still override both.
 	if isFlagSet(fs, "O") || isFlagSet(fs, "O0") || isFlagSet(fs, "O1") {
 		cfg.Opt = optLevel.String()
-	}
-	// Same precedence for the engine: -engine beats the config's
-	// daemon-wide default, per-wrapper "engine" specs beat both.
-	if isFlagSet(fs, "engine") {
-		engine, err := engineArg()
-		if err != nil {
-			return err
-		}
-		cfg.Engine = engine.String()
 	}
 	if *dataDir != "" {
 		cfg.DataDir = *dataDir

@@ -7,6 +7,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -85,6 +86,25 @@ func TestRunBadConfig(t *testing.T) {
 	err := run(context.Background(), []string{"-config", filepath.Join(t.TempDir(), "missing.json")}, os.Stderr)
 	if err == nil {
 		t.Fatal("want an error for a missing config file")
+	}
+}
+
+// TestRunRejectsEngine: the daemon has no engine setting, so both
+// the removed -engine flag and an "engine" config key fail before
+// the daemon binds anything.
+func TestRunRejectsEngine(t *testing.T) {
+	var stderr strings.Builder
+	err := run(context.Background(), []string{"-engine", "bitmap"}, &stderr)
+	if !errors.Is(err, errFlagParse) || !strings.Contains(stderr.String(), "flag provided but not defined: -engine") {
+		t.Errorf("-engine: got %v (stderr: %s), want a flag-parse error", err, stderr.String())
+	}
+	cfg := filepath.Join(t.TempDir(), "mdlogd.json")
+	if err := os.WriteFile(cfg, []byte(`{"addr":"127.0.0.1:0","engine":"linear"}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err = run(context.Background(), []string{"-config", cfg}, os.Stderr)
+	if err == nil || !strings.Contains(err.Error(), `unknown field "engine"`) {
+		t.Errorf("config with engine: got %v, want an unknown-field error", err)
 	}
 }
 

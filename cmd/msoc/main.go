@@ -44,7 +44,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		alphabet = fs.String("alphabet", "a,b", "comma-separated document alphabet Σ")
 		treeArg  = fs.String("tree", "", "evaluate on this tree (term syntax) instead of printing the program")
 		stats    = fs.Bool("stats", false, "print automaton/program size statistics")
-		engine   = cliflag.Engine(fs)
 		optArg   = cliflag.OptLevel(fs)
 	)
 	if err := fs.Parse(args); err != nil {
@@ -55,10 +54,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	if *formula == "" {
 		return fmt.Errorf("missing -formula")
-	}
-	eng, err := engine()
-	if err != nil {
-		return err
 	}
 	optLevel, err := optArg()
 	if err != nil {
@@ -80,7 +75,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *stats {
 		dq, err := mdlog.CompileProgram(prog,
 			mdlog.WithQueryPred("mso_select"), mdlog.WithExtract("mso_select"),
-			mdlog.WithEngine(eng), mdlog.WithOptLevel(optLevel))
+			mdlog.WithOptLevel(optLevel))
 		if err != nil {
 			return err
 		}
@@ -110,7 +105,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		// the automaton-state predicates the query never reaches).
 		dq, err := mdlog.CompileProgram(prog,
 			mdlog.WithQueryPred("mso_select"), mdlog.WithExtract("mso_select"),
-			mdlog.WithEngine(eng), mdlog.WithOptLevel(optLevel))
+			mdlog.WithOptLevel(optLevel))
 		if err != nil {
 			return err
 		}

@@ -5,6 +5,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"os"
 	"path/filepath"
@@ -61,9 +62,11 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{"-formula", "leaf(x", "-alphabet", "a"}, &out, &errb); err == nil {
 		t.Error("want a parse error")
 	}
-	err := run([]string{"-formula", "leaf(x)", "-alphabet", "a,b", "-engine", "bogus"}, &out, &errb)
-	if err == nil || !strings.Contains(err.Error(), "valid engines: linear, bitmap, seminaive, naive, lit") {
-		t.Errorf("unknown -engine must name the valid options, got %v", err)
+	// There is no -engine flag: the CLI always runs the library default engine.
+	errb.Reset()
+	err := run([]string{"-formula", "leaf(x)", "-alphabet", "a,b", "-engine", "bitmap"}, &out, &errb)
+	if !errors.Is(err, errFlagParse) || !strings.Contains(errb.String(), "flag provided but not defined: -engine") {
+		t.Errorf("-engine must fail flag parsing, got %v (stderr: %s)", err, errb.String())
 	}
 	if err := run([]string{"-formula", "leaf(x)", "-alphabet", "a,b", "-O", "zz"}, &out, &errb); err == nil {
 		t.Error("want an error for a bad -O level")

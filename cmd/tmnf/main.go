@@ -6,8 +6,8 @@
 //	tmnf -program wrapper.dl -tree 'a(b,c)' -pred q
 //
 // With -tree the original and the normalized program are both run
-// through the unified Compile API (honoring -engine and -O0/-O1) and
-// must select the same nodes.
+// through the unified Compile API (honoring -O0/-O1) and must select
+// the same nodes.
 package main
 
 import (
@@ -45,7 +45,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		stats       = fs.Bool("stats", false, "print size statistics instead of the program")
 		treeArg     = fs.String("tree", "", "verify the transformation on this tree (term syntax)")
 		predArg     = fs.String("pred", "", "query predicate for -tree verification")
-		engineArg   = cliflag.Engine(fs)
 		optArg      = cliflag.OptLevel(fs)
 	)
 	if err := fs.Parse(args); err != nil {
@@ -56,10 +55,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	if *programFile == "" {
 		return fmt.Errorf("missing -program")
-	}
-	engine, err := engineArg()
-	if err != nil {
-		return err
 	}
 	optLevel, err := optArg()
 	if err != nil {
@@ -93,7 +88,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 			return err
 		}
 		ctx := context.Background()
-		opts := []mdlog.Option{mdlog.WithEngine(engine), mdlog.WithOptLevel(optLevel)}
+		opts := []mdlog.Option{mdlog.WithOptLevel(optLevel)}
 		if *predArg != "" {
 			opts = append(opts, mdlog.WithQueryPred(*predArg))
 		}

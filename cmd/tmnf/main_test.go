@@ -7,6 +7,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"os"
 	"path/filepath"
@@ -85,9 +86,11 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{"-h"}, &out, &errb); err != nil {
 		t.Errorf("-h should print usage and succeed, got %v", err)
 	}
-	err := run([]string{"-program", "testdata/wrapper.dl", "-engine", "bogus"}, &out, &errb)
-	if err == nil || !strings.Contains(err.Error(), "valid engines: linear, bitmap, seminaive, naive, lit") {
-		t.Errorf("unknown -engine must name the valid options, got %v", err)
+	// There is no -engine flag: the CLI always runs the library default engine.
+	errb.Reset()
+	err := run([]string{"-program", "testdata/wrapper.dl", "-engine", "bitmap"}, &out, &errb)
+	if !errors.Is(err, errFlagParse) || !strings.Contains(errb.String(), "flag provided but not defined: -engine") {
+		t.Errorf("-engine must fail flag parsing, got %v (stderr: %s)", err, errb.String())
 	}
 	if err := run([]string{"-program", "testdata/wrapper.dl", "-O", "9"}, &out, &errb); err == nil {
 		t.Error("want an error for a bad -O level")

@@ -19,10 +19,12 @@ import (
 )
 
 // Cross-engine differential fuzzing: random monadic programs over the
-// full extensional vocabulary × random trees, evaluated by every
-// engine at every optimization level through the one Compile entry
-// point. All engines must agree on every visible relation — this is
-// the semantics net under the optimizer and the engine zoo.
+// full extensional vocabulary × random trees, evaluated by both
+// grounding engines at every optimization level through the one
+// Compile entry point, and by the set-oriented engines (semi-naive,
+// LIT) on the raw program. All five engines must agree with the naive
+// fixpoint on every visible relation — this is the semantics net
+// under TMNF, the optimizer and the engines.
 //
 // The default iteration count keeps `go test ./...` fast; `make
 // fuzz-smoke` raises it via MDLOG_FUZZ_N for a bounded CI fuzzing run.
@@ -181,7 +183,7 @@ func fuzzFusedSet(t *testing.T, ctx context.Context, caseNo int, progs []*Progra
 func TestDifferentialEngines(t *testing.T) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(fuzzSeed(t)))
-	engines := []Engine{EngineLinear, EngineBitmap, EngineSemiNaive, EngineNaive, EngineLIT}
+	engines := []Engine{EngineLinear, EngineBitmap}
 	levels := []OptLevel{OptNone, OptFull}
 	iters := fuzzIterations(t)
 
@@ -195,22 +197,32 @@ func TestDifferentialEngines(t *testing.T) {
 			tr := tree.Random(rng, tree.RandomOptions{
 				Labels: []string{"a", "b", "c"}, Size: 15 + rng.Intn(45), MaxChildren: 5})
 
-			// Reference semantics: the naive fixpoint without optimization.
-			ref, err := evalThrough(ctx, p, tr, EngineNaive, OptNone, nil)
+			// Reference semantics: the naive fixpoint on the raw
+			// program, which the other set-oriented engines must match.
+			ref, err := eval.EvalOnTree(p, tr, eval.EngineNaive)
 			if err != nil {
 				t.Fatalf("case %d: reference engine failed: %v\nprogram:\n%s", i, err, p)
+			}
+			for _, e := range []Engine{eval.EngineSemiNaive, eval.EngineLIT} {
+				db, err := eval.EvalOnTree(p, tr, e)
+				if litOutOfFragment(err) {
+					continue
+				}
+				if err != nil {
+					t.Fatalf("case %d: %v failed: %v\nprogram:\n%s", i, e, err, p)
+				}
+				if diff := eval.SameResults(ref, db, preds); diff != "" {
+					t.Fatalf("case %d: %v diverges from naive: %s\nprogram:\n%s\ntree: %s", i, e, diff, p, tr)
+				}
 			}
 			for _, e := range engines {
 				for _, lvl := range levels {
 					db, err := evalThrough(ctx, p, tr, e, lvl, nil)
-					if litOutOfFragment(err) {
-						continue
-					}
 					if err != nil {
 						t.Fatalf("case %d: %v/%v failed: %v\nprogram:\n%s", i, e, lvl, err, p)
 					}
 					if diff := eval.SameResults(ref, db, preds); diff != "" {
-						t.Fatalf("case %d: %v/%v diverges from naive/O0: %s\nprogram:\n%s\ntree: %s",
+						t.Fatalf("case %d: %v/%v diverges from naive: %s\nprogram:\n%s\ntree: %s",
 							i, e, lvl, diff, p, tr)
 					}
 				}
@@ -222,9 +234,6 @@ func TestDifferentialEngines(t *testing.T) {
 			for _, e := range engines {
 				for _, lvl := range levels {
 					db, err := evalThrough(ctx, p, tr, e, lvl, []string{"p0"})
-					if litOutOfFragment(err) {
-						continue
-					}
 					if err != nil {
 						t.Fatalf("case %d: goal-directed %v/%v failed: %v\nprogram:\n%s", i, e, lvl, err, p)
 					}
@@ -278,7 +287,7 @@ func TestDifferentialEngines(t *testing.T) {
 			}
 			for step := 0; step < 2; step++ {
 				randomDocEdit(t, rng, doc, []string{"a", "b", "c"})
-				want := fmt.Sprint(replayUnary(t, ctx, p, doc, []string{"p0"})["p0"])
+				want := fmt.Sprint(replayUnary(t, p, doc, []string{"p0"})["p0"])
 				for _, q := range incArms {
 					ids, err := selectInc(ctx, q, doc)
 					if err != nil {
@@ -298,7 +307,7 @@ func TestDifferentialEngines(t *testing.T) {
 // over a random tree whose nodes carry random text and attribute
 // values, compiled through LangSpanner on both grounding engines at
 // both optimization levels. The reference is assembled naively — the
-// candidate node set from the naive engine at O0, and the span tuples
+// candidate node set from the naive engine, and the span tuples
 // from Formula.NaiveEnumerate (the backtracking matcher the vset
 // automaton must agree with) over each candidate's character data.
 func fuzzSpannerArm(t *testing.T, ctx context.Context, caseNo int, rng *rand.Rand) {
@@ -358,15 +367,11 @@ func fuzzSpannerArm(t *testing.T, ctx context.Context, caseNo int, rng *rand.Ran
 		sort.Strings(rows)
 		return rows
 	}
-	nq, err := Compile(fmt.Sprintf("cand(X) :- %s(X). ?- cand.", cond), LangDatalog,
-		WithEngine(EngineNaive), WithOptLevel(OptNone), WithoutCache())
-	if err != nil {
-		t.Fatalf("case %d: compiling reference candidates: %v", caseNo, err)
-	}
-	cands, err := nq.Select(ctx, tr)
+	candDB, err := eval.EvalOnTree(datalog.MustParseProgram(fmt.Sprintf("cand(X) :- %s(X).", cond)), tr, eval.EngineNaive)
 	if err != nil {
 		t.Fatalf("case %d: reference candidates: %v", caseNo, err)
 	}
+	cands := candDB.UnarySet("cand")
 	all := make([]int, len(tr.Nodes))
 	for i := range all {
 		all[i] = i
@@ -514,7 +519,7 @@ func fuzzCheckerSoundness(t *testing.T, ctx context.Context, caseNo int, rng *ra
 	copts := &opt.ContainOptions{Refute: refute.Options{Trees: 60}}
 
 	evalP0 := func(prog *Program) map[int]bool {
-		db, err := evalThrough(ctx, prog, tr, EngineSemiNaive, OptNone, nil)
+		db, err := eval.EvalOnTree(prog, tr, eval.EngineSemiNaive)
 		if err != nil {
 			t.Fatalf("case %d: evaluating for checker verification: %v\nprogram:\n%s", caseNo, err, prog)
 		}

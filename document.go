@@ -8,9 +8,9 @@ package mdlog
 // query — or a whole QuerySet — run through RunIncremental pays per
 // edit for the delta-rule maintenance of its model instead of
 // re-evaluating the document from scratch; plans outside the
-// maintainable fragment (the MSO automaton, direct evaluators, generic
-// engines) transparently fall back to a from-scratch run over the
-// canonical live tree, mapped back to arena ids, so results are
+// maintainable fragment (the MSO automaton, direct evaluators)
+// transparently fall back to a from-scratch run over the canonical
+// live tree, mapped back to arena ids, so results are
 // engine-independent.
 //
 // All edits to a Document's tree MUST go through the Document: it

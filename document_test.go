@@ -189,7 +189,7 @@ func TestDocumentConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := replayUnary(t, ctx, p, doc, []string{"q"})["q"]
+	want := replayUnary(t, p, doc, []string{"q"})["q"]
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("after concurrent edits: %v, replay %v", got, want)
 	}

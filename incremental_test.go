@@ -14,6 +14,7 @@ import (
 	"sort"
 	"testing"
 
+	"mdlog/internal/eval"
 	"mdlog/internal/tree"
 )
 
@@ -43,12 +44,12 @@ func randomDocEdit(t *testing.T, rng *rand.Rand, doc *Document, labels []string)
 }
 
 // replayUnary is the replay-from-scratch oracle: evaluate p with the
-// reference engine on the canonical live tree (as if the document had
-// been re-parsed) and map each predicate's extension back to arena
-// ids through the live preorder.
-func replayUnary(t *testing.T, ctx context.Context, p *Program, doc *Document, preds []string) map[string][]int {
+// reference naive engine on the canonical live tree (as if the
+// document had been re-parsed) and map each predicate's extension
+// back to arena ids through the live preorder.
+func replayUnary(t *testing.T, p *Program, doc *Document, preds []string) map[string][]int {
 	t.Helper()
-	ref, err := evalThrough(ctx, p, doc.Snapshot(), EngineNaive, OptNone, nil)
+	ref, err := eval.EvalOnTree(p, doc.Snapshot(), eval.EngineNaive)
 	if err != nil {
 		t.Fatalf("replay oracle: %v\nprogram:\n%s", err, p)
 	}
@@ -66,18 +67,44 @@ func replayUnary(t *testing.T, ctx context.Context, p *Program, doc *Document, p
 	return out
 }
 
+// fallbackArms pairs MSO queries — plans outside the maintainable
+// fragment, which RunIncremental serves by a from-scratch run over the
+// live-tree snapshot remapped to arena ids — with datalog twins the
+// replay oracle evaluates.
+var fallbackArms = []struct{ mso, datalog string }{
+	{`exists y (child(x,y) & label_b(y))`, `q(X) :- child(X,Y), label_b(Y).`},
+	{`label_a(x) & exists y nextsibling(x,y)`, `q(X) :- label_a(X), nextsibling(X,Y).`},
+	{`leaf(x) & exists y (child(y,x) & label_c(y))`, `q(X) :- leaf(X), child(Y,X), label_c(Y).`},
+}
+
 // TestIncrementalDifferential fuzzes edit scripts: random programs
 // over randomly edited documents, with the incremental results of
 // every engine/level arm — plus all-linear and all-bitmap fused
-// QuerySets — compared against replay-from-scratch after every edit
-// window.
+// QuerySets and one MSO query on the snapshot fallback — compared
+// against replay-from-scratch after every edit window.
 func TestIncrementalDifferential(t *testing.T) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(fuzzSeed(t) ^ 0x9e3779b9))
 	labels := []string{"a", "b", "c"}
 	iters := fuzzIterations(t)/4 + 2
-	engines := []Engine{EngineLinear, EngineBitmap, EngineSemiNaive}
+	engines := []Engine{EngineLinear, EngineBitmap}
 	levels := []OptLevel{OptNone, OptFull}
+	type fallback struct {
+		q    *CompiledQuery
+		twin *Program
+	}
+	fallbacks := make([]fallback, len(fallbackArms))
+	for k, fa := range fallbackArms {
+		q, err := Compile(fa.mso, LangMSO)
+		if err != nil {
+			t.Fatalf("compiling fallback arm %s: %v", fa.mso, err)
+		}
+		twin, err := ParseProgram(fa.datalog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fallbacks[k] = fallback{q, twin}
+	}
 
 	for i := 0; i < iters; i++ {
 		progs := []*Program{randomMonadicProgram(rng), randomMonadicProgram(rng), randomMonadicProgram(rng)}
@@ -124,12 +151,13 @@ func TestIncrementalDifferential(t *testing.T) {
 			}
 			sets[e] = set
 		}
+		fb := fallbacks[i%len(fallbacks)]
 
 		for step := 0; step < 6; step++ {
 			for k := 1 + rng.Intn(2); k > 0; k-- {
 				randomDocEdit(t, rng, doc, labels)
 			}
-			oracle := replayUnary(t, ctx, p, doc, preds)
+			oracle := replayUnary(t, p, doc, preds)
 			for _, a := range arms {
 				res := a.q.RunIncremental(ctx, doc)
 				if res.Err != nil {
@@ -148,7 +176,7 @@ func TestIncrementalDifferential(t *testing.T) {
 					if r.Err != nil {
 						t.Fatalf("case %d step %d: fused %v member %d: %v\nprogram:\n%s", i, step, e, j, r.Err, progs[j])
 					}
-					mo := replayUnary(t, ctx, progs[j], doc, progs[j].IntensionalPreds())
+					mo := replayUnary(t, progs[j], doc, progs[j].IntensionalPreds())
 					for _, pred := range progs[j].IntensionalPreds() {
 						got, want := r.Assignment[pred], mo[pred]
 						if fmt.Sprint(got) != fmt.Sprint(want) && (len(got) > 0 || len(want) > 0) {
@@ -158,18 +186,25 @@ func TestIncrementalDifferential(t *testing.T) {
 					}
 				}
 			}
+			res := fb.q.RunIncremental(ctx, doc)
+			if res.Err != nil {
+				t.Fatalf("case %d step %d: fallback %s: %v", i, step, fb.q.Source(), res.Err)
+			}
+			if got, want := fmt.Sprint(res.IDs), fmt.Sprint(replayUnary(t, fb.twin, doc, []string{"q"})["q"]); got != want {
+				t.Fatalf("case %d step %d: fallback %s selects %s, replay %s", i, step, fb.q.Source(), got, want)
+			}
 		}
 	}
 }
 
 // TestMutationInvalidatesMemo is the arena-staleness regression test:
 // a Select that memoized its result must never serve the pre-mutation
-// memo after the document changes — the result memo, navigation
-// arrays and TreeDB are all keyed by (tree, generation).
+// memo after the document changes — the result memo and navigation
+// arrays are both keyed by (tree, generation).
 func TestMutationInvalidatesMemo(t *testing.T) {
 	ctx := context.Background()
 	src := `q(X) :- label_new(X). ?- q.`
-	for _, e := range []Engine{EngineLinear, EngineBitmap, EngineSemiNaive} {
+	for _, e := range []Engine{EngineLinear, EngineBitmap} {
 		t.Run(e.String(), func(t *testing.T) {
 			tr := tree.MustParse("a(b(c),d)")
 			q, err := Compile(src, LangDatalog, WithEngine(e))

@@ -1,16 +1,13 @@
 // Package cliflag holds the flag plumbing shared by the five command
-// line tools, so every CLI spells the optimizer and engine options the
-// same way: -O takes a level argument, -O0/-O1 are the conventional
-// shorthands, and an unknown -engine value surfaces one error naming
-// the valid engines.
+// line tools, so every CLI spells the optimizer option the same way:
+// -O takes a level argument and -O0/-O1 are the conventional
+// shorthands.
 package cliflag
 
 import (
 	"flag"
 	"fmt"
-	"strings"
 
-	"mdlog/internal/eval"
 	"mdlog/internal/opt"
 )
 
@@ -33,12 +30,4 @@ func OptLevel(fs *flag.FlagSet) func() (opt.Level, error) {
 		}
 		return opt.ParseLevel(*level)
 	}
-}
-
-// Engine registers -engine on fs and returns a resolver to call after
-// parsing; an unknown value yields eval.ParseEngine's error, which
-// names the valid options.
-func Engine(fs *flag.FlagSet) func() (eval.Engine, error) {
-	name := fs.String("engine", eval.DefaultEngine.String(), "datalog engine: "+strings.Join(eval.EngineNames(), ", "))
-	return func() (eval.Engine, error) { return eval.ParseEngine(*name) }
 }

@@ -157,27 +157,6 @@ q(X) :- child(X,Y), label_b(Y).
 	}
 }
 
-func TestEngineNamesAndValidity(t *testing.T) {
-	for _, name := range EngineNames() {
-		e, err := ParseEngine(name)
-		if err != nil {
-			t.Fatalf("ParseEngine(%q): %v", name, err)
-		}
-		if e.String() != name {
-			t.Fatalf("round trip %q -> %v", name, e)
-		}
-		if !ValidEngine(e) {
-			t.Fatalf("ValidEngine(%v) = false", e)
-		}
-	}
-	if ValidEngine(Engine(99)) {
-		t.Fatalf("ValidEngine(99) = true")
-	}
-	if _, err := ParseEngine("bitmask"); err == nil {
-		t.Fatalf("ParseEngine accepted an unknown name")
-	}
-}
-
 // The root-recursive crawl wrappers as they reach the engine, after
 // the TMNF rewrite and the optimizer: XPath //td[b] and caterpillar
 // child*.label_td.child.label_b.(child^-1).label_td. Both close the

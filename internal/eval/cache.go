@@ -7,99 +7,18 @@ import (
 	"mdlog/internal/tree"
 )
 
-// Signature describes which extensional relations beyond the τ_ur core
-// a program reads, i.e. what a TreeDB materialization must contain for
-// the generic engines to be complete on it. Two programs with the same
-// Signature can share one materialized database per tree.
-type Signature struct {
-	Child, LastChild, FirstSibling, Dom bool
-	// ChildK is the largest k of any child_k atom (τ_rk), 0 if none.
-	ChildK int
-}
-
-// FullSignature requests every optional relation (what the legacy
-// EvalOnTree path materialized unconditionally, minus child_k).
-func FullSignature() Signature {
-	return Signature{Child: true, LastChild: true, FirstSibling: true, Dom: true}
-}
-
-// GenericSignature is the materialization the generic (set-oriented)
-// engines use for p: every optional relation plus p's child_k arity.
-func GenericSignature(p *datalog.Program) Signature {
-	s := FullSignature()
-	s.ChildK = SignatureOf(p).ChildK
-	return s
-}
-
-// SignatureOf scans the program's atoms for the extensional relations
-// it can read. Unknown predicates are ignored: they are either IDB or
-// will be rejected by the engine itself.
-func SignatureOf(p *datalog.Program) Signature {
-	var s Signature
-	see := func(a datalog.Atom) {
-		switch a.Pred {
-		case PredChild:
-			s.Child = true
-		case PredLastChild:
-			s.LastChild = true
-		case PredFirstSibling:
-			s.FirstSibling = true
-		case PredDom:
-			s.Dom = true
-		default:
-			if k, ok := IsChildKPred(a.Pred); ok && k > s.ChildK {
-				s.ChildK = k
-			}
-		}
-	}
-	for _, r := range p.Rules {
-		see(r.Head)
-		for _, b := range r.Body {
-			see(b)
-		}
-	}
-	return s
-}
-
-// Options converts the signature into TreeDB options.
-func (s Signature) Options() []TreeDBOption {
-	var opts []TreeDBOption
-	if s.Child {
-		opts = append(opts, WithChild())
-	}
-	if s.LastChild {
-		opts = append(opts, WithLastChild())
-	}
-	if s.FirstSibling {
-		opts = append(opts, WithFirstSibling())
-	}
-	if s.Dom {
-		opts = append(opts, WithDom())
-	}
-	if s.ChildK > 0 {
-		opts = append(opts, WithChildK(s.ChildK))
-	}
-	return opts
-}
-
-// TreeDB materializes the τ_ur extension the signature requires.
-func (s Signature) TreeDB(t *tree.Tree) *datalog.Database {
-	return TreeDB(t, s.Options()...)
-}
-
 // TreeCache memoizes per-document evaluation state — the navigation
-// arrays of the linear engine and the materialized TreeDB per
-// Signature — so a compiled query (or many queries sharing one cache)
-// pays the O(|dom|) materialization once per (tree, signature) instead
-// of once per call.
+// arrays the grounding engines run on, and per-(query, tree) results —
+// so a compiled query (or many queries sharing one cache) pays the
+// O(|dom|) materialization once per tree instead of once per call.
 //
 // Entries are keyed by (tree identity, generation): every mutation —
 // pointer-level edits followed by Reindex, or the arena mutation API —
 // advances tree.Tree.Generation, so post-mutation lookups can never be
 // served a pre-mutation memo; the stale entry simply becomes
 // unreachable and ages out under MaxTrees (or is dropped by Forget).
-// The cached databases are shared: callers must treat them as
-// read-only (the generic engines do: they Clone before writing).
+// The cached navigation arrays and result databases are shared:
+// callers must treat them as read-only.
 //
 // A TreeCache is safe for concurrent use. The zero value is NOT ready;
 // use NewTreeCache.
@@ -136,8 +55,9 @@ type CacheStats struct {
 	// Results is the total number of memoized (query, tree) results
 	// across all entries.
 	Results int
-	// Hits and Misses count Nav/DB lookups served from memo vs
-	// materialized (as HitsMisses reports).
+	// Hits and Misses count navigation-array lookups served from memo
+	// vs materialized (as HitsMisses reports); result-memo lookups are
+	// not counted here.
 	Hits, Misses int64
 	// ResultEvictions counts memoized results dropped to enforce
 	// MaxResults.
@@ -156,7 +76,6 @@ func keyOf(t *tree.Tree) treeKey { return treeKey{t: t, gen: t.Generation()} }
 type treeCacheEntry struct {
 	mu      sync.Mutex
 	nav     *Nav
-	dbs     map[Signature]*datalog.Database
 	results map[any]*datalog.Database
 }
 
@@ -183,7 +102,7 @@ func (c *TreeCache) entry(t *tree.Tree) *treeCacheEntry {
 				break
 			}
 		}
-		e = &treeCacheEntry{dbs: map[Signature]*datalog.Database{}}
+		e = &treeCacheEntry{}
 		c.entries[key] = e
 	}
 	return e
@@ -219,29 +138,6 @@ func (c *TreeCache) NavCached(t *tree.Tree) (*Nav, bool) {
 	return e.nav, hit
 }
 
-// DB returns the memoized TreeDB of t for the signature, materializing
-// it on first use. The returned database is shared and must be treated
-// as read-only.
-func (c *TreeCache) DB(t *tree.Tree, sig Signature) *datalog.Database {
-	db, _ := c.DBCached(t, sig)
-	return db
-}
-
-// DBCached is DB also reporting whether the database for this exact
-// signature was already materialized.
-func (c *TreeCache) DBCached(t *tree.Tree, sig Signature) (*datalog.Database, bool) {
-	e := c.entry(t)
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	db, hit := e.dbs[sig]
-	if !hit {
-		db = sig.TreeDB(t)
-		e.dbs[sig] = db
-	}
-	c.count(hit)
-	return db, hit
-}
-
 // peek returns t's current-generation entry without creating one (and
 // without touching the hit/miss counters).
 func (c *TreeCache) peek(t *tree.Tree) *treeCacheEntry {
@@ -268,7 +164,7 @@ func (c *TreeCache) Result(t *tree.Tree, key any) (*datalog.Database, bool) {
 
 // SetResult memoizes an evaluation result for (t, key). Results live
 // exactly as long as the tree's cache entry: Forget, Purge, or an
-// eviction drops them together with the materialized state. When the
+// eviction drops them together with the navigation arrays. When the
 // entry already holds MaxResults results for other keys, an arbitrary
 // one is evicted first (same policy as MaxTrees).
 func (c *TreeCache) SetResult(t *tree.Tree, key any, db *datalog.Database) {
@@ -300,7 +196,7 @@ func (c *TreeCache) maxResults() int {
 }
 
 // Contains reports whether t already has cached state (navigation
-// arrays or databases) at its current generation. Purely advisory: a
+// arrays or results) at its current generation. Purely advisory: a
 // concurrent Forget or eviction can invalidate the answer immediately.
 func (c *TreeCache) Contains(t *tree.Tree) bool {
 	key := keyOf(t)
@@ -338,9 +234,9 @@ func (c *TreeCache) Len() int {
 	return len(c.entries)
 }
 
-// HitsMisses reports how many Nav/DB lookups were served from memo
-// (hits) vs had to materialize (misses). Result-memo lookups are not
-// counted here; CompiledQuery.Stats tracks those.
+// HitsMisses reports how many navigation-array lookups were served
+// from memo (hits) vs had to materialize (misses). Result-memo lookups
+// are not counted here; CompiledQuery.Stats tracks those.
 func (c *TreeCache) HitsMisses() (hits, misses int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

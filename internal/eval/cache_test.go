@@ -73,7 +73,7 @@ func TestDefaultMaxResults(t *testing.T) {
 	if s := c.Stats(); s.Results != DefaultMaxResults {
 		t.Errorf("results = %d, want %d", s.Results, DefaultMaxResults)
 	}
-	// Stats also reflects Nav/DB traffic.
+	// Stats also reflects navigation-array traffic.
 	c.Nav(tr)
 	c.Nav(tr)
 	if s := c.Stats(); s.Hits != 1 || s.Misses != 1 {
@@ -81,10 +81,9 @@ func TestDefaultMaxResults(t *testing.T) {
 	}
 }
 
-// TestSharedDBConcurrentHas pins the read-only contract of cached
-// databases: concurrent Has on a shared TreeDB (as the generic
-// engines issue through DBCached) must be race-free even though the
-// membership set is built lazily.
+// TestSharedDBConcurrentHas pins the read-only contract of shared
+// databases: concurrent Has on one TreeDB must be race-free even
+// though the membership set is built lazily.
 func TestSharedDBConcurrentHas(t *testing.T) {
 	tr := tree.MustParse("a(b,c(d,e),f)")
 	db := TreeDB(tr, WithChild(), WithDom())

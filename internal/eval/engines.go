@@ -2,13 +2,16 @@ package eval
 
 import (
 	"fmt"
-	"strings"
 
 	"mdlog/internal/datalog"
 	"mdlog/internal/tree"
 )
 
-// Engine selects an evaluation algorithm.
+// Engine selects an evaluation algorithm. Compiled queries run on one
+// of the two grounding engines (EngineLinear, EngineBitmap); the
+// set-oriented engines (semi-naive, naive, LIT) run only through
+// EvalOnTree, as oracles for the differential tests, the containment
+// refuter and the ABLATION-engines table.
 type Engine int
 
 const (
@@ -28,32 +31,15 @@ const (
 	EngineBitmap
 )
 
-// DefaultEngine is the engine used when none is chosen: by compiled
-// queries, by the command line tools' -engine flag and by mdlogd. The
-// bitmap engine measures faster than the linear one on every
+// DefaultEngine is the engine compiled queries use when none is
+// chosen — and the one the command line tools and mdlogd always use.
+// The bitmap engine measures faster than the linear one on every
 // crawl-fleet wrapper at every page size from ~45 nodes to ~100k
 // (DESIGN.md § Engine comparison); EngineLinear stays selectable as
 // the paper's reference pipeline and the differential oracle.
 const DefaultEngine = EngineBitmap
 
-// EngineNames lists the valid engine flag names, in the order flags
-// and error messages present them.
-func EngineNames() []string {
-	return []string{"linear", "bitmap", "seminaive", "naive", "lit"}
-}
-
-// ValidEngine reports whether e is one of the defined engines — the
-// compile-time guard that keeps an out-of-range Engine value from
-// silently deferring its failure to the first run.
-func ValidEngine(e Engine) bool {
-	switch e {
-	case EngineLinear, EngineSemiNaive, EngineNaive, EngineLIT, EngineBitmap:
-		return true
-	}
-	return false
-}
-
-// String names the engine for CLI flags and error messages.
+// String names the engine for stats attribution and error messages.
 func (e Engine) String() string {
 	switch e {
 	case EngineLinear:
@@ -70,27 +56,11 @@ func (e Engine) String() string {
 	return fmt.Sprintf("Engine(%d)", int(e))
 }
 
-// ParseEngine converts a CLI flag value into an Engine.
-func ParseEngine(s string) (Engine, error) {
-	switch s {
-	case "linear":
-		return EngineLinear, nil
-	case "seminaive":
-		return EngineSemiNaive, nil
-	case "naive":
-		return EngineNaive, nil
-	case "lit":
-		return EngineLIT, nil
-	case "bitmap":
-		return EngineBitmap, nil
-	}
-	return 0, fmt.Errorf("eval: unknown engine %q (valid engines: %s)", s, strings.Join(EngineNames(), ", "))
-}
-
-// fullTreeDB materializes every relation a generic engine might need
-// for the given program.
+// fullTreeDB materializes every relation a set-oriented engine might
+// need for the given program: all optional τ_ur extensions plus the
+// program's child_k arity.
 func fullTreeDB(p *datalog.Program, t *tree.Tree) *datalog.Database {
-	return GenericSignature(p).TreeDB(t)
+	return TreeDB(t, WithChild(), WithLastChild(), WithFirstSibling(), WithDom(), WithChildK(SignatureOf(p).ChildK))
 }
 
 // EvalOnTree evaluates a monadic datalog program on a tree using the

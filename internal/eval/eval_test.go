@@ -401,21 +401,6 @@ func TestQueryHelper(t *testing.T) {
 	}
 }
 
-func TestParseEngine(t *testing.T) {
-	for _, name := range []string{"linear", "seminaive", "naive", "lit"} {
-		e, err := ParseEngine(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if e.String() != name {
-			t.Errorf("round trip %q -> %q", name, e.String())
-		}
-	}
-	if _, err := ParseEngine("magic"); err == nil {
-		t.Error("expected error")
-	}
-}
-
 func TestNavArrays(t *testing.T) {
 	tr := tree.MustParse("a(b,c(d,e),f)")
 	nav := NewNav(tr)

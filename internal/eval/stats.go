@@ -12,8 +12,8 @@ type Stats struct {
 	// (datalog translation, TMNF rewriting, automaton construction,
 	// grounding-plan compilation).
 	Compile time.Duration
-	// Materialize is the time spent building navigation arrays or
-	// TreeDB relations; zero when a cache supplied them.
+	// Materialize is the time spent building navigation arrays; zero
+	// when a cache supplied them.
 	Materialize time.Duration
 	// Eval is the time spent in the engine proper.
 	Eval time.Duration

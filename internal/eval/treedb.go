@@ -386,3 +386,35 @@ func IsBinaryEDB(pred string) bool {
 	_, ok := IsChildKPred(pred)
 	return ok
 }
+
+// Signature records the extensional relations beyond the τ_ur core
+// whose presence changes how a program is evaluated.
+type Signature struct {
+	// Child is set when the program reads child/2, which the grounding
+	// engines cannot evaluate without the Theorem 5.2 rewrite.
+	Child bool
+	// ChildK is the largest k of any child_k atom (τ_rk), 0 if none; it
+	// sizes the child_k relations of a TreeDB.
+	ChildK int
+}
+
+// SignatureOf scans the program's atoms for the extensional relations
+// it can read. Unknown predicates are ignored: they are either IDB or
+// will be rejected by the engine itself.
+func SignatureOf(p *datalog.Program) Signature {
+	var s Signature
+	see := func(a datalog.Atom) {
+		if a.Pred == PredChild {
+			s.Child = true
+		} else if k, ok := IsChildKPred(a.Pred); ok && k > s.ChildK {
+			s.ChildK = k
+		}
+	}
+	for _, r := range p.Rules {
+		see(r.Head)
+		for _, b := range r.Body {
+			see(b)
+		}
+	}
+	return s
+}

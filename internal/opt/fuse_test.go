@@ -13,7 +13,9 @@ func parseTree(s string) (*tree.Tree, error) { return tree.Parse(s) }
 
 // fuseTestDB materializes the full extensional vocabulary for the
 // reference naive engine.
-func fuseTestDB(t *tree.Tree) *datalog.Database { return eval.FullSignature().TreeDB(t) }
+func fuseTestDB(t *tree.Tree) *datalog.Database {
+	return eval.TreeDB(t, eval.WithChild(), eval.WithLastChild(), eval.WithFirstSibling(), eval.WithDom())
+}
 
 func parse(t *testing.T, src string) *datalog.Program {
 	t.Helper()

@@ -87,12 +87,6 @@ type Options struct {
 	// elimination and inlining then keep all user predicates and only
 	// the derivability / duplicate cleanups apply.
 	Roots []string
-	// KeepShape restricts the pipeline to passes that never change the
-	// syntactic shape of a surviving rule (no inlining). The Datalog
-	// LIT engine admits programs by rule shape (all-monadic or
-	// extensionally guarded, Proposition 3.7), so plans prepared for
-	// the generic engines must not fuse rules.
-	KeepShape bool
 	// MaxBodyAtoms caps the body size inlining may create
 	// (0: DefaultMaxBodyAtoms).
 	MaxBodyAtoms int
@@ -160,9 +154,7 @@ func Optimize(p *datalog.Program, o Options) (*datalog.Program, Report) {
 			changed = dedupAtoms(out, &rep) || changed
 			changed = eliminateDead(out, roots, &rep) || changed
 			changed = dedupRules(out, &rep) || changed
-			if !o.KeepShape {
-				changed = inlineSingleUse(out, roots, maxBody, &rep) || changed
-			}
+			changed = inlineSingleUse(out, roots, maxBody, &rep) || changed
 			if !changed {
 				break
 			}

@@ -182,19 +182,6 @@ q(X) :- self(X).
 	}
 }
 
-func TestKeepShapeSkipsInlining(t *testing.T) {
-	p := mustParse(t, `
-q(X) :- aux1(X).
-aux1(X) :- aux2(Y), firstchild(Y,X).
-aux2(X) :- label_b(X).
-?- q.
-`)
-	out, rep := Optimize(p, Options{Level: O1, Roots: []string{"q"}, KeepShape: true})
-	if rep.Inlined != 0 || len(out.Rules) != 3 {
-		t.Fatalf("KeepShape must not fuse rules:\n%s\n%+v", out, rep)
-	}
-}
-
 func TestDuplicateRuleAndAtomRemoval(t *testing.T) {
 	p := mustParse(t, `
 q(X) :- label_a(X), label_a(X).

@@ -57,12 +57,6 @@ type Config struct {
 	// "O0", "O1") applied to wrapper specs that do not set their own;
 	// empty means full optimization.
 	Opt string `json:"opt,omitempty"`
-	// Engine is the daemon-wide default evaluation engine ("linear",
-	// "bitmap", "seminaive", "naive", "lit") applied to wrapper specs
-	// that do not set their own; empty means the library default,
-	// bitmap. An unknown name fails the boot with an error listing the
-	// valid engines.
-	Engine string `json:"engine,omitempty"`
 	// MaxSessions bounds live document sessions (0:
 	// DefaultMaxSessions; < 0: unbounded). At capacity, PUT
 	// /documents/{id} for a new id reclaims the least-recently-used
@@ -120,12 +114,6 @@ type WrapperSpec struct {
 	Extract []string `json:"extract,omitempty"`
 	// KeepText copies #text content into wrapped output trees.
 	KeepText bool `json:"keep_text,omitempty"`
-	// Engine selects the evaluation engine ("linear", "bitmap",
-	// "seminaive", "naive", "lit"; empty: the daemon default, which
-	// itself defaults to bitmap). Only datalog-routed plans honor it;
-	// an unknown name is rejected at compile time with an error
-	// listing the valid engines.
-	Engine string `json:"engine,omitempty"`
 	// Opt sets the optimization level ("0", "1", "O0", "O1"; empty:
 	// the daemon default, which itself defaults to full).
 	Opt string `json:"opt,omitempty"`
@@ -140,13 +128,6 @@ func (ws WrapperSpec) Compile() (*mdlog.CompiledQuery, error) {
 	}
 	if len(ws.Extract) > 0 {
 		opts = append(opts, mdlog.WithExtract(ws.Extract...))
-	}
-	if ws.Engine != "" {
-		e, err := mdlog.ParseEngineFlag(ws.Engine)
-		if err != nil {
-			return nil, err
-		}
-		opts = append(opts, mdlog.WithEngine(e))
 	}
 	if ws.Opt != "" {
 		l, err := mdlog.ParseOptLevel(ws.Opt)

@@ -72,10 +72,6 @@ type Server struct {
 	// wrapper specs that leave theirs empty ("" means library default,
 	// i.e. full optimization).
 	defaultOpt string
-	// defaultEngine is the daemon-wide evaluation engine applied to
-	// wrapper specs that leave theirs empty ("" means library default,
-	// i.e. the bitmap engine).
-	defaultEngine string
 
 	// Persistence (nil without a data dir): the registry snapshot on
 	// disk, rewritten after every successful wrapper mutation and
@@ -202,12 +198,6 @@ func New(cfg *Config) (*Server, error) {
 		}
 		s.defaultOpt = cfg.Opt
 	}
-	if cfg.Engine != "" {
-		if _, err := mdlog.ParseEngineFlag(cfg.Engine); err != nil {
-			return nil, err
-		}
-		s.defaultEngine = cfg.Engine
-	}
 	if entries := cfg.DocCacheEntries; entries >= 0 {
 		if entries == 0 {
 			entries = DefaultDocCacheEntries
@@ -273,15 +263,11 @@ func New(cfg *Config) (*Server, error) {
 	return s, nil
 }
 
-// withDefaults fills spec fields the daemon configures globally (the
-// optimization level and the evaluation engine) when the spec leaves
-// them empty.
+// withDefaults fills the spec field the daemon configures globally
+// (the optimization level) when the spec leaves it empty.
 func (s *Server) withDefaults(spec WrapperSpec) WrapperSpec {
 	if spec.Opt == "" {
 		spec.Opt = s.defaultOpt
-	}
-	if spec.Engine == "" {
-		spec.Engine = s.defaultEngine
 	}
 	return spec
 }

@@ -604,23 +604,19 @@ func TestOptimizerObservability(t *testing.T) {
 	}
 }
 
-// TestWrapperSpecEngineOpt: specs select engines and optimization
-// levels, invalid values fail compilation, and the daemon-wide default
-// applies to specs that leave opt empty.
+// TestWrapperSpecEngineOpt: specs select optimization levels, invalid
+// levels fail compilation, the daemon-wide default applies to specs
+// that leave opt empty, and every datalog-routed wrapper serves on the
+// library default engine.
 func TestWrapperSpecEngineOpt(t *testing.T) {
-	ws := WrapperSpec{Lang: mdlog.LangElog, Source: elogSrc, Engine: "seminaive"}
-	if _, err := ws.Compile(); err != nil {
-		t.Fatalf("seminaive spec: %v", err)
+	ws := WrapperSpec{Lang: mdlog.LangElog, Source: elogSrc}
+	q, err := ws.Compile()
+	if err != nil {
+		t.Fatal(err)
 	}
-	ws.Engine = "bitmap"
-	if _, err := ws.Compile(); err != nil {
-		t.Fatalf("bitmap spec: %v", err)
+	if got := q.EngineName(); got != "bitmap" {
+		t.Errorf("spec compiled onto %q, want the library default bitmap", got)
 	}
-	ws.Engine = "warp"
-	if _, err := ws.Compile(); err == nil || !strings.Contains(err.Error(), "valid engines: linear, bitmap") {
-		t.Errorf("bad engine must name the valid options, got %v", err)
-	}
-	ws.Engine = ""
 	ws.Opt = "nope"
 	if _, err := ws.Compile(); err == nil {
 		t.Error("bad opt level must fail compilation")
@@ -636,28 +632,54 @@ func TestWrapperSpecEngineOpt(t *testing.T) {
 	if lvl := wr.Query.OptStats().Level; lvl != mdlog.OptNone {
 		t.Errorf("daemon default O0 not applied: wrapper compiled at %v", lvl)
 	}
+	if got := wr.Query.EngineName(); got != "bitmap" {
+		t.Errorf("boot wrapper serves on %q, want bitmap", got)
+	}
 	bad := bootConfig()
 	bad.Opt = "zz"
 	if _, err := New(bad); err == nil {
 		t.Error("invalid daemon opt default must fail boot")
 	}
+}
 
-	// The daemon-wide engine default applies to specs that leave engine
-	// empty, and an unknown default fails the boot.
-	cfg = bootConfig()
-	cfg.Engine = "bitmap"
-	s, err = New(cfg)
-	if err != nil {
+// TestRemovedEngineKnob: the daemon has no engine setting. An "engine"
+// key is an unknown field wherever input is decoded strictly (PUT
+// /wrappers, the config file, at top level and per wrapper), while a
+// persisted wrappers.json that still carries one boots and serves the
+// same answers as the spec without it.
+func TestRemovedEngineKnob(t *testing.T) {
+	_, ts := newTestServer(t, nil)
+	status, body := rawBody(t, http.MethodPut, ts.URL+"/wrappers/x", `{"lang":"xpath","source":"//td[b]","engine":"linear"}`)
+	if status != http.StatusBadRequest || !strings.Contains(string(body), `unknown field \"engine\"`) {
+		t.Errorf("PUT with engine: status %d, body %s; want 400 naming the unknown field", status, body)
+	}
+	for _, doc := range []string{
+		`{"engine":"bitmap"}`,
+		`{"wrappers":[{"name":"x","lang":"xpath","source":"//td","engine":"linear"}]}`,
+	} {
+		if _, err := ParseConfig([]byte(doc)); err == nil || !strings.Contains(err.Error(), `unknown field "engine"`) {
+			t.Errorf("ParseConfig(%s) = %v, want an unknown-field error naming engine", doc, err)
+		}
+	}
+
+	// A snapshot written while specs still had an engine field.
+	dir := t.TempDir()
+	snapshot := fmt.Sprintf(`{"format_version":%d,"wrappers":[{"name":"items","version":3,"registered":"2026-01-02T03:04:05Z","spec":{"lang":"elog","source":%q,"engine":"linear"}}]}`,
+		storeFormatVersion, elogSrc)
+	if err := os.WriteFile(filepath.Join(dir, storeFileName), []byte(snapshot), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	wr, _ = s.Registry().Get("items")
-	if got := wr.Query.EngineName(); got != "bitmap" {
-		t.Errorf("daemon default engine not applied: wrapper runs on %q", got)
+	_, restored := newTestServer(t, &Config{DataDir: dir})
+	_, fresh := newTestServer(t, &Config{Wrappers: []ConfigWrapper{{Name: "items", WrapperSpec: WrapperSpec{Lang: mdlog.LangElog, Source: elogSrc}}}})
+	for _, path := range []string{"/extract/items?output=assign", "/extract/items?output=xml"} {
+		_, want := rawBody(t, http.MethodPost, fresh.URL+path, page)
+		gotStatus, got := rawBody(t, http.MethodPost, restored.URL+path, page)
+		if gotStatus != http.StatusOK || string(got) != string(want) {
+			t.Errorf("%s on the restored registry: status %d\n got %s\nwant %s", path, gotStatus, got, want)
+		}
 	}
-	bad = bootConfig()
-	bad.Engine = "warp"
-	if _, err := New(bad); err == nil {
-		t.Error("invalid daemon engine default must fail boot")
+	if status, info := doJSON(t, http.MethodGet, restored.URL+"/wrappers/items", ""); status != http.StatusOK || info["version"].(float64) != 3 {
+		t.Errorf("restored items: status %d, info %v; want version 3", status, info)
 	}
 }
 

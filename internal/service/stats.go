@@ -39,10 +39,10 @@ func (s *Server) snapshot() ([]wrapperStats, mdlog.Stats) {
 }
 
 // queryStatsJSON renders a lifetime aggregate (see mdlog.Stats). The
-// "engine" entry is the engine that SERVED the aggregated runs —
-// "mixed" when a wrapper's runs were split across engines (e.g. a
-// bitmap wrapper whose fused all-wrapper passes fell back to linear),
-// "" before the first run.
+// "engine" entry is the engine that served the aggregated runs —
+// "mixed" when they span engines (e.g. the totals of a fleet holding
+// both bitmap-engine wrappers and an MSO automaton wrapper), "" for
+// totals over an empty registry.
 func queryStatsJSON(st mdlog.Stats) map[string]any {
 	return map[string]any{
 		"runs":           st.Runs,

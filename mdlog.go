@@ -112,26 +112,19 @@ func ParseProgram(src string) (*Program, error) { return datalog.ParseProgram(sr
 // TreeDB materializes τ_ur (see eval options for extensions).
 func TreeDB(t *Tree, opts ...eval.TreeDBOption) *Database { return eval.TreeDB(t, opts...) }
 
-// Evaluation engines (Sections 3.2 and 4.1).
+// Engine selects the grounding engine a compiled query runs on (see
+// WithEngine): the two engines that evaluate the Theorem 4.2 fragment
+// every monadic datalog program over trees normalizes into
+// (Theorem 5.2).
 type Engine = eval.Engine
 
 const (
 	// EngineLinear is the Theorem 4.2 O(|P|·|dom|) engine.
 	EngineLinear = eval.EngineLinear
-	// EngineSemiNaive is generic semi-naive evaluation.
-	EngineSemiNaive = eval.EngineSemiNaive
-	// EngineNaive is the reference naive fixpoint.
-	EngineNaive = eval.EngineNaive
-	// EngineLIT is the monadic Datalog LIT engine (Proposition 3.7).
-	EngineLIT = eval.EngineLIT
 	// EngineBitmap evaluates the same Theorem 4.2 fragment as
 	// EngineLinear as bulk bitset algebra over the arena columns.
 	EngineBitmap = eval.EngineBitmap
 )
-
-// ParseEngineFlag converts a CLI flag value ("linear", "bitmap",
-// "seminaive", "naive", "lit") into an Engine.
-func ParseEngineFlag(s string) (Engine, error) { return eval.ParseEngine(s) }
 
 // MSO (Sections 2 and 4.2).
 type (

@@ -45,7 +45,7 @@ first(X) :- li(X), firstchild(Y,X).
 	}
 
 	// Engine dispatch.
-	sq, err := CompileProgram(p, WithEngine(EngineSemiNaive))
+	sq, err := CompileProgram(p, WithEngine(EngineLinear))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -151,8 +151,8 @@ func (l *Language) UnmarshalText(b []byte) error {
 type Stats = eval.Stats
 
 // TreeCache memoizes per-document evaluation state (navigation
-// arrays, materialized tree databases) across runs and across queries
-// sharing the cache.
+// arrays, per-query results) across runs and across queries sharing
+// the cache.
 type TreeCache = eval.TreeCache
 
 // CacheStats is a snapshot of a TreeCache's contents and traffic (see
@@ -217,13 +217,11 @@ type compileConfig struct {
 	optLevel  OptLevel
 }
 
-// WithEngine selects the datalog evaluation engine (default
-// EngineBitmap). Only plans that execute datalog honor it; the MSO
-// automaton and the direct XPath/Elog⁻Δ evaluators ignore it. The
-// grounding engines (EngineLinear, EngineBitmap) apply to every
-// datalog-routed language; the set-oriented engines (seminaive,
-// naive, lit) apply to datalog and Elog⁻ sources. An Engine value
-// outside the defined set fails compilation (no silent fallback).
+// WithEngine selects the grounding engine that runs datalog-routed
+// plans: EngineBitmap (the default) or EngineLinear, the paper's
+// reference pipeline. The MSO automaton and the direct XPath/Elog⁻Δ
+// evaluators ignore it. Any other Engine value fails compilation in
+// every language.
 func WithEngine(e Engine) Option { return func(c *compileConfig) { c.engine = e } }
 
 // WithQueryPred sets the predicate Select reads (default: the
@@ -242,7 +240,7 @@ func WithWrapOptions(o WrapOptions) Option { return func(c *compileConfig) { c.w
 func WithCache(tc *TreeCache) Option { return func(c *compileConfig) { c.cache = tc } }
 
 // WithoutCache disables per-document memoization: every run rebuilds
-// its navigation arrays and tree database.
+// its navigation arrays.
 func WithoutCache() Option { return func(c *compileConfig) { c.noCache = true } }
 
 // WithOptLevel sets the compile-time optimization level (default
@@ -492,31 +490,14 @@ func CompileProgram(p *Program, opts ...Option) (*CompiledQuery, error) {
 	return compileDatalog(p, LangDatalog, newConfig(opts))
 }
 
-// checkEngine rejects Engine values outside the defined set at
-// compile time, naming the valid engines — an unknown engine must
-// never defer its failure to the first run (or silently fall back).
+// checkEngine rejects, at compile time and for every language, any
+// engine but the two grounding engines — an unknown engine must never
+// defer its failure to the first run (or silently fall back).
 func (cfg *compileConfig) checkEngine() error {
-	if !eval.ValidEngine(cfg.engine) {
-		return fmt.Errorf("mdlog: unknown engine %v (valid engines: %s)",
-			cfg.engine, strings.Join(eval.EngineNames(), ", "))
+	if cfg.engine != EngineLinear && cfg.engine != EngineBitmap {
+		return fmt.Errorf("mdlog: unsupported engine %v (valid engines: %v, %v)", cfg.engine, EngineLinear, EngineBitmap)
 	}
 	return nil
-}
-
-// isGroundingEngine reports whether the engine executes prepared
-// Theorem 4.2 grounding plans (per-rule anchor propagation) rather
-// than set-oriented relational evaluation.
-func isGroundingEngine(e Engine) bool { return e == EngineLinear || e == EngineBitmap }
-
-// groundingEngine is the engine for a source that always grounds
-// (XPath, caterpillar, a spanner's node part): the configured engine
-// if it is a grounding one, the default otherwise — the set-oriented
-// engines are ignored there, as documented on WithEngine.
-func (c *compileConfig) groundingEngine() Engine {
-	if isGroundingEngine(c.engine) {
-		return c.engine
-	}
-	return eval.DefaultEngine
 }
 
 // groundPlan prepares an already-normalized program for one of the
@@ -549,45 +530,26 @@ func compileDatalog(p *Program, lang Language, cfg *compileConfig) (*CompiledQue
 		}
 	}
 	visible := visiblePreds(p, cfg, extract)
-	var plan queryPlan
-	var report OptReport
-	var memoKey any
-	if isGroundingEngine(cfg.engine) {
-		np := p
-		// Normalize: the grounding engines cannot use child/2 (no
-		// functional dependency, Proposition 4.1); Theorem 5.2
-		// eliminates it. The visible-predicate projection keeps the
-		// tm_* auxiliaries out of the result relations.
-		if lang == LangDatalog && eval.SignatureOf(p).Child {
-			tp, err := tmnf.Transform(p)
-			if err != nil {
-				return nil, err
-			}
-			np = tp
-		}
-		np, report = opt.Optimize(np, opt.Options{Level: cfg.optLevel, Roots: visible})
-		pl, err := groundPlan(np, cfg.engine, visible)
+	np := p
+	// Normalize: the grounding engines cannot use child/2 (no
+	// functional dependency, Proposition 4.1); Theorem 5.2 eliminates
+	// it. The visible-predicate projection keeps the tm_* auxiliaries
+	// out of the result relations.
+	if lang == LangDatalog && eval.SignatureOf(p).Child {
+		tp, err := tmnf.Transform(p)
 		if err != nil {
 			return nil, err
 		}
-		plan = pl
-		memoKey = newPlanKey(np, cfg.engine, visible)
-	} else {
-		if err := p.Check(); err != nil {
-			return nil, err
-		}
-		// The set-oriented engines admit programs by rule shape
-		// (Datalog LIT most strictly), so the optimizer must not fuse
-		// rules here; the goal-directed and deduplication passes still
-		// apply.
-		op, rep := opt.Optimize(p, opt.Options{Level: cfg.optLevel, Roots: visible, KeepShape: true})
-		report = rep
-		plan = &genericPlan{prog: op, engine: cfg.engine, sig: eval.GenericSignature(op), project: visible}
-		memoKey = newPlanKey(op, cfg.engine, visible)
+		np = tp
+	}
+	np, report := opt.Optimize(np, opt.Options{Level: cfg.optLevel, Roots: visible})
+	plan, err := groundPlan(np, cfg.engine, visible)
+	if err != nil {
+		return nil, err
 	}
 	q := cfg.newQuery(lang, plan, p.Query, extract)
 	q.optReport = report
-	q.memoKey = memoKey
+	q.memoKey = newPlanKey(np, cfg.engine, visible)
 	q.setCompile(time.Since(start))
 	return q, nil
 }
@@ -623,8 +585,6 @@ func CompileXPath(x *XPath, opts ...Option) (*CompiledQuery, error) {
 	if pred == "" {
 		pred = DefaultQueryPred
 	}
-	// XPath always routes through the TMNF translation.
-	engine := cfg.groundingEngine()
 	var plan queryPlan
 	var report OptReport
 	var memoKey any
@@ -642,12 +602,12 @@ func CompileXPath(x *XPath, opts ...Option) (*CompiledQuery, error) {
 			return nil, err
 		}
 		tp, report = opt.Optimize(tp, opt.Options{Level: cfg.optLevel, Roots: []string{pred}})
-		pl, err := groundPlan(tp, engine, []string{pred})
+		pl, err := groundPlan(tp, cfg.engine, []string{pred})
 		if err != nil {
 			return nil, err
 		}
 		plan = pl
-		memoKey = newPlanKey(tp, engine, []string{pred})
+		memoKey = newPlanKey(tp, cfg.engine, []string{pred})
 	}
 	q := cfg.newQuery(LangXPath, plan, pred, []string{pred})
 	q.optReport = report
@@ -670,7 +630,6 @@ func CompileCaterpillar(e CaterpillarExpr, opts ...Option) (*CompiledQuery, erro
 	if pred == "" {
 		pred = DefaultQueryPred
 	}
-	engine := cfg.groundingEngine()
 	cp := caterpillar.QueryProgram(e, pred)
 	if eval.SignatureOf(cp).Child {
 		tp, err := tmnf.Transform(cp)
@@ -680,13 +639,13 @@ func CompileCaterpillar(e CaterpillarExpr, opts ...Option) (*CompiledQuery, erro
 		cp = tp
 	}
 	cp, report := opt.Optimize(cp, opt.Options{Level: cfg.optLevel, Roots: []string{pred}})
-	pl, err := groundPlan(cp, engine, []string{pred})
+	pl, err := groundPlan(cp, cfg.engine, []string{pred})
 	if err != nil {
 		return nil, err
 	}
 	q := cfg.newQuery(LangCaterpillar, pl, pred, []string{pred})
 	q.optReport = report
-	q.memoKey = newPlanKey(cp, engine, []string{pred})
+	q.memoKey = newPlanKey(cp, cfg.engine, []string{pred})
 	q.setCompile(time.Since(start))
 	return q, nil
 }
@@ -721,20 +680,9 @@ func CompileElog(p *ElogProgram, opts ...Option) (*CompiledQuery, error) {
 	var plan queryPlan
 	var report OptReport
 	var memoKey any
-	switch {
-	case p.UsesDelta():
+	if p.UsesDelta() {
 		plan = &elogDirectPlan{prog: p, patterns: patterns}
-	case !isGroundingEngine(cfg.engine):
-		// WithEngine routes the Theorem 6.4 datalog translation (which
-		// may use child/2) through the set-oriented engines.
-		dp, err := p.ToDatalog()
-		if err != nil {
-			return nil, err
-		}
-		dp, report = opt.Optimize(dp, opt.Options{Level: cfg.optLevel, Roots: patterns, KeepShape: true})
-		plan = &genericPlan{prog: dp, engine: cfg.engine, sig: eval.GenericSignature(dp), project: patterns}
-		memoKey = newPlanKey(dp, cfg.engine, patterns)
-	default:
+	} else {
 		dp, err := p.CompileLinear() // ToDatalog + TMNF (Corollary 6.4)
 		if err != nil {
 			return nil, err
@@ -773,9 +721,9 @@ func (q *CompiledQuery) ExtractPreds() []string { return append([]string(nil), q
 func (q *CompiledQuery) Cache() *TreeCache { return q.cache }
 
 // EngineName reports which engine executes this query's plan:
-// a datalog engine name ("linear", "bitmap", "seminaive", ...) or one
-// of the direct evaluators ("automaton", "xpath-direct",
-// "elog-direct"). It is the value per-run Stats carry in Engine.
+// a grounding engine ("linear" or "bitmap") or one of the direct
+// evaluators ("automaton", "xpath-direct", "elog-direct"). It is the
+// value per-run Stats carry in Engine.
 func (q *CompiledQuery) EngineName() string { return q.plan.engineName() }
 
 // OptStats reports what the compile-time optimizer did to this query's
@@ -984,62 +932,6 @@ func runGrounding(ctx context.Context, t *Tree, cache *TreeCache, engine string,
 		db = db.Project(project)
 	}
 	return db, rs, nil
-}
-
-// genericPlan routes through the set-oriented engines (semi-naive,
-// naive, LIT) over a materialized — and memoized — tree database.
-// project lists the visible predicates, so every engine (LIT's
-// connected-splitting helpers included) exposes the same relations as
-// the linear plan.
-type genericPlan struct {
-	prog    *datalog.Program
-	engine  Engine
-	sig     eval.Signature
-	project []string
-}
-
-func (p *genericPlan) engineName() string { return p.engine.String() }
-
-func (p *genericPlan) run(ctx context.Context, t *Tree, cache *TreeCache) (*Database, Stats, error) {
-	rs := Stats{Engine: p.engineName()}
-	if err := ctx.Err(); err != nil {
-		return nil, rs, err
-	}
-	var edb *Database
-	start := time.Now()
-	if cache != nil {
-		var hit bool
-		edb, hit = cache.DBCached(t, p.sig)
-		if hit {
-			rs.CacheHits = 1
-		}
-	} else {
-		edb = p.sig.TreeDB(t)
-	}
-	rs.Materialize = time.Since(start)
-	start = time.Now()
-	var full *Database
-	var err error
-	switch p.engine {
-	case EngineSemiNaive:
-		full, err = datalog.SemiNaiveEval(p.prog, edb)
-	case EngineNaive:
-		full, err = datalog.NaiveEval(p.prog, edb)
-	case EngineLIT:
-		full, err = eval.LITEval(p.prog, edb)
-	default:
-		err = fmt.Errorf("mdlog: engine %v is not supported by the generic plan", p.engine)
-	}
-	rs.Eval = time.Since(start)
-	if err != nil {
-		return nil, rs, err
-	}
-	if p.project != nil {
-		full = full.Project(p.project)
-	} else {
-		full = full.Project(p.prog.IntensionalPreds())
-	}
-	return full, rs, nil
 }
 
 // msoPlan runs the compiled tree automaton (two linear passes).

@@ -114,7 +114,7 @@ func TestCompileEngines(t *testing.T) {
 	doc := ParseHTML(crossPage)
 	src := `sel(X) :- label_td(X), firstchild(X,Y), label_b(Y).` // td whose first child is b
 	want := ""
-	for _, e := range []Engine{EngineLinear, EngineSemiNaive, EngineNaive, EngineLIT} {
+	for _, e := range []Engine{EngineLinear, EngineBitmap} {
 		q, err := Compile(src, LangDatalog, WithEngine(e), WithQueryPred("sel"))
 		if err != nil {
 			t.Fatalf("%v: %v", e, err)
@@ -131,14 +131,14 @@ func TestCompileEngines(t *testing.T) {
 	}
 }
 
-// TestEvalHidesNormalizationHelpers pins the Eval contract: when the
-// linear engine TMNF-normalizes a child-using program, the tm_*
-// auxiliaries must not leak into the visible relations.
+// TestEvalHidesNormalizationHelpers pins the Eval contract: when a
+// grounding engine runs a TMNF-normalized child-using program, the
+// tm_* auxiliaries must not leak into the visible relations.
 func TestEvalHidesNormalizationHelpers(t *testing.T) {
 	doc := ParseHTML(crossPage)
 	src := `q(X) :- child(Y,X), label_tr(Y).`
 	want := ""
-	for _, e := range []Engine{EngineLinear, EngineSemiNaive} {
+	for _, e := range []Engine{EngineLinear, EngineBitmap} {
 		cq, err := Compile(src, LangDatalog, WithEngine(e))
 		if err != nil {
 			t.Fatalf("%v: %v", e, err)
@@ -155,6 +155,54 @@ func TestEvalHidesNormalizationHelpers(t *testing.T) {
 		}
 		if preds != "[q]" {
 			t.Errorf("engine %v exposes %v, want [q]", e, preds)
+		}
+	}
+}
+
+// TestWithEngineEveryLanguage: WithEngine means the same thing in all
+// seven languages. Any engine but linear and bitmap fails compilation
+// with an error naming the two; linear and bitmap select the same ids.
+func TestWithEngineEveryLanguage(t *testing.T) {
+	doc := ParseHTML(crossPage)
+	ctx := context.Background()
+	dl, err := ParseProgram(crossSources[0].src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tp, err := ToTMNF(dl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sources := map[Language]string{
+		LangTMNF: tp.String() + "?- q.",
+		LangSpanner: `q(X) :- label_td(X), child(X,Y), label_b(Y).
+			digit(X, S) :- q(X), text(X, S), match(S, /[0-9]/).
+			?- q.`,
+	}
+	for _, cs := range crossSources {
+		sources[cs.lang] = cs.src
+	}
+	if len(sources) != len(LanguageNames()) {
+		t.Fatalf("table covers %d languages, want all %d", len(sources), len(LanguageNames()))
+	}
+	for lang, src := range sources {
+		if _, err := Compile(src, lang, WithEngine(Engine(2))); err == nil || !strings.Contains(err.Error(), "valid engines: linear, bitmap") {
+			t.Errorf("%v: WithEngine(Engine(2)) compiled (err %v); want an error naming linear, bitmap", lang, err)
+		}
+		var ids []string
+		for _, e := range []Engine{EngineLinear, EngineBitmap} {
+			q, err := Compile(src, lang, WithEngine(e))
+			if err != nil {
+				t.Fatalf("%v/%v: %v", lang, e, err)
+			}
+			got, err := q.Select(ctx, doc)
+			if err != nil {
+				t.Fatalf("%v/%v: %v", lang, e, err)
+			}
+			ids = append(ids, fmt.Sprint(got))
+		}
+		if ids[0] != ids[1] || ids[0] == "[]" {
+			t.Errorf("%v: linear selects %s, bitmap %s", lang, ids[0], ids[1])
 		}
 	}
 }

@@ -10,10 +10,10 @@ package mdlog
 // grounding plan for the union, and per document runs that plan once,
 // projecting each member's visible relations back out. Members that
 // do not route through a grounding datalog engine (the MSO
-// automaton, the direct XPath/Elog⁻Δ evaluators, the set-oriented
-// engines) are evaluated individually inside the same Run call with
-// identical results — fusion is an optimization, never a semantics
-// change. See DESIGN.md §QuerySet for the soundness argument.
+// automaton, the direct XPath/Elog⁻Δ evaluators) are evaluated
+// individually inside the same Run call with identical results —
+// fusion is an optimization, never a semantics change. See DESIGN.md
+// §QuerySet for the soundness argument.
 
 import (
 	"context"

@@ -66,7 +66,7 @@ func sortedKeys(a Assignment) []string {
 	return keys
 }
 
-// TestQuerySetDifferential locks the fusion contract: for every engine
+// TestQuerySetDifferential locks the fusion contract: for each engine
 // × optimization level, QuerySet.Run returns bit-identical results to
 // the per-query Select/Assign path, for every member of a
 // mixed-language set.
@@ -74,7 +74,7 @@ func TestQuerySetDifferential(t *testing.T) {
 	ctx := context.Background()
 	doc := ParseHTML(querySetPage)
 	specs := querySetSpecs()
-	for _, engine := range []Engine{EngineLinear, EngineSemiNaive, EngineNaive, EngineLIT} {
+	for _, engine := range []Engine{EngineLinear, EngineBitmap} {
 		for _, lvl := range []OptLevel{OptNone, OptFull} {
 			t.Run(fmt.Sprintf("%v-%v", engine, lvl), func(t *testing.T) {
 				var members []NamedQuery
@@ -96,9 +96,8 @@ func TestQuerySetDifferential(t *testing.T) {
 					q := individual[i]
 					if res.Err != nil {
 						// Error isolation: the member's failure must
-						// mirror the individual path (e.g. LIT
-						// rejecting an out-of-fragment program), and
-						// the other members must be unaffected.
+						// mirror the individual path, and the other
+						// members must be unaffected.
 						if _, ierr := q.Eval(ctx, doc); ierr == nil || ierr.Error() != res.Err.Error() {
 							t.Fatalf("%s: fused err %v, individual err %v", res.Name, res.Err, ierr)
 						}

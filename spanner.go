@@ -89,8 +89,6 @@ func CompileSpanner(p *SpannerProgram, opts ...Option) (*CompiledQuery, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The node part always routes through the grounding engines.
-	engine := cfg.groundingEngine()
 	// The candidate predicates must stay visible past the optimizer —
 	// they are what the span evaluator reads — alongside whatever the
 	// user program exposes.
@@ -109,13 +107,13 @@ func CompileSpanner(p *SpannerProgram, opts ...Option) (*CompiledQuery, error) {
 		np = tp
 	}
 	np, report := opt.Optimize(np, opt.Options{Level: cfg.optLevel, Roots: visible})
-	inner, err := groundPlan(np, engine, visible)
+	inner, err := groundPlan(np, cfg.engine, visible)
 	if err != nil {
 		return nil, err
 	}
 	q := cfg.newQuery(LangSpanner, &spannerPlan{inner: inner, eval: ev}, p.Node.Query, extract)
 	q.optReport = report
-	q.memoKey = newPlanKey(np, engine, visible)
+	q.memoKey = newPlanKey(np, cfg.engine, visible)
 	q.setCompile(time.Since(start))
 	return q, nil
 }
