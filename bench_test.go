@@ -489,7 +489,7 @@ q(X) :- label_td(X), firstchild(X,Y), label_b(Y).
 			if err != nil {
 				b.Fatal(err)
 			}
-			db, err := pl.Run(eval.NavOf(a))
+			db, err := pl.Run(eval.NavOf(a), nil)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -505,7 +505,7 @@ q(X) :- label_td(X), firstchild(X,Y), label_b(Y).
 			if err != nil {
 				b.Fatal(err)
 			}
-			db, err := pl.Run(eval.NewNav(doc))
+			db, err := pl.Run(eval.NewNav(doc), nil)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -518,7 +518,7 @@ q(X) :- label_td(X), firstchild(X,Y), label_b(Y).
 	b.Run("pointer-baseline", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			doc := html.ParseNodes(src)
-			db, err := pl.Run(eval.NewNavFromNodes(doc))
+			db, err := pl.Run(eval.NewNavFromNodes(doc), nil)
 			if err != nil {
 				b.Fatal(err)
 			}

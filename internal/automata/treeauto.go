@@ -55,6 +55,24 @@ func (d *DTA) Step(q1, q2, sym int) int {
 	return r
 }
 
+// Dense returns δ as a flat table: δ(q1, q2, sym) is
+// Dense()[(sym*NumStates+q1)*NumStates+q2]. Tree passes that step once
+// per node index it instead of hashing a map key per transition. It
+// panics on an incomplete DTA, as Step would on the missing
+// transition.
+func (d *DTA) Dense() []int32 {
+	n := d.NumStates * d.NumStates * d.NumSymbols
+	if len(d.trans) != n {
+		panic(fmt.Sprintf("automata: incomplete DTA: %d of %d transitions", len(d.trans), n))
+	}
+	out := make([]int32, n)
+	for k, r := range d.trans {
+		q1, q2, sym := int(k>>42), int(k>>21&(1<<21-1)), int(k&(1<<21-1))
+		out[(sym*d.NumStates+q1)*d.NumStates+q2] = int32(r)
+	}
+	return out
+}
+
 // LeafState returns the state assigned to a leaf symbol.
 func (d *DTA) LeafState(sym int) int { return d.LeafTrans[sym] }
 

@@ -126,8 +126,8 @@ func Compile(e Expr) *compiled {
 }
 
 // applyStep returns the nodes reachable from node v by one atomic step.
-func applyStep(t *tree.Tree, s step, v int) []int {
-	n := t.Nodes[v]
+func applyStep(nodes []*tree.Node, s step, v int) []int {
+	n := nodes[v]
 	single := func(m *tree.Node) []int {
 		if m == nil {
 			return nil
@@ -194,7 +194,8 @@ func applyStep(t *tree.Tree, s step, v int) []int {
 // BFS, in time O(|E| · |t|) for fixed alphabet.
 func ImageFrom(e Expr, t *tree.Tree, from []int) []int {
 	c := Compile(e)
-	n := t.Size()
+	nodes := t.View()
+	n := len(nodes)
 	ns := c.nfa.NumStates
 	seen := make([]bool, n*ns)
 	var queue []int
@@ -234,7 +235,7 @@ func ImageFrom(e Expr, t *tree.Tree, from []int) []int {
 			push(v, r)
 		}
 		for _, ed := range edges[q] {
-			for _, w := range applyStep(t, c.steps[ed.sym], v) {
+			for _, w := range applyStep(nodes, c.steps[ed.sym], v) {
 				push(w, ed.to)
 			}
 		}
@@ -269,5 +270,5 @@ func Pairs(e Expr, t *tree.Tree) [][2]int {
 // SelectFromRoot evaluates the unary caterpillar query
 // Q(x) ← root.E(x) of Corollary 5.12.
 func SelectFromRoot(e Expr, t *tree.Tree) []int {
-	return ImageFrom(e, t, []int{t.Root.ID})
+	return ImageFrom(e, t, []int{0}) // the root
 }

@@ -32,7 +32,7 @@ func (b *Builder) Program() *Program { return b.prog }
 // can then display the document and highlight those regions").
 func (b *Builder) Instances(pattern string) ([]int, error) {
 	if pattern == RootPattern {
-		return []int{b.doc.Root.ID}, nil
+		return []int{0}, nil // the root
 	}
 	res, err := b.prog.EvalDirect(b.doc)
 	if err != nil {

@@ -21,7 +21,7 @@ func (p *Program) EvalDirect(t *tree.Tree) (map[string][]int, error) {
 		ext[pat] = make([]bool, t.Size())
 	}
 	rootExt := make([]bool, t.Size())
-	rootExt[t.Root.ID] = true
+	rootExt[0] = true // the root
 	lookup := func(pat string) []bool {
 		if pat == RootPattern {
 			return rootExt
@@ -78,7 +78,7 @@ func pathTargets(t *tree.Tree, x0 int, path Path) []int {
 	for _, el := range path {
 		var next []int
 		for _, v := range cur {
-			for _, c := range t.Nodes[v].Children {
+			for _, c := range t.View()[v].Children {
 				if el == Wildcard || c.Label == el {
 					next = append(next, c.ID)
 				}
@@ -233,7 +233,7 @@ func (c Condition) outputVar(b map[string]int) string {
 // consistent with the binding; for pure tests it returns a nonempty
 // slice iff the condition holds.
 func (c Condition) candidates(t *tree.Tree, b map[string]int) ([]int, error) {
-	node := func(v string) *tree.Node { return t.Nodes[b[v]] }
+	node := func(v string) *tree.Node { return t.View()[b[v]] }
 	switch c.Kind {
 	case CondLeaf:
 		if node(c.Vars[0]).IsLeaf() {
@@ -255,19 +255,19 @@ func (c Condition) candidates(t *tree.Tree, b map[string]int) ([]int, error) {
 		y, yOK := b[c.Vars[1]]
 		switch {
 		case xOK && yOK:
-			ns := t.Nodes[x].NextSibling()
+			ns := t.View()[x].NextSibling()
 			if ns != nil && ns.ID == y {
 				return []int{y}, nil
 			}
 			return nil, nil
 		case xOK:
-			if ns := t.Nodes[x].NextSibling(); ns != nil {
+			if ns := t.View()[x].NextSibling(); ns != nil {
 				return []int{ns.ID}, nil
 			}
 			return nil, nil
 		default:
 			// Only Vars[1] bound: generate Vars[0] via the previous sibling.
-			if ps := t.Nodes[y].PrevSibling(); ps != nil {
+			if ps := t.View()[y].PrevSibling(); ps != nil {
 				return []int{ps.ID}, nil
 			}
 			return nil, nil

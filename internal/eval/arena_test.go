@@ -134,11 +134,11 @@ deep(Y) :- deep(X), nextsibling(X,Y).
 				Size:        1 + rng.Intn(300),
 				MaxChildren: 1 + rng.Intn(6),
 			})
-			arena, err := pl.Run(NewNav(tr))
+			arena, err := pl.Run(NewNav(tr), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			baseline, err := pl.Run(NewNavFromNodes(tr))
+			baseline, err := pl.Run(NewNavFromNodes(tr), nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -301,12 +301,13 @@ func (bp *BitmapPlan) acquire(nav *Nav) *bitmapRun {
 }
 
 // Run evaluates the program on the document behind nav, returning the
-// intensional relations — the same T_P^ω restriction Plan.Run
-// computes, by bulk bitmap algebra instead of Horn propagation.
-func (bp *BitmapPlan) Run(nav *Nav) (*datalog.Database, error) {
+// intensional relations among project (nil: all) — the same T_P^ω
+// restriction Plan.Run computes, by bulk bitmap algebra instead of
+// Horn propagation.
+func (bp *BitmapPlan) Run(nav *Nav, project []string) (*datalog.Database, error) {
 	st := bp.acquire(nav)
 	st.evalAll()
-	out := materialize(bp.pl, st.unary, st.props, st.dom)
+	out := materialize(bp.pl, st.unary, st.props, st.dom, project)
 	bp.release(st)
 	return out, nil
 }
@@ -393,17 +394,21 @@ func (st *bitmapRun) fixpoint() {
 	}
 }
 
-// materialize converts extension bitmaps into the Database shape the
-// engines return.
-func materialize(pl *Plan, unary []*bitset.Set, props []bool, dom int) *datalog.Database {
+// materialize converts the extension bitmaps of the projected
+// predicates (nil: all) into the Database shape the engines return;
+// auxiliary relations are never built.
+func materialize(pl *Plan, unary []*bitset.Set, props []bool, dom int, project []string) *datalog.Database {
 	out := datalog.NewDatabase(dom)
 	var ids []int
 	for pi, pred := range pl.unaryPreds {
+		if !projected(project, pred) {
+			continue
+		}
 		ids = unary[pi].AppendBits(ids[:0])
 		out.Rel(pred, 1).AddUnarySet(ids)
 	}
 	for pi, pred := range pl.propPreds {
-		if props[pi] {
+		if props[pi] && projected(project, pred) {
 			out.Rel(pred, 0).Add(nil)
 		}
 	}
@@ -885,9 +890,9 @@ func (st *bitmapRun) setProp(pid int) {
 // when cache is non-nil) the navigation arrays.
 func (bp *BitmapPlan) RunTree(t *tree.Tree, cache *TreeCache) (*datalog.Database, error) {
 	if cache != nil {
-		return bp.Run(cache.Nav(t))
+		return bp.Run(cache.Nav(t), nil)
 	}
-	return bp.Run(NewNav(t))
+	return bp.Run(NewNav(t), nil)
 }
 
 // BitmapTree evaluates a monadic datalog program on one tree with the
@@ -899,5 +904,5 @@ func BitmapTree(p *datalog.Program, t *tree.Tree) (*datalog.Database, error) {
 	if err != nil {
 		return nil, err
 	}
-	return bp.Run(NewNav(t))
+	return bp.Run(NewNav(t), nil)
 }

@@ -32,7 +32,7 @@ q(X) :- label_td(X), firstchild(X,Y), label_b(Y).
 	nav := NavOf(a)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		db, err := bp.Run(nav)
+		db, err := bp.Run(nav, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -57,7 +57,7 @@ func BenchmarkBitmapRecursiveWide(b *testing.B) {
 	}
 	engines := []struct {
 		name string
-		run  func(*Nav) (*datalog.Database, error)
+		run  func(*Nav, []string) (*datalog.Database, error)
 	}{{"bitmap", bp.Run}, {"linear", pl.Run}}
 	for _, nodes := range []int{1000, 10000, 100000} {
 		rng := rand.New(rand.NewSource(52))
@@ -69,7 +69,7 @@ func BenchmarkBitmapRecursiveWide(b *testing.B) {
 		for _, e := range engines {
 			b.Run(fmt.Sprintf("%s/%dk", e.name, nodes/1000), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					if _, err := e.run(nav); err != nil {
+					if _, err := e.run(nav, nil); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -122,7 +122,7 @@ func Accepts(p *datalog.Program, t *tree.Tree, acceptPred string) (bool, error) 
 	if err != nil {
 		return false, err
 	}
-	return res.Has(acceptPred, t.Root.ID), nil
+	return res.Has(acceptPred, 0), nil // the root
 }
 
 // SameResults compares the extensions of the given predicates in two

@@ -75,13 +75,14 @@ func (f *FusedPlan) Plan() *Plan { return f.plan }
 func (f *FusedPlan) Engine() Engine { return f.engine }
 
 // RunFull executes the fused plan once over nav and returns the
-// shared (unsplit) result database — the memoizable unit; Split
-// recovers the per-member views.
-func (f *FusedPlan) RunFull(nav *Nav) (*datalog.Database, error) {
+// shared (unsplit) result database restricted to project (nil: every
+// relation) — the memoizable unit; Split recovers the per-member
+// views.
+func (f *FusedPlan) RunFull(nav *Nav, project []string) (*datalog.Database, error) {
 	if f.bitmap != nil {
-		return f.bitmap.Run(nav)
+		return f.bitmap.Run(nav, project)
 	}
-	return f.plan.Run(nav)
+	return f.plan.Run(nav, project)
 }
 
 // NewIncState builds an incremental maintainer for the fused program
@@ -119,7 +120,7 @@ func (f *FusedPlan) MemberSubsumed(i int) bool {
 // one database per member, carrying the member's visible predicate
 // names. The returned databases share relations (see Split).
 func (f *FusedPlan) Run(nav *Nav) ([]*datalog.Database, error) {
-	full, err := f.RunFull(nav)
+	full, err := f.RunFull(nav, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -27,7 +27,7 @@ func TestFusedSplitShares(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func(n int) *datalog.Database {
-		full, err := fp.RunFull(NavOf(tree.Flat(n, "td").Arena()))
+		full, err := fp.RunFull(NavOf(tree.Flat(n, "td").Arena()), nil)
 		if err != nil {
 			t.Fatal(err)
 		}

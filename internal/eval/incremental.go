@@ -410,11 +410,7 @@ func (s *IncState) Database(preds []string) (*datalog.Database, error) {
 		return nil, fmt.Errorf("eval: incremental state at generation %d is behind the arena (generation %d); apply the missing deltas first", s.gen, g)
 	}
 	if s.fallback {
-		db, err := s.bp.Run(NavOf(s.arena))
-		if err != nil {
-			return nil, err
-		}
-		return db.Project(preds), nil
+		return s.bp.Run(NavOf(s.arena), preds)
 	}
 	out := datalog.NewDatabase(s.dom)
 	for _, pred := range preds {

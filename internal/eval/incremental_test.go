@@ -92,14 +92,14 @@ func TestIncrementalEval(t *testing.T) {
 					if err != nil {
 						t.Fatalf("step %d: %v", step, err)
 					}
-					full, err := pl.Run(NavOf(a))
+					full, err := pl.Run(NavOf(a), nil)
 					if err != nil {
 						t.Fatal(err)
 					}
 					if diff := SameResults(got, full, preds); diff != "" {
 						t.Fatalf("%s trial %d step %d: incremental vs full linear: %s", tc.name, trial, step, diff)
 					}
-					fullBm, err := bitmapPlanOf(pl).Run(NavOf(a))
+					fullBm, err := bitmapPlanOf(pl).Run(NavOf(a), nil)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -145,7 +145,7 @@ func randomEdit(t *testing.T, rng *rand.Rand, a *tree.Arena, d *tree.ArenaDelta,
 func checkAgainstLiveTree(t *testing.T, pl *Plan, a *tree.Arena, got *datalog.Database, preds []string) {
 	t.Helper()
 	lt := a.LiveTree()
-	ref, err := pl.Run(NewNav(lt))
+	ref, err := pl.Run(NewNav(lt), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func TestIncStateComposedWindows(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		full, err := pl.Run(NavOf(a))
+		full, err := pl.Run(NavOf(a), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -337,11 +337,11 @@ func TestIncChildKSplices(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lin, err := pl.Run(NavOf(a))
+		lin, err := pl.Run(NavOf(a), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		bm, err := bitmapPlanOf(pl).Run(NavOf(a))
+		bm, err := bitmapPlanOf(pl).Run(NavOf(a), nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -353,5 +353,5 @@ func LinearTree(p *datalog.Program, t *tree.Tree) (*datalog.Database, error) {
 	if err != nil {
 		return nil, err
 	}
-	return pl.Run(NewNav(t))
+	return pl.Run(NewNav(t), nil)
 }

@@ -2,6 +2,7 @@ package eval
 
 import (
 	"fmt"
+	"slices"
 
 	"mdlog/internal/datalog"
 	"mdlog/internal/horn"
@@ -116,10 +117,11 @@ func (pl *Plan) Program() *datalog.Program { return pl.src }
 func (pl *Plan) QueryPred() string { return pl.src.Query }
 
 // Run grounds the plan over the tree behind nav and solves it,
-// returning the intensional relations (the T_P^ω restriction computed
-// by LinearTree). It allocates all mutable state locally and may be
-// called concurrently.
-func (pl *Plan) Run(nav *Nav) (*datalog.Database, error) {
+// returning the intensional relations among project (the T_P^ω
+// restriction computed by LinearTree; nil project returns every one).
+// Relations outside project are never materialized. It allocates all
+// mutable state locally and may be called concurrently.
+func (pl *Plan) Run(nav *Nav, project []string) (*datalog.Database, error) {
 	dom := nav.Dom()
 	propBase := len(pl.unaryPreds) * dom
 
@@ -228,6 +230,9 @@ func (pl *Plan) Run(nav *Nav) (*datalog.Database, error) {
 	out := datalog.NewDatabase(dom)
 	var ids []int
 	for pi, pred := range pl.unaryPreds {
+		if !projected(project, pred) {
+			continue
+		}
 		ids = ids[:0]
 		for v := 0; v < dom; v++ {
 			if truth[pi*dom+v] {
@@ -237,18 +242,24 @@ func (pl *Plan) Run(nav *Nav) (*datalog.Database, error) {
 		out.Rel(pred, 1).AddUnarySet(ids)
 	}
 	for pi, pred := range pl.propPreds {
-		if truth[propBase+pi] {
+		if truth[propBase+pi] && projected(project, pred) {
 			out.Rel(pred, 0).Add(nil)
 		}
 	}
 	return out, nil
 }
 
+// projected reports whether pred is among the relations a run returns:
+// every relation for a nil project, else the listed ones.
+func projected(project []string, pred string) bool {
+	return project == nil || slices.Contains(project, pred)
+}
+
 // RunTree is Run over a bare tree, building (or fetching from cache,
 // when cache is non-nil) the navigation arrays.
 func (pl *Plan) RunTree(t *tree.Tree, cache *TreeCache) (*datalog.Database, error) {
 	if cache != nil {
-		return pl.Run(cache.Nav(t))
+		return pl.Run(cache.Nav(t), nil)
 	}
-	return pl.Run(NewNav(t))
+	return pl.Run(NewNav(t), nil)
 }

@@ -38,7 +38,7 @@ r(X) :- q(X), lastsibling(X).
 	for i := range docs {
 		docs[i] = tree.Random(rng, tree.RandomOptions{
 			Labels: []string{"td", "b", "x"}, Size: 40 + 11*i, MaxChildren: 4})
-		db, err := pl.Run(NewNav(docs[i]))
+		db, err := pl.Run(NewNav(docs[i]), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -52,7 +52,7 @@ r(X) :- q(X), lastsibling(X).
 			defer wg.Done()
 			for k := 0; k < 25; k++ {
 				i := (w + k) % len(docs)
-				db, err := pl.Run(NewNav(docs[i]))
+				db, err := pl.Run(NewNav(docs[i]), nil)
 				if err != nil {
 					t.Error(err)
 					return

@@ -30,7 +30,7 @@ odd(X)  :- firstchild(X,Y), even(Y), lastsibling(Y).
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := pl.Run(NewNav(tr))
+		got, err := pl.Run(NewNav(tr), nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -274,7 +274,7 @@ func NewNavFromNodes(t *tree.Tree) *Nav {
 	for i := range nav.FC {
 		nav.FC[i], nav.NS[i], nav.Parent[i], nav.Prev[i], nav.LastChild[i] = -1, -1, -1, -1, -1
 	}
-	for _, nd := range t.Nodes {
+	for _, nd := range t.View() {
 		nav.Label[nd.ID] = nav.Syms.Intern(nd.Label)
 		if len(nd.Children) > 0 {
 			nav.FC[nd.ID] = int32(nd.Children[0].ID)

@@ -157,11 +157,11 @@ func SubsumeData(cfg Config) []SubsumePoint {
 		// visible relation on every document before timing means
 		// anything.
 		for _, nav := range navs {
-			bdb, err := base.RunFull(nav)
+			bdb, err := base.RunFull(nav, nil)
 			if err != nil {
 				panic(err)
 			}
-			fdb, err := full.RunFull(nav)
+			fdb, err := full.RunFull(nav, nil)
 			if err != nil {
 				panic(err)
 			}
@@ -187,14 +187,14 @@ func SubsumeData(cfg Config) []SubsumePoint {
 		}
 		pt.BaselineNs = float64(timeIt(func() {
 			for _, nav := range navs {
-				if _, err := base.RunFull(nav); err != nil {
+				if _, err := base.RunFull(nav, nil); err != nil {
 					panic(err)
 				}
 			}
 		}).Nanoseconds())
 		pt.SubsumeNs = float64(timeIt(func() {
 			for _, nav := range navs {
-				if _, err := full.RunFull(nav); err != nil {
+				if _, err := full.RunFull(nav, nil); err != nil {
 					panic(err)
 				}
 			}

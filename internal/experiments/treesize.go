@@ -100,7 +100,7 @@ func TreeSizeData(cfg Config) []TreeSizePoint {
 			if err != nil {
 				panic(err)
 			}
-			db, err := pl.Run(eval.NavOf(a))
+			db, err := pl.Run(eval.NavOf(a), nil)
 			if err != nil {
 				panic(err)
 			}
@@ -111,7 +111,7 @@ func TreeSizeData(cfg Config) []TreeSizePoint {
 		})
 		pt.PointerSelectNsPerNode = perNode(func() {
 			doc := html.ParseNodes(src)
-			db, err := pl.Run(eval.NewNavFromNodes(doc))
+			db, err := pl.Run(eval.NewNavFromNodes(doc), nil)
 			if err != nil {
 				panic(err)
 			}
@@ -120,14 +120,14 @@ func TreeSizeData(cfg Config) []TreeSizePoint {
 		pt.SelectSpeedup = pt.PointerSelectNsPerNode / pt.SelectNsPerNode
 		nav := eval.NavOf(a)
 		pt.EngineSelectNsPerNode = perNode(func() {
-			db, err := pl.Run(nav)
+			db, err := pl.Run(nav, nil)
 			if err != nil {
 				panic(err)
 			}
 			db.UnarySet("q")
 		})
 		pt.BitmapSelectNsPerNode = perNode(func() {
-			db, err := bp.Run(nav)
+			db, err := bp.Run(nav, nil)
 			if err != nil {
 				panic(err)
 			}

@@ -52,7 +52,7 @@ func naiveEval(f Formula, t *tree.Tree, env *Env) (bool, error) {
 		if id < 0 || id >= t.Size() {
 			return nil, fmt.Errorf("mso: variable %s bound to invalid node %d", v, id)
 		}
-		return t.Nodes[id], nil
+		return t.View()[id], nil
 	}
 	switch g := f.(type) {
 	case True:

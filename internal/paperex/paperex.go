@@ -75,7 +75,7 @@ func EvenASpec(t *tree.Tree) []int {
 		}
 		return c
 	}
-	for _, n := range t.Nodes {
+	for _, n := range t.View() {
 		if count(n)%2 == 0 {
 			out = append(out, n.ID)
 		}

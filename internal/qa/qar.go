@@ -147,7 +147,9 @@ func (a *QAr) Run(t *tree.Tree, opts RunOptions) (*Run, error) {
 	if maxSteps == 0 {
 		maxSteps = 1 << 26
 	}
-	n := t.Size()
+	nodes := t.View()
+	n := len(nodes)
+	const root = 0 // preorder id of the root
 	r := &Run{History: make([]map[State]bool, n)}
 	for i := range r.History {
 		r.History[i] = map[State]bool{}
@@ -162,7 +164,7 @@ func (a *QAr) Run(t *tree.Tree, opts RunOptions) (*Run, error) {
 	assign := func(v int, q State) {
 		cut[v] = q
 		r.History[v][q] = true
-		if a.Select[SL{q, t.Nodes[v].Label}] {
+		if a.Select[SL{q, nodes[v].Label}] {
 			selected[v] = true
 		}
 	}
@@ -181,13 +183,13 @@ func (a *QAr) Run(t *tree.Tree, opts RunOptions) (*Run, error) {
 	// changed: v itself (down/leaf/root) and its parent (up).
 	notify := func(v int) {
 		push(v)
-		if p := t.Nodes[v].Parent; p != nil {
+		if p := nodes[v].Parent; p != nil {
 			push(p.ID)
 		}
 	}
 
-	assign(t.Root.ID, a.Start)
-	notify(t.Root.ID)
+	assign(root, a.Start)
+	notify(root)
 
 	record := func(kind StepKind, site int, assigned [][2]int) {
 		r.Steps++
@@ -203,7 +205,7 @@ func (a *QAr) Run(t *tree.Tree, opts RunOptions) (*Run, error) {
 		v := queue[0]
 		queue = queue[1:]
 		inQueue[v] = false
-		nd := t.Nodes[v]
+		nd := nodes[v]
 
 		// Case 1: v in the cut with a D-pair: leaf or down transition.
 		if cut[v] >= 0 {
@@ -230,7 +232,7 @@ func (a *QAr) Run(t *tree.Tree, opts RunOptions) (*Run, error) {
 						notify(c.ID)
 					}
 				}
-			} else if v == t.Root.ID {
+			} else if v == root {
 				// Root transition: cut must be {root} with a U-pair.
 				if q, ok := a.DeltaRoot[pair]; ok && cutIsRootOnly(cut, v) {
 					assign(v, q)
@@ -271,7 +273,7 @@ func (a *QAr) Run(t *tree.Tree, opts RunOptions) (*Run, error) {
 
 	// Acceptance: the final configuration must assign a final state to
 	// the root.
-	r.Accepting = cut[t.Root.ID] >= 0 && a.Final[cut[t.Root.ID]]
+	r.Accepting = cut[root] >= 0 && a.Final[cut[root]]
 	if r.Accepting {
 		for v := range selected {
 			r.Selected = append(r.Selected, v)

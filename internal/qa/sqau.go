@@ -101,7 +101,9 @@ func (a *SQAu) Run(t *tree.Tree, opts RunOptions) (*Run, error) {
 	if maxSteps == 0 {
 		maxSteps = 1 << 26
 	}
-	n := t.Size()
+	nodes := t.View()
+	n := len(nodes)
+	const root = 0 // preorder id of the root
 	r := &Run{History: make([]map[State]bool, n)}
 	for i := range r.History {
 		r.History[i] = map[State]bool{}
@@ -116,7 +118,7 @@ func (a *SQAu) Run(t *tree.Tree, opts RunOptions) (*Run, error) {
 	assign := func(v int, q State) {
 		cut[v] = q
 		r.History[v][q] = true
-		if a.Select[SL{q, t.Nodes[v].Label}] {
+		if a.Select[SL{q, nodes[v].Label}] {
 			selected[v] = true
 		}
 	}
@@ -130,7 +132,7 @@ func (a *SQAu) Run(t *tree.Tree, opts RunOptions) (*Run, error) {
 	}
 	notify := func(v int) {
 		push(v)
-		if p := t.Nodes[v].Parent; p != nil {
+		if p := nodes[v].Parent; p != nil {
 			push(p.ID)
 		}
 	}
@@ -141,8 +143,8 @@ func (a *SQAu) Run(t *tree.Tree, opts RunOptions) (*Run, error) {
 		}
 	}
 
-	assign(t.Root.ID, a.Start)
-	notify(t.Root.ID)
+	assign(root, a.Start)
+	notify(root)
 
 	for len(queue) > 0 {
 		if r.Steps > maxSteps {
@@ -151,7 +153,7 @@ func (a *SQAu) Run(t *tree.Tree, opts RunOptions) (*Run, error) {
 		v := queue[0]
 		queue = queue[1:]
 		inQueue[v] = false
-		nd := t.Nodes[v]
+		nd := nodes[v]
 
 		if cut[v] >= 0 {
 			pair := SL{cut[v], nd.Label}
@@ -180,7 +182,7 @@ func (a *SQAu) Run(t *tree.Tree, opts RunOptions) (*Run, error) {
 						}
 					}
 				}
-			} else if v == t.Root.ID {
+			} else if v == root {
 				if q, ok := a.DeltaRoot[pair]; ok && cutIsRootOnly(cut, v) {
 					assign(v, q)
 					record(StepRoot, v, [][2]int{{v, q}})
@@ -243,7 +245,7 @@ func (a *SQAu) Run(t *tree.Tree, opts RunOptions) (*Run, error) {
 		}
 	}
 
-	r.Accepting = cut[t.Root.ID] >= 0 && a.Final[cut[t.Root.ID]]
+	r.Accepting = cut[root] >= 0 && a.Final[cut[root]]
 	if r.Accepting {
 		for v := range selected {
 			r.Selected = append(r.Selected, v)

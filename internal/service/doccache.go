@@ -9,6 +9,12 @@ package service
 // shares the memoized least model too — a duplicate document costs a
 // hash plus a map lookup instead of a parse plus an evaluation.
 //
+// A cached tree is arena-only (tree.OfArena): the engines, the MSO
+// automaton and span extraction read the arena columns, so a cached
+// page holds no *Node per node for the garbage collector to scan. Only
+// a request that needs the pointer view (output=xml, the direct
+// XPath/Elog⁻Δ evaluators) builds it, once, through Tree.View.
+//
 // Soundness (DESIGN.md §Fleet): content-equal bytes parse to the
 // identical arena, and the paper's semantics are a function of the
 // tree alone, so the least model — and therefore every wrapper's
@@ -25,6 +31,7 @@ package service
 // concurrent session close or re-eviction can never double-free.
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"fmt"
 	"io"
@@ -33,6 +40,8 @@ import (
 	"sync/atomic"
 
 	mdlog "mdlog"
+	"mdlog/internal/html"
+	"mdlog/internal/tree"
 )
 
 // DocHash is the content hash of a document's raw bytes — the dedup
@@ -250,17 +259,34 @@ func (s *Server) resolveDoc(body []byte) (*mdlog.Tree, error) {
 		}
 	}
 	if s.docs == nil {
-		return mdlog.ParseHTML(string(body)), nil
+		return parseDoc(body), nil
 	}
 	if t, hit := s.docs.get(h); hit {
 		return t, nil
 	}
-	t := mdlog.ParseHTML(string(body))
+	t := parseDoc(body)
 	shared, evicted := s.docs.add(h, t, int64(len(body)))
 	for _, old := range evicted {
 		s.forgetTree(old)
 	}
 	return shared, nil
+}
+
+// parseDocReader parses one request document straight into an
+// arena-only tree; the only possible error is a read error.
+func parseDocReader(r io.Reader) (*mdlog.Tree, error) {
+	a, err := html.ParseArena(r)
+	if err != nil {
+		return nil, err
+	}
+	return tree.OfArena(a), nil
+}
+
+// parseDoc is parseDocReader over bytes already read, which cannot
+// fail.
+func parseDoc(body []byte) *mdlog.Tree {
+	t, _ := parseDocReader(bytes.NewReader(body))
+	return t
 }
 
 // readDoc reads and resolves one request-body document, preserving the
@@ -269,7 +295,7 @@ func (s *Server) resolveDoc(body []byte) (*mdlog.Tree, error) {
 // been written.
 func (s *Server) readDoc(w http.ResponseWriter, r *http.Request) (*mdlog.Tree, bool) {
 	if s.docs == nil && s.shardN == 0 {
-		t, err := mdlog.ParseHTMLReader(s.body(w, r))
+		t, err := parseDocReader(s.body(w, r))
 		if err != nil {
 			s.docErrors.Add(1)
 			writeError(w, clientErrStatus(err), "reading document: %v", err)

@@ -214,8 +214,8 @@ func (s *Server) handleDeleteWrapper(w http.ResponseWriter, r *http.Request) {
 // Extraction.
 
 // handleExtract resolves the request body — one HTML document —
-// through the content-hash dedup cache (or streams it through
-// ParseHTMLReader when the cache is off) and runs the wrapper on it.
+// through the content-hash dedup cache (or streams it through the
+// arena parser when the cache is off) and runs the wrapper on it.
 func (s *Server) handleExtract(w http.ResponseWriter, r *http.Request) {
 	wr, ok := s.wrapper(w, r)
 	if !ok {

@@ -36,8 +36,9 @@
 //	GET    /metrics           the same as Prometheus text format
 //	GET    /healthz           liveness
 //
-// A document POSTed to /extract streams through mdlog.ParseHTMLReader
-// directly into the arena pipeline; /batch fans its documents across
+// A document POSTed to /extract streams through html.ParseArena
+// directly into an arena-only tree (no *Node view unless a reply needs
+// one); /batch fans its documents across
 // the mdlog.Runner worker pool with per-document error isolation.
 // Admission is bounded (Config.MaxInFlight) and every handler honors
 // request-context cancellation; Serve shuts down gracefully when its

@@ -172,7 +172,7 @@ func (s *Server) handlePutDocument(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.documents.Add(1)
-	t, err := mdlog.ParseHTMLReader(s.body(w, r))
+	t, err := parseDocReader(s.body(w, r))
 	if err != nil {
 		s.docErrors.Add(1)
 		writeError(w, clientErrStatus(err), "reading document: %v", err)

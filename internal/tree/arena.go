@@ -10,8 +10,9 @@ package tree
 // handful of allocations instead of one per node.
 //
 // The pointer-per-node *Node API remains the compatibility view:
-// FromArena materializes it from slabs, and Tree.Arena() converts a
-// hand-built pointer tree into its arena on first use.
+// FromArena materializes it from slabs eagerly, OfArena defers it to
+// the first Tree.View call, and Tree.Arena() converts a hand-built
+// pointer tree into its arena on first use.
 
 // NoNode is the sentinel for "no such node" in arena columns.
 const NoNode int32 = -1
@@ -107,8 +108,8 @@ type Arena struct {
 	TextStart, TextEnd []int32
 	// Attrs holds the attribute maps of the (typically few) nodes that
 	// have any. Builders may share one map between nodes with
-	// identical attribute sets; treat the maps as read-only. FromArena
-	// gives each Node a private copy.
+	// identical attribute sets; treat the maps as read-only. The *Node
+	// view gives each Node a private copy.
 	Attrs map[int32]map[string]string
 
 	// Mutation state (see mutate.go). A freshly built arena has gen 0,
@@ -304,15 +305,42 @@ func (b *ArenaBuilder) Finish() *Arena {
 	return &b.a
 }
 
-// FromArena materializes the compatibility *Node view of an arena as a
-// fully indexed Tree sharing the arena: nodes come from one slab, all
-// child-pointer slices from a second, so the view costs O(1)
-// allocations. The arena must be nonempty. A mutated arena (tombstones
-// or stable non-preorder ids) routes through LiveTree instead — its
-// canonical preorder view, which does not share the arena.
+// FromArena returns a fully indexed Tree sharing the arena, with its
+// *Node view (Root, Nodes) materialized eagerly. The arena must be
+// nonempty. A mutated arena (tombstones or stable non-preorder ids)
+// routes through LiveTree instead — its canonical preorder view, which
+// does not share the arena.
 func FromArena(a *Arena) *Tree {
 	if a.Mutated() {
 		return a.LiveTree()
+	}
+	nodes := buildView(a)
+	t := &Tree{Root: nodes[0], Nodes: nodes}
+	t.arena.Store(a)
+	return t
+}
+
+// OfArena returns an arena-only Tree over a: Root and Nodes stay nil
+// and View builds the pointer view on first use, so evaluation that
+// reads only the arena columns never allocates a *Node. The arena must
+// be nonempty; a mutated one routes through LiveTree as in FromArena.
+func OfArena(a *Arena) *Tree {
+	if a.Mutated() {
+		return a.LiveTree()
+	}
+	t := &Tree{arenaOnly: true}
+	t.arena.Store(a)
+	return t
+}
+
+// buildView materializes the *Node view of a in document order. An
+// unmutated arena's view comes from two slabs — one for the nodes, one
+// for all child-pointer slices — so it costs O(1) allocations plus one
+// private attribute map per node that has attributes. A mutated arena
+// yields its canonical live view (LiveTree).
+func buildView(a *Arena) []*Node {
+	if a.Mutated() {
+		return a.LiveTree().Nodes
 	}
 	n := a.Len()
 	slab := make([]Node, n)
@@ -349,9 +377,7 @@ func FromArena(a *Arena) *Tree {
 		}
 		slab[id].Attrs = m
 	}
-	t := &Tree{Root: &slab[0], Nodes: nodes}
-	t.arena.Store(a)
-	return t
+	return nodes
 }
 
 // arenaFromNodes converts an indexed pointer tree into its arena in

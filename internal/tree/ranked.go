@@ -21,7 +21,7 @@ func (ra RankedAlphabet) MaxRank() int {
 // Validate checks that t conforms to the ranked alphabet: every node's
 // label is in the alphabet and has exactly as many children as its rank.
 func (ra RankedAlphabet) Validate(t *Tree) error {
-	for _, n := range t.Nodes {
+	for _, n := range t.View() {
 		r, ok := ra[n.Label]
 		if !ok {
 			return fmt.Errorf("tree: label %q not in ranked alphabet", n.Label)
@@ -66,7 +66,7 @@ func BinaryEncoding(t *Tree) *Tree {
 		}
 		return m
 	}
-	return NewTree(enc(t.Root))
+	return NewTree(enc(t.View()[0]))
 }
 
 // BottomLabel is the reserved label of the padding leaves introduced
@@ -78,13 +78,14 @@ const BottomLabel = "#bot"
 // It returns an error if the input is not a well-formed encoding (for
 // example, if the root has a nextsibling).
 func DecodeBinary(t *Tree) (*Tree, error) {
-	if t.Root.Label == BottomLabel {
+	root := t.View()[0]
+	if root.Label == BottomLabel {
 		return nil, fmt.Errorf("tree: encoding root is %s", BottomLabel)
 	}
-	if len(t.Root.Children) != 2 {
+	if len(root.Children) != 2 {
 		return nil, fmt.Errorf("tree: encoding nodes must have exactly 2 children")
 	}
-	if t.Root.Children[1].Label != BottomLabel {
+	if root.Children[1].Label != BottomLabel {
 		return nil, fmt.Errorf("tree: encoding root has a nextsibling")
 	}
 	var dec func(n *Node) ([]*Node, error)
@@ -111,7 +112,7 @@ func DecodeBinary(t *Tree) (*Tree, error) {
 		}
 		return append([]*Node{m}, rest...), nil
 	}
-	list, err := dec(t.Root)
+	list, err := dec(root)
 	if err != nil {
 		return nil, err
 	}

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 	"sync/atomic"
 )
 
@@ -150,6 +151,14 @@ func (n *Node) IsFirstSibling() bool {
 
 // Tree is an indexed unranked ordered tree: a root plus the node list
 // in document order. Node IDs index into Nodes.
+//
+// A tree has two representations: the *Node view (Root, Nodes) and
+// the struct-of-arrays Arena. Every exported constructor (NewTree,
+// Parse, FromArena and the HTML parsers built on it) fills in Root and
+// Nodes. OfArena builds an arena-only tree instead: Root and Nodes
+// stay nil and View builds the pointer view on first use, so a
+// document that is only ever evaluated never allocates one *Node.
+// Code that may receive either kind reads the view through View.
 type Tree struct {
 	Root *Node
 	// Nodes lists all nodes in document order; Nodes[i].ID == i.
@@ -160,7 +169,58 @@ type Tree struct {
 	// gen accumulates the generations of dropped arenas plus one per
 	// Reindex, so Generation stays monotonic across arena rebuilds.
 	gen atomic.Uint64
+
+	// arenaOnly marks a tree built by OfArena, whose pointer view lives
+	// in view rather than in Root/Nodes.
+	arenaOnly bool
+	// view memoizes the pointer view View built, stamped with the
+	// arena generation it describes; viewMu serializes the build so
+	// concurrent first callers share one view.
+	view   atomic.Pointer[nodeView]
+	viewMu sync.Mutex
 }
+
+// nodeView is a pointer view built on demand, valid for one arena
+// generation.
+type nodeView struct {
+	gen   uint64
+	nodes []*Node
+}
+
+// View returns the tree's *Node view in document order: View()[0] is
+// the root and View()[i].ID == i. It is the one accessor internal code
+// uses for the pointer view. For a tree whose Root/Nodes are filled in
+// and whose arena was never mutated it returns Nodes. For an
+// arena-only tree it builds the view on first use and memoizes it;
+// concurrent first callers block on one build and share its result.
+// Once the arena has been mutated in place (a live Document), the view
+// is the canonical live tree of the current generation — fresh
+// preorder ids over the live nodes, the numbering a reparse of the
+// current content would give — rebuilt after each further edit, so it
+// is never stale. Treat the returned nodes as read-only.
+func (t *Tree) View() []*Node {
+	a := t.arena.Load()
+	if !t.arenaOnly && (a == nil || !a.Mutated()) {
+		return t.Nodes
+	}
+	g := a.Gen()
+	if v := t.view.Load(); v != nil && v.gen == g {
+		return v.nodes
+	}
+	t.viewMu.Lock()
+	defer t.viewMu.Unlock()
+	if v := t.view.Load(); v != nil && v.gen == g {
+		return v.nodes
+	}
+	v := &nodeView{gen: g, nodes: buildView(a)}
+	t.view.Store(v)
+	return v.nodes
+}
+
+// HasView reports whether t's pointer view exists: always for trees
+// whose Root and Nodes are filled in, and for an arena-only tree once
+// View has built it. Tests use it to pin which paths stay pointer-free.
+func HasView(t *Tree) bool { return !t.arenaOnly || t.view.Load() != nil }
 
 // Generation identifies the tree's current shape: it changes whenever
 // the tree is reindexed after pointer-level mutation or its arena is
@@ -188,7 +248,13 @@ func NewTree(root *Node) *Tree {
 // and drops any memoized arena (it would describe the old shape).
 // It advances Generation past anything the dropped arena reached, so
 // generation-keyed memos of the old shape can never be served again.
+// An arena-only tree first adopts its view as Root and Nodes.
 func (t *Tree) Reindex() {
+	if t.arenaOnly {
+		t.Root = t.View()[0]
+		t.arenaOnly = false
+	}
+	t.view.Store(nil)
 	bump := uint64(1)
 	if a := t.arena.Load(); a != nil {
 		bump += a.Gen()
@@ -209,18 +275,25 @@ func (t *Tree) Reindex() {
 	t.arena.Store(nil)
 }
 
-// Size returns |dom|, the number of nodes.
-func (t *Tree) Size() int { return len(t.Nodes) }
+// Size returns |dom|, the number of nodes — of the live nodes once the
+// arena has been mutated in place, matching View.
+func (t *Tree) Size() int {
+	if a := t.arena.Load(); a != nil {
+		return a.NumAlive()
+	}
+	return len(t.Nodes)
+}
 
 // Labels returns the sorted set of labels occurring in the tree.
 func (t *Tree) Labels() []string {
-	set := map[string]bool{}
-	for _, n := range t.Nodes {
-		set[n.Label] = true
-	}
-	out := make([]string, 0, len(set))
-	for l := range set {
-		out = append(out, l)
+	a := t.Arena()
+	seen := make([]bool, a.Syms.Len())
+	var out []string
+	for v, sym := range a.Label {
+		if !seen[sym] && a.Alive(int32(v)) {
+			seen[sym] = true
+			out = append(out, a.Syms.Name(sym))
+		}
 	}
 	sort.Strings(out)
 	return out
@@ -228,11 +301,17 @@ func (t *Tree) Labels() []string {
 
 // MaxRank returns the maximum number of children of any node.
 func (t *Tree) MaxRank() int {
+	a := t.Arena()
 	k := 0
-	for _, n := range t.Nodes {
-		if len(n.Children) > k {
-			k = len(n.Children)
+	for v := range a.FirstChild {
+		if !a.Alive(int32(v)) {
+			continue
 		}
+		n := 0
+		for c := a.FirstChild[v]; c != NoNode; c = a.NextSibling[c] {
+			n++
+		}
+		k = max(k, n)
 	}
 	return k
 }
@@ -250,7 +329,7 @@ func (t *Tree) Depth() int {
 		}
 		return d + 1
 	}
-	return rec(t.Root)
+	return rec(t.View()[0])
 }
 
 // DocBefore reports n1 ≺ n2 in document order (Example 2.5). With
@@ -274,7 +353,7 @@ func (t *Tree) Clone() *Tree {
 		}
 		return m
 	}
-	return NewTree(cp(t.Root))
+	return NewTree(cp(t.View()[0]))
 }
 
 // Equal reports structural equality of labels, shapes and text.
@@ -291,14 +370,14 @@ func (t *Tree) Equal(u *Tree) bool {
 		}
 		return true
 	}
-	return eq(t.Root, u.Root)
+	return eq(t.View()[0], u.View()[0])
 }
 
 // String renders the tree in the term syntax accepted by Parse,
 // e.g. "a(b,c(d))".
 func (t *Tree) String() string {
 	var b strings.Builder
-	writeTerm(&b, t.Root)
+	writeTerm(&b, t.View()[0])
 	return b.String()
 }
 
@@ -328,7 +407,7 @@ func (t *Tree) Pretty() string {
 			rec(c, depth+1)
 		}
 	}
-	rec(t.Root, 0)
+	rec(t.View()[0], 0)
 	return b.String()
 }
 

@@ -48,6 +48,7 @@ func (o *Options) defaults() {
 // document order.
 func BuildOutput(t *tree.Tree, a Assignment, opts Options) *tree.Tree {
 	opts.defaults()
+	nodes := t.View()
 	labels := map[int][]string{}
 	for pat, ids := range a {
 		for _, id := range ids {
@@ -67,11 +68,11 @@ func BuildOutput(t *tree.Tree, a Assignment, opts Options) *tree.Tree {
 		sort.Strings(pats)
 		n := &tree.Node{Label: strings.Join(pats, opts.LabelSep)}
 		if opts.KeepText {
-			n.Text = t.Nodes[id].Text
+			n.Text = nodes[id].Text
 		}
 		// Closest extracted proper ancestor.
 		parent := root
-		for anc := t.Nodes[id].Parent; anc != nil; anc = anc.Parent {
+		for anc := nodes[id].Parent; anc != nil; anc = anc.Parent {
 			if p, ok := out[anc.ID]; ok {
 				parent = p
 				break
@@ -175,7 +176,7 @@ func WriteXML(w io.Writer, t *tree.Tree) error {
 		_, err := fmt.Fprintf(w, "%s</%s>\n", ind, n.Label)
 		return err
 	}
-	return rec(t.Root, 0)
+	return rec(t.View()[0], 0)
 }
 
 func escape(s string) string {

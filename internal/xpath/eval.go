@@ -11,9 +11,10 @@ import (
 // the root; relative paths are evaluated with the root as context (the
 // common convention for whole-document queries).
 func Select(p *Path, t *tree.Tree) []int {
-	ctx := make([]bool, t.Size())
-	ctx[t.Root.ID] = true
-	res := evalPath(p.expandComposite(), t, ctx)
+	nodes := t.View()
+	ctx := make([]bool, len(nodes))
+	ctx[0] = true // the root
+	res := evalPath(p.expandComposite(), nodes, ctx)
 	var out []int
 	for id, in := range res {
 		if in {
@@ -23,17 +24,17 @@ func Select(p *Path, t *tree.Tree) []int {
 	return out
 }
 
-func evalPath(p *Path, t *tree.Tree, ctx []bool) []bool {
+func evalPath(p *Path, nodes []*tree.Node, ctx []bool) []bool {
 	cur := ctx
 	for _, st := range p.Steps {
-		cur = evalStep(st, t, cur)
+		cur = evalStep(st, nodes, cur)
 	}
 	return cur
 }
 
-func evalStep(st Step, t *tree.Tree, cur []bool) []bool {
-	next := make([]bool, t.Size())
-	addAxis(st.Axis, t, cur, next)
+func evalStep(st Step, nodes []*tree.Node, cur []bool) []bool {
+	next := make([]bool, len(nodes))
+	addAxis(st.Axis, nodes, cur, next)
 	// Node test. Core XPath is defined over plain labeled trees: '*'
 	// matches any node (text nodes are ordinary leaves labeled #text,
 	// matched explicitly by text()).
@@ -41,14 +42,14 @@ func evalStep(st Step, t *tree.Tree, cur []bool) []bool {
 		if !next[id] {
 			continue
 		}
-		if st.Test != "*" && t.Nodes[id].Label != st.Test {
+		if st.Test != "*" && nodes[id].Label != st.Test {
 			next[id] = false
 		}
 	}
 	// Predicates.
 	for _, e := range st.Preds {
 		for id := range next {
-			if next[id] && !evalExpr(e, t, id) {
+			if next[id] && !evalExpr(e, nodes, id) {
 				next[id] = false
 			}
 		}
@@ -56,7 +57,7 @@ func evalStep(st Step, t *tree.Tree, cur []bool) []bool {
 	return next
 }
 
-func addAxis(ax Axis, t *tree.Tree, cur, next []bool) {
+func addAxis(ax Axis, nodes []*tree.Node, cur, next []bool) {
 	switch ax {
 	case AxisSelf:
 		copy(next, cur)
@@ -65,7 +66,7 @@ func addAxis(ax Axis, t *tree.Tree, cur, next []bool) {
 			if !in {
 				continue
 			}
-			for _, c := range t.Nodes[id].Children {
+			for _, c := range nodes[id].Children {
 				next[c.ID] = true
 			}
 		}
@@ -82,17 +83,17 @@ func addAxis(ax Axis, t *tree.Tree, cur, next []bool) {
 				continue
 			}
 			if ax == AxisDescendantOrSelf {
-				mark(t.Nodes[id])
+				mark(nodes[id])
 			} else {
-				for _, c := range t.Nodes[id].Children {
+				for _, c := range nodes[id].Children {
 					mark(c)
 				}
 			}
 		}
 	case AxisParent:
 		for id, in := range cur {
-			if in && t.Nodes[id].Parent != nil {
-				next[t.Nodes[id].Parent.ID] = true
+			if in && nodes[id].Parent != nil {
+				next[nodes[id].Parent.ID] = true
 			}
 		}
 	case AxisAncestor, AxisAncestorOrSelf:
@@ -103,7 +104,7 @@ func addAxis(ax Axis, t *tree.Tree, cur, next []bool) {
 			if ax == AxisAncestorOrSelf {
 				next[id] = true
 			}
-			for a := t.Nodes[id].Parent; a != nil; a = a.Parent {
+			for a := nodes[id].Parent; a != nil; a = a.Parent {
 				next[a.ID] = true
 			}
 		}
@@ -112,7 +113,7 @@ func addAxis(ax Axis, t *tree.Tree, cur, next []bool) {
 			if !in {
 				continue
 			}
-			for s := t.Nodes[id].NextSibling(); s != nil; s = s.NextSibling() {
+			for s := nodes[id].NextSibling(); s != nil; s = s.NextSibling() {
 				next[s.ID] = true
 			}
 		}
@@ -121,19 +122,19 @@ func addAxis(ax Axis, t *tree.Tree, cur, next []bool) {
 			if !in {
 				continue
 			}
-			for s := t.Nodes[id].PrevSibling(); s != nil; s = s.PrevSibling() {
+			for s := nodes[id].PrevSibling(); s != nil; s = s.PrevSibling() {
 				next[s.ID] = true
 			}
 		}
 	}
 }
 
-func evalExpr(e Expr, t *tree.Tree, id int) bool {
+func evalExpr(e Expr, nodes []*tree.Node, id int) bool {
 	switch g := e.(type) {
 	case ExprPath:
-		ctx := make([]bool, t.Size())
+		ctx := make([]bool, len(nodes))
 		ctx[id] = true
-		res := evalPath(g.Path, t, ctx)
+		res := evalPath(g.Path, nodes, ctx)
 		for _, in := range res {
 			if in {
 				return true
@@ -141,11 +142,11 @@ func evalExpr(e Expr, t *tree.Tree, id int) bool {
 		}
 		return false
 	case ExprAnd:
-		return evalExpr(g.L, t, id) && evalExpr(g.R, t, id)
+		return evalExpr(g.L, nodes, id) && evalExpr(g.R, nodes, id)
 	case ExprOr:
-		return evalExpr(g.L, t, id) || evalExpr(g.R, t, id)
+		return evalExpr(g.L, nodes, id) || evalExpr(g.R, nodes, id)
 	case ExprNot:
-		return !evalExpr(g.E, t, id)
+		return !evalExpr(g.E, nodes, id)
 	}
 	return false
 }

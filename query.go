@@ -25,7 +25,6 @@ import (
 	"mdlog/internal/opt"
 	"mdlog/internal/span"
 	"mdlog/internal/tmnf"
-	"mdlog/internal/tree"
 	"mdlog/internal/wrap"
 	"mdlog/internal/xpath"
 )
@@ -761,7 +760,7 @@ func (q *CompiledQuery) Run(ctx context.Context, t *Tree) SetResult {
 // run is Run also returning the visible result database.
 func (q *CompiledQuery) run(ctx context.Context, t *Tree) (*Database, SetResult) {
 	db, rs, err := q.runCached(ctx, t)
-	return db, q.result(treeSource{t: t}, db, rs, err)
+	return db, q.result(arenaSource{a: t.Arena()}, db, rs, err)
 }
 
 // result builds a standalone run's SetResult; src supplies character
@@ -902,10 +901,10 @@ func (p *bitmapPlan) run(ctx context.Context, t *Tree, cache *TreeCache) (*Datab
 }
 
 // runGrounding is the shared run path of the two grounding-engine
-// plans: fetch or build the navigation arrays, execute the prepared
-// plan, project the visible relations.
+// plans: fetch or build the navigation arrays, then execute the
+// prepared plan, which materializes only the visible relations.
 func runGrounding(ctx context.Context, t *Tree, cache *TreeCache, engine string, project []string,
-	exec func(*eval.Nav) (*Database, error)) (*Database, Stats, error) {
+	exec func(*eval.Nav, []string) (*Database, error)) (*Database, Stats, error) {
 	rs := Stats{Engine: engine}
 	if err := ctx.Err(); err != nil {
 		return nil, rs, err
@@ -923,13 +922,10 @@ func runGrounding(ctx context.Context, t *Tree, cache *TreeCache, engine string,
 	}
 	rs.Materialize = time.Since(start)
 	start = time.Now()
-	db, err := exec(nav)
+	db, err := exec(nav, project)
 	rs.Eval = time.Since(start)
 	if err != nil {
 		return nil, rs, err
-	}
-	if project != nil {
-		db = db.Project(project)
 	}
 	return db, rs, nil
 }
@@ -950,7 +946,7 @@ func (p *msoPlan) run(ctx context.Context, t *Tree, _ *TreeCache) (*Database, St
 	start := time.Now()
 	ids := p.q.Select(t)
 	rs.Eval = time.Since(start)
-	return unaryDB(t, p.pred, ids), rs, nil
+	return unaryDB(t.Arena().Len(), p.pred, ids), rs, nil
 }
 
 // xpathDirectPlan runs the reference Core XPath evaluator (needed for
@@ -970,7 +966,7 @@ func (p *xpathDirectPlan) run(ctx context.Context, t *Tree, _ *TreeCache) (*Data
 	start := time.Now()
 	ids := xpath.Select(p.x, t)
 	rs.Eval = time.Since(start)
-	return unaryDB(t, p.pred, ids), rs, nil
+	return unaryDB(t.Size(), p.pred, ids), rs, nil
 }
 
 // elogDirectPlan runs the native Elog⁻Δ fixpoint (Theorem 6.6 lives
@@ -995,19 +991,15 @@ func (p *elogDirectPlan) run(ctx context.Context, t *Tree, _ *TreeCache) (*Datab
 	}
 	db := datalog.NewDatabase(t.Size())
 	for _, pat := range p.patterns {
-		rel := db.Rel(pat, 1)
-		for _, id := range res[pat] {
-			rel.Add([]int{id})
-		}
+		db.Rel(pat, 1).AddUnarySet(res[pat])
 	}
 	return db, rs, nil
 }
 
-func unaryDB(t *tree.Tree, pred string, ids []int) *Database {
-	db := datalog.NewDatabase(t.Size())
-	rel := db.Rel(pred, 1)
-	for _, id := range ids {
-		rel.Add([]int{id})
-	}
+// unaryDB wraps one evaluator's answer — sorted, distinct node ids
+// over a domain of dom nodes — as the unary relation pred.
+func unaryDB(dom int, pred string, ids []int) *Database {
+	db := datalog.NewDatabase(dom)
+	db.Rel(pred, 1).AddUnarySet(ids)
 	return db
 }

@@ -5,10 +5,12 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
+	"mdlog/internal/elog"
 	"mdlog/internal/eval"
 	"mdlog/internal/html"
 	"mdlog/internal/tree"
@@ -716,3 +718,66 @@ func TestRunnerSelectHTMLStream(t *testing.T) {
 type iotestErrReader struct{}
 
 func (iotestErrReader) Read([]byte) (int, error) { return 0, fmt.Errorf("boom") }
+
+// TestDirectPlansLoadSortedSets pins the precondition unaryDB and
+// elogDirectPlan rely on when they bulk-load an answer with
+// AddUnarySet: the direct Core XPath and Elog⁻Δ evaluators return
+// strictly increasing ids, and the loaded relation holds exactly those
+// ids, membership included.
+func TestDirectPlansLoadSortedSets(t *testing.T) {
+	xp, err := ParseXPath("//*[not(b)]")
+	if err != nil {
+		t.Fatal(err)
+	}
+	xq, err := CompileXPath(xp, WithoutCache())
+	if err != nil {
+		t.Fatal(err)
+	}
+	eq, err := CompileElog(elog.AnBnProgram(), WithoutCache())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if xq.EngineName() != "xpath-direct" || eq.EngineName() != "elog-direct" {
+		t.Fatalf("engines %s, %s: want the direct evaluators", xq.EngineName(), eq.EngineName())
+	}
+	ascending := func(ids []int) bool {
+		for i := 1; i < len(ids); i++ {
+			if ids[i] <= ids[i-1] {
+				return false
+			}
+		}
+		return true
+	}
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(17))
+	for i := 0; i < 40; i++ {
+		doc := tree.Random(rng, tree.RandomOptions{Labels: []string{"a", "b"}, Size: 1 + rng.Intn(30), MaxChildren: 6})
+		direct, err := elog.AnBnProgram().EvalDirect(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		answers := map[*CompiledQuery]map[string][]int{
+			xq: {"q": xpath.Select(xp, doc)},
+			eq: direct,
+		}
+		for q, want := range answers {
+			db, err := q.Eval(ctx, doc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for pred, ids := range want {
+				if !ascending(ids) {
+					t.Fatalf("%s: %s answer %v is not strictly increasing", q.EngineName(), pred, ids)
+				}
+				if got := db.UnarySet(pred); fmt.Sprint(got) != fmt.Sprint(ids) {
+					t.Fatalf("%s: %s loaded %v, want %v", q.EngineName(), pred, got, ids)
+				}
+				for v := 0; v < doc.Size(); v++ {
+					if db.Has(pred, v) != slices.Contains(ids, v) {
+						t.Fatalf("%s: %s membership of %d wrong", q.EngineName(), pred, v)
+					}
+				}
+			}
+		}
+	}
+}

@@ -105,8 +105,8 @@ type QuerySet struct {
 	// that member's compile options opted out of.
 	fusedNoCache bool
 	// fusedVisible is the union of the members' apex-renamed visible
-	// predicates — the projection applied before memoizing a fused
-	// result, so the memo never retains merged auxiliary relations.
+	// predicates — the only relations the fused pass materializes, so
+	// the memo never retains merged auxiliary relations.
 	fusedVisible []string
 	report       FuseReport
 	// plans is the per-member compile outcome (fused / subsumed /
@@ -390,6 +390,7 @@ func (s *QuerySet) Run(ctx context.Context, t *Tree) []SetResult {
 		out[i] = SetResult{Name: m.Name, Index: i}
 	}
 	var total Stats
+	src := arenaSource{a: t.Arena()}
 	if s.fused != nil {
 		dbs, shared, err := s.runFused(ctx, t)
 		total.Add(shared)
@@ -404,7 +405,7 @@ func (s *QuerySet) Run(ctx context.Context, t *Tree) []SetResult {
 			if s.fused.MemberSubsumed(j) {
 				st.SubsumedRuns = 1
 			}
-			s.members[idx].Query.fill(res, treeSource{t: t}, dbs[j], st)
+			s.members[idx].Query.fill(res, src, dbs[j], st)
 		}
 	}
 	for i, m := range s.members {
@@ -427,7 +428,7 @@ func (s *QuerySet) Run(ctx context.Context, t *Tree) []SetResult {
 			continue
 		}
 		rs.Runs = 1
-		m.Query.fill(&out[i], treeSource{t: t}, db, rs)
+		m.Query.fill(&out[i], src, db, rs)
 	}
 	for i := range out {
 		total.Facts += out[i].Stats.Facts
@@ -477,12 +478,11 @@ func (s *QuerySet) runFused(ctx context.Context, t *Tree) ([]*Database, Stats, e
 	}
 	rs.Materialize = time.Since(start)
 	start = time.Now()
-	full, err := s.fused.RunFull(nav)
+	full, err := s.fused.RunFull(nav, s.fusedVisible)
 	rs.Eval = time.Since(start)
 	if err != nil {
 		return nil, rs, err
 	}
-	full = full.Project(s.fusedVisible)
 	if !s.fusedNoCache {
 		s.cache.SetResult(t, s.fusedKey, full)
 	}

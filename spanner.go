@@ -118,28 +118,11 @@ func CompileSpanner(p *SpannerProgram, opts ...Option) (*CompiledQuery, error) {
 	return q, nil
 }
 
-// treeSource adapts an immutable Tree to the span evaluator's Source:
-// ids are document-order node ids.
-type treeSource struct{ t *Tree }
-
-func (s treeSource) NodeText(id int) string {
-	if id < 0 || id >= len(s.t.Nodes) {
-		return ""
-	}
-	return s.t.Nodes[id].Text
-}
-
-func (s treeSource) NodeAttr(id int, name string) (string, bool) {
-	if id < 0 || id >= len(s.t.Nodes) {
-		return "", false
-	}
-	v, ok := s.t.Nodes[id].Attrs[name]
-	return v, ok
-}
-
-// arenaSource adapts a live arena to the span evaluator's Source: ids
-// are arena ids, and text reads through the out-of-line overrides, so
-// spans always reflect the current document text.
+// arenaSource adapts a tree's arena to the span evaluator's Source —
+// the one Source for parsed documents, hand-built trees (whose arena
+// Tree.Arena builds once) and live documents alike. Ids are arena ids,
+// and text reads through the out-of-line overrides, so spans always
+// reflect the current document text.
 type arenaSource struct{ a *tree.Arena }
 
 func (s arenaSource) NodeText(id int) string {
