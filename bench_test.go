@@ -1,7 +1,7 @@
-// Benchmarks regenerating the paper's quantitative claims, one per
-// experiment id of DESIGN.md §3 (run `go test -bench=. -benchmem`).
-// cmd/benchtables prints the same measurements as Markdown tables for
-// EXPERIMENTS.md.
+// Benchmarks for the paper's quantitative claims (the CLAIM-*/FIG-*
+// ids of DESIGN.md §3, whose tables cmd/benchtables prints for
+// EXPERIMENTS.md) and for the serving substrate. Run
+// `go test -run '^$' -bench . -benchmem`.
 package mdlog
 
 import (
@@ -333,7 +333,7 @@ tc(X,Z) :- tc(X,Y), e(Y,Z).
 	})
 }
 
-// BenchmarkXPathBridge — EXT-XPATH: Core XPath through the full
+// BenchmarkXPathBridge: Core XPath through the full
 // datalog/TMNF/linear pipeline vs the direct evaluator.
 func BenchmarkXPathBridge(b *testing.B) {
 	q := xpath.MustParse("//tr[td/b]/td")
@@ -361,7 +361,7 @@ func BenchmarkXPathBridge(b *testing.B) {
 	})
 }
 
-// BenchmarkCompileOnceAmortization — EXT-AMORTIZE: what the unified
+// BenchmarkCompileOnceAmortization: what the unified
 // compile-once/run-many API buys. "legacy" re-prepares the program and
 // navigation arrays and re-solves on every call (the old free-function
 // path); "compiled" reuses one CompiledQuery whose TreeCache memoizes
@@ -407,7 +407,7 @@ func BenchmarkCompileOnceAmortization(b *testing.B) {
 	}
 }
 
-// BenchmarkRunnerFanOut — EXT-RUNNER: one compiled Elog⁻ wrapper
+// BenchmarkRunnerFanOut: one compiled Elog⁻ wrapper
 // fanned over a batch of product pages, sequential vs worker pool.
 func BenchmarkRunnerFanOut(b *testing.B) {
 	ctx := context.Background()
@@ -459,7 +459,7 @@ func wideListing(nodes int) string {
 	return html.ProductListing(rng, nodes/9)
 }
 
-// BenchmarkArenaSubstrate — EXT-ARENA: the full repeated-Select
+// BenchmarkArenaSubstrate: the full repeated-Select
 // pipeline (parse → materialize → eval) on a wide ~100k-node document.
 // Three lanes share one compiled plan, so the delta is pure substrate:
 //
@@ -530,7 +530,7 @@ q(X) :- label_td(X), firstchild(X,Y), label_b(Y).
 	})
 }
 
-// BenchmarkHTMLStreamIngestion — EXT-SERVICE (library side): the
+// BenchmarkHTMLStreamIngestion: the library side of the
 // ingestion fan-out under mdlogd's /batch endpoint. A batch of raw
 // HTML pages is pushed through Map with a parse-then-Select task, so
 // tokenize → arena-build → evaluate all run inside the worker pool; the

@@ -1,29 +1,16 @@
-// Command benchtables regenerates every experiment table of
-// EXPERIMENTS.md from live measurements:
+// Command benchtables regenerates the paper's experiment tables of
+// EXPERIMENTS.md (the CLAIM-*, FIG-* and ABLATION-engines ids) from
+// live measurements:
 //
 //	benchtables           # full sizes
 //	benchtables -quick    # smaller sizes for a fast smoke run
 //	benchtables -id CLAIM-T42-data
 //	benchtables -list     # print the available experiment ids
-//	benchtables -treesize BENCH_treesize.json
-//	                      # write the substrate scaling points as JSON
-//	benchtables -queryset BENCH_queryset.json
-//	                      # write the N-wrapper fusion points as JSON
-//	benchtables -incremental BENCH_incremental.json
-//	                      # write the incremental-vs-full revision points as JSON
-//	benchtables -service BENCH_service.json
-//	                      # write the fleet-mode dedup + shard scaling points as JSON
-//	benchtables -subsume BENCH_subsume.json
-//	                      # write the wrapper-subsumption points as JSON
-//	benchtables -span BENCH_span.json
-//	                      # write the span-extraction points as JSON
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"os"
 
 	"mdlog/internal/experiments"
 )
@@ -32,73 +19,14 @@ func main() {
 	quick := flag.Bool("quick", false, "use smaller experiment sizes")
 	id := flag.String("id", "", "run only the experiment with this id")
 	list := flag.Bool("list", false, "list experiment ids and titles without running them")
-	treesize := flag.String("treesize", "", "write EXT-TREESIZE points (parse/materialize/select ns-per-node) to this JSON file and exit")
-	opt := flag.String("opt", "", "write EXT-OPT points (rule counts and Select speedup per wrapper) to this JSON file and exit")
-	queryset := flag.String("queryset", "", "write EXT-QUERYSET points (fused vs sequential N-wrapper evaluation) to this JSON file and exit")
-	incremental := flag.String("incremental", "", "write EXT-INCREMENTAL points (incremental vs full revision cost per edit fraction) to this JSON file and exit")
-	svc := flag.String("service", "", "write EXT-SERVICE points (dedup-cache sweep + shard scaling over HTTP) to this JSON file and exit")
-	subsume := flag.String("subsume", "", "write EXT-SUBSUME points (containment-aware vs plain fused pipeline per fleet size) to this JSON file and exit")
-	span := flag.String("span", "", "write EXT-SPAN points (compiled span extraction vs node-select + Go regexp) to this JSON file and exit")
 	flag.Parse()
-	cfg := experiments.Config{Quick: *quick}
 	if *list {
 		for _, e := range experiments.Index() {
 			fmt.Printf("%-18s %s\n", e[0], e[1])
 		}
 		return
 	}
-	writeJSON := func(path string, v any, what string, n int) {
-		data, err := json.MarshalIndent(v, "", "  ")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchtables:", err)
-			os.Exit(1)
-		}
-		data = append(data, '\n')
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "benchtables:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s (%d %s)\n", path, n, what)
-	}
-	if *treesize != "" {
-		pts := experiments.TreeSizeData(cfg)
-		writeJSON(*treesize, pts, "sizes", len(pts))
-		return
-	}
-	if *opt != "" {
-		pts := experiments.OptData(cfg)
-		writeJSON(*opt, pts, "wrappers", len(pts))
-		return
-	}
-	if *queryset != "" {
-		pts := experiments.QuerySetData(cfg)
-		writeJSON(*queryset, pts, "fleet sizes", len(pts))
-		return
-	}
-	if *incremental != "" {
-		pts := experiments.IncrementalData(cfg)
-		writeJSON(*incremental, pts, "revision points", len(pts))
-		return
-	}
-	if *subsume != "" {
-		pts := experiments.SubsumeData(cfg)
-		writeJSON(*subsume, pts, "fleet sizes", len(pts))
-		return
-	}
-	if *span != "" {
-		pts := experiments.SpanData(cfg)
-		writeJSON(*span, pts, "sizes", len(pts))
-		return
-	}
-	if *svc != "" {
-		b := experiments.ServiceData(cfg)
-		writeJSON(*svc, b, "measurement points", len(b.Dedup)+len(b.Shard))
-		return
-	}
-	for _, t := range experiments.All(cfg) {
-		if *id != "" && t.ID != *id {
-			continue
-		}
+	for _, t := range experiments.All(experiments.Config{Quick: *quick}, *id) {
 		fmt.Println(t.Markdown())
 	}
 }

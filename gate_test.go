@@ -3,6 +3,7 @@ package mdlog
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -80,5 +81,142 @@ func TestFusedRunAllocGate(t *testing.T) {
 	t.Logf("%d nodes, %d members (%d fused): %.0f allocs per run", doc.Size(), set.Len(), set.FusedLen(), allocs)
 	if allocs > maxAllocsPerRun {
 		t.Fatalf("fused QuerySet.Run allocates %.0f times per run, bound %.0f", allocs, maxAllocsPerRun)
+	}
+}
+
+// TestFusedRuleCountGate pins the size of gateFleet's fused program:
+// apex renaming, dedup, CSE and subsumption together. A pass that
+// stops merging or starts duplicating moves it.
+func TestFusedRuleCountGate(t *testing.T) {
+	const want = 49
+	set, err := CompileSet(gateFleet(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := set.FuseStats().RulesOut; got != want {
+		t.Fatalf("gateFleet fuses to %d rules, want %d", got, want)
+	}
+}
+
+// liveGate is a live ProductListing maintained by the part of
+// gateFleet that DRed maintains: not the MSO member, whose automaton
+// re-evaluates a snapshot, and not the members that recurse from the
+// root (//td[b], the caterpillar, the Elog field), for which one row
+// edit overdeletes and rederives almost the whole model.
+type liveGate struct {
+	doc   *Document
+	table int    // the product table
+	rows  []int  // its item rows
+	row   *Node  // a product row to insert
+	run   func() // RunIncremental over the fleet; fails the test on error
+}
+
+// newLiveGate opens a ProductListing of about n nodes as a live
+// document and runs the fleet on it once.
+func newLiveGate(t *testing.T, n int) *liveGate {
+	skip := map[string]bool{"td_b_mso": true, "td_b_xpath": true, "td_b_cat": true, "price_cells": true}
+	set, err := CompileSet(slices.DeleteFunc(gateFleet(t), func(sp SetSpec) bool { return skip[sp.Name] }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	row, err := ParseTree("tr(td(#text),td(b(#text)),td(em(#text)))")
+	if err != nil {
+		t.Fatal(err)
+	}
+	page := ParseHTML(html.ProductListing(rand.New(rand.NewSource(7)), n/9))
+	g := &liveGate{doc: NewDocument(page), table: -1, row: row.Root}
+	for _, v := range page.Nodes {
+		switch {
+		case v.Label == "table" && g.table < 0:
+			g.table = v.ID
+		case v.Label == "tr" && v.Attrs["class"] == "item":
+			g.rows = append(g.rows, v.ID)
+		}
+	}
+	ctx := context.Background()
+	g.run = func() {
+		for _, res := range set.RunIncremental(ctx, g.doc) {
+			if res.Err != nil {
+				t.Fatalf("%s: %v", res.Name, res.Err)
+			}
+		}
+	}
+	g.run()
+	return g
+}
+
+// TestLiveEditAllocGate is a fixed-bound gate on the allocations of
+// one live-edit step — a product row spliced into (or out of) the
+// middle of a ~1k-node table, then RunIncremental over the liveGate
+// fleet. Maintenance that rebuilds state instead of propagating the
+// delta fails it deterministically.
+func TestLiveEditAllocGate(t *testing.T) {
+	// 167 allocations at the time of writing, with or without -race;
+	// rebuilding the maintained state on every step costs 361.
+	maxAllocsPerRun, runs := 200.0, 20
+	if raceDetector {
+		maxAllocsPerRun, runs = 300, 100
+	}
+	g := newLiveGate(t, 1000)
+	inserted := -1
+	step := func() {
+		var err error
+		if inserted < 0 {
+			inserted, err = g.doc.InsertSubtree(g.table, len(g.rows)/2, g.row)
+		} else {
+			err = g.doc.RemoveSubtree(inserted)
+			inserted = -1
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		g.run()
+	}
+	allocs := testing.AllocsPerRun(runs, step)
+	t.Logf("%d nodes: %.0f allocs per step", g.doc.NumAlive(), allocs)
+	if allocs > maxAllocsPerRun {
+		t.Fatalf("live-edit step allocates %.0f times, bound %.0f", allocs, maxAllocsPerRun)
+	}
+}
+
+// TestDRedCounterGate bounds the DRed work of a fixed 20-edit script
+// on a ~10k-node live document: row inserts and removals in the
+// product table, price text edits and attribute edits, each followed
+// by RunIncremental over the liveGate fleet. Overdeleted, rederived
+// and fallback counts summed over the script must stay far below the
+// document size: an edit that cascades through the table's rows (a
+// row splice once overdeleted 501 second_cell facts) fails it.
+func TestDRedCounterGate(t *testing.T) {
+	// 100 overdeleted, 40 rederived, 0 fallbacks at the time of writing.
+	const maxOverdeleted, maxRederived, maxFallbacks = 200, 100, 0
+	g := newLiveGate(t, 10000)
+	rng := rand.New(rand.NewSource(11))
+	for i := 0; i < 20; i++ {
+		var err error
+		switch r := rng.Intn(len(g.rows)); i % 4 {
+		case 0:
+			var id int
+			if id, err = g.doc.InsertSubtree(g.table, 1+r, g.row); err == nil {
+				g.rows = append(g.rows, id)
+			}
+		case 1:
+			err = g.doc.RemoveSubtree(g.rows[r])
+			g.rows = slices.Delete(g.rows, r, r+1)
+		case 2:
+			err = g.doc.SetText(g.rows[r]+5, "$9.99") // the row's price text
+		case 3:
+			err = g.doc.SetAttr(g.rows[r], "data-rev", "x")
+		}
+		if err != nil {
+			t.Fatalf("edit %d: %v", i, err)
+		}
+		g.run()
+	}
+	inc := g.doc.Stats().Inc
+	t.Logf("%d nodes, 20 edits: %d applies, %d overdeleted, %d rederived, %d fallbacks",
+		g.doc.NumAlive(), inc.Applies, inc.Overdeleted, inc.Rederived, inc.Fallbacks)
+	if inc.Overdeleted > maxOverdeleted || inc.Rederived > maxRederived || inc.Fallbacks > maxFallbacks {
+		t.Fatalf("DRed counters over bound: overdeleted %d (≤ %d), rederived %d (≤ %d), fallbacks %d (≤ %d)",
+			inc.Overdeleted, maxOverdeleted, inc.Rederived, maxRederived, inc.Fallbacks, maxFallbacks)
 	}
 }

@@ -10,10 +10,10 @@ import (
 	"mdlog/internal/html"
 )
 
-// BenchmarkBitmapSelectLarge runs the EXT-TREESIZE select program on a
-// ~100k-node product listing with a prepared bitmap plan over a
-// pre-built Nav — the engine-only measurement behind the
-// bitmap_select_ns_per_node column of BENCH_treesize.json.
+// BenchmarkBitmapSelectLarge runs the td-with-bold-child select
+// program on a ~100k-node product listing with a prepared bitmap plan
+// over a pre-built Nav: the engine alone, without parse or Nav build
+// (mdbench's eval.engine_ns_per_node.100k is the served form).
 func BenchmarkBitmapSelectLarge(b *testing.B) {
 	p := datalog.MustParseProgram(`
 q(X) :- label_td(X), firstchild(X,Y), label_b(Y).

@@ -43,17 +43,11 @@ type FusedPlan struct {
 	members []FusedMember
 }
 
-// NewFusedPlan prepares the fused program for the linear engine and
-// attaches the member projections.
-func NewFusedPlan(p *datalog.Program, members []FusedMember) (*FusedPlan, error) {
-	return NewFusedPlanEngine(p, members, EngineLinear)
-}
-
-// NewFusedPlanEngine is NewFusedPlan with an explicit grounding
-// engine for the shared pass: EngineLinear or EngineBitmap (the two
+// NewFusedPlan prepares the fused program for the given grounding
+// engine of the shared pass — EngineLinear or EngineBitmap (the two
 // engines that execute prepared Theorem 4.2 plans; anything else is
-// rejected).
-func NewFusedPlanEngine(p *datalog.Program, members []FusedMember, engine Engine) (*FusedPlan, error) {
+// rejected) — and attaches the member projections.
+func NewFusedPlan(p *datalog.Program, members []FusedMember, engine Engine) (*FusedPlan, error) {
 	if engine != EngineLinear && engine != EngineBitmap {
 		return nil, fmt.Errorf("eval: fused plans run on the linear or bitmap engine, not %v", engine)
 	}

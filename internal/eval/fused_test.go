@@ -18,7 +18,7 @@ func TestFusedSplitShares(t *testing.T) {
 		a_ok :- root(X), label_td(X).
 		b_ok :- root(X), label_tr(X).
 		?- a_q.`)
-	fp, err := NewFusedPlanEngine(prog, []FusedMember{
+	fp, err := NewFusedPlan(prog, []FusedMember{
 		{Name: "a", Project: map[string]string{"q": "a_q", "ok": "a_ok"}},
 		{Name: "b", Project: map[string]string{"q": "b_q", "ok": "b_ok"}},
 		{Name: "c", Project: map[string]string{"q": "a_q"}, Subsumed: true},

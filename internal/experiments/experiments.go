@@ -6,12 +6,10 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"time"
 
-	mdlog "mdlog"
 	"mdlog/internal/datalog"
 	"mdlog/internal/elog"
 	"mdlog/internal/eval"
@@ -95,7 +93,6 @@ func perUnit(d time.Duration, n int) string {
 	return fmt.Sprintf("%.0f", float64(d.Nanoseconds())/float64(n))
 }
 
-// All runs every experiment.
 // catalog is the single registry of experiments; All and Index both
 // derive from it so the two can never drift.
 var catalog = []struct {
@@ -112,22 +109,21 @@ var catalog = []struct {
 	{"CLAIM-T52", "Theorem 5.2: TMNF transformation", TMNFTransform},
 	{"CLAIM-C64", "Corollary 6.4: Elog⁻ wrapper evaluation", ElogEvalScaling},
 	{"FIG-MSO-cost", "MSO compilation blow-up vs linear evaluation", MSOBlowup},
-	{"EXT-AMORTIZE", "Compile-once/run-many amortization", CompileOnceAmortization},
-	{"EXT-TREESIZE", "Arena substrate scaling: parse/materialize/select per node", TreeSize},
-	{"EXT-OPT", "Goal-directed optimizer: plan size and Select speedup", Opt},
-	{"EXT-QUERYSET", "QuerySet fusion: N wrappers, one shared pass per document", QuerySet},
-	{"EXT-INCREMENTAL", "Incremental maintenance: edit-sized revisions vs full reparse + re-extract", Incremental},
-	{"EXT-SUBSUME", "Wrapper subsumption: containment-aware pipeline vs plain fused baseline", Subsume},
-	{"EXT-SPAN", "Spanners: compiled span extraction vs node-select + Go regexp", Span},
 }
 
-func All(cfg Config) []Table {
-	out := make([]Table, len(catalog))
-	for i, e := range catalog {
-		out[i] = e.Run(cfg)
-		if out[i].ID != e.ID {
-			panic(fmt.Sprintf("experiments: catalog id %q but table id %q", e.ID, out[i].ID))
+// All runs every experiment, or only the one with the given id when
+// id is non-empty.
+func All(cfg Config, id string) []Table {
+	var out []Table
+	for _, e := range catalog {
+		if id != "" && e.ID != id {
+			continue
 		}
+		t := e.Run(cfg)
+		if t.ID != e.ID {
+			panic(fmt.Sprintf("experiments: catalog id %q but table id %q", e.ID, t.ID))
+		}
+		out = append(out, t)
 	}
 	return out
 }
@@ -140,53 +136,6 @@ func Index() [][2]string {
 		out[i] = [2]string{e.ID, e.Title}
 	}
 	return out
-}
-
-// CompileOnceAmortization: what the compile-once/run-many API buys —
-// a prepared Plan with memoized per-tree navigation vs the legacy
-// path that re-prepares everything on every call.
-func CompileOnceAmortization(cfg Config) Table {
-	repeats := 50
-	sizes := []int{500, 2000, 8000}
-	if cfg.Quick {
-		repeats = 10
-		sizes = []int{200, 1000}
-	}
-	p := paperex.EvenAProgram("b")
-	t := Table{
-		ID:      "EXT-AMORTIZE",
-		Title:   "Compile-once/run-many: CompiledQuery + TreeCache vs per-call preparation",
-		Headers: []string{"nodes", "runs", "legacy ms", "compiled ms", "speedup"},
-		Notes: fmt.Sprintf("Each row evaluates the even-a program %d times on one document. "+
-			"Legacy = eval.LinearTree per call (re-split, re-plan, re-build navigation, re-solve); "+
-			"compiled = mdlog.CompileProgram once, repeat runs hit the per-(query, tree) result memo.", repeats),
-	}
-	for _, n := range sizes {
-		rng := rand.New(rand.NewSource(42))
-		doc := tree.Random(rng, tree.RandomOptions{Labels: []string{"a", "b"}, Size: n, MaxChildren: 5})
-		legacy := timeIt(func() {
-			for i := 0; i < repeats; i++ {
-				if _, err := eval.LinearTree(p, doc); err != nil {
-					panic(err)
-				}
-			}
-		})
-		q, err := mdlog.CompileProgram(p, mdlog.WithEngine(mdlog.EngineLinear))
-		if err != nil {
-			panic(err)
-		}
-		ctx := context.Background()
-		compiled := timeIt(func() {
-			for i := 0; i < repeats; i++ {
-				if _, err := q.Select(ctx, doc); err != nil {
-					panic(err)
-				}
-			}
-		})
-		t.Rows = append(t.Rows, []string{fmt.Sprint(n), fmt.Sprint(repeats), ms(legacy), ms(compiled),
-			fmt.Sprintf("%.2fx", float64(legacy)/float64(compiled))})
-	}
-	return t
 }
 
 // Theorem42Data: O(|P|·|dom|) combined complexity — data axis. The

@@ -36,89 +36,6 @@ func TestTablesWellFormed(t *testing.T) {
 	}
 }
 
-// TestOptDataReducesWrappers pins the EXT-OPT acceptance claim: the
-// optimizer shrinks the compiled MSO and Elog example wrappers and
-// repeated Select gets faster, with identical selections at both
-// levels (OptData panics on any O0/O1 disagreement).
-func TestOptDataReducesWrappers(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing harness")
-	}
-	pts := OptData(Config{Quick: true})
-	byName := map[string]OptPoint{}
-	for _, pt := range pts {
-		byName[pt.Wrapper] = pt
-	}
-	for _, name := range []string{"elog-products", "mso-td-b"} {
-		pt, ok := byName[name]
-		if !ok {
-			t.Fatalf("missing wrapper %s in %v", name, pts)
-		}
-		if pt.RulesAfter >= pt.RulesBefore {
-			t.Errorf("%s: no rule reduction (%d -> %d)", name, pt.RulesBefore, pt.RulesAfter)
-		}
-		if pt.Speedup <= 1 {
-			t.Errorf("%s: no Select speedup (%.2fx)", name, pt.Speedup)
-		}
-	}
-}
-
-// TestIncrementalDataSpeedup pins the EXT-INCREMENTAL claim shape:
-// small revisions through the live-document path beat full reparse +
-// re-extract. (The full-size ≥5x-at-100k acceptance figure comes from
-// make bench-incremental; quick mode only asserts a win at the
-// smallest edit fraction to stay robust on loaded CI machines.)
-func TestIncrementalDataSpeedup(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing harness")
-	}
-	pts := IncrementalData(Config{Quick: true})
-	if len(pts) == 0 {
-		t.Fatal("no points")
-	}
-	for _, pt := range pts {
-		if pt.EditFrac <= 0.001 && pt.Speedup <= 1 {
-			t.Errorf("%d nodes, %.1f%% edits: speedup %.2fx, want > 1x",
-				pt.Nodes, pt.EditFrac*100, pt.Speedup)
-		}
-	}
-}
-
-// TestSubsumeDataShape pins the EXT-SUBSUME claim shape: in a fleet of
-// near-duplicate wrappers the containment checker collapses every
-// variant class onto its 4 base shapes (no Unknown verdicts, nothing
-// left unmerged) and the subsumed pipeline never loses to the
-// baseline. (The full-size ≥3x-at-32 acceptance figure comes from
-// make bench-subsume; quick mode asserts structure, not magnitude, to
-// stay robust on loaded CI machines.)
-func TestSubsumeDataShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing harness")
-	}
-	pts := SubsumeData(Config{Quick: true})
-	if len(pts) == 0 {
-		t.Fatal("no points")
-	}
-	for _, pt := range pts {
-		if pt.Unknown != 0 {
-			t.Errorf("N=%d: %d unknown verdicts, want 0", pt.Wrappers, pt.Unknown)
-		}
-		if pt.Checked != pt.Wrappers {
-			t.Errorf("N=%d: checked %d, want all", pt.Wrappers, pt.Checked)
-		}
-		wantEval := pt.Wrappers
-		if wantEval > 4 {
-			wantEval = 4
-		}
-		if pt.Evaluated != wantEval {
-			t.Errorf("N=%d: %d evaluated, want %d (one per base shape)", pt.Wrappers, pt.Evaluated, wantEval)
-		}
-		if pt.Wrappers > 4 && pt.Speedup <= 1 {
-			t.Errorf("N=%d: speedup %.2fx, want > 1x", pt.Wrappers, pt.Speedup)
-		}
-	}
-}
-
 func TestAlternationQueryShape(t *testing.T) {
 	q0 := alternationQuery(0)
 	if !strings.Contains(q0, "leaf(x)") {

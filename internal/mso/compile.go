@@ -216,6 +216,12 @@ func (c *compiler) compile(f Formula) (aut, error) {
 			return c.lastSiblingAtom(g.X), nil
 		}
 	case Bin:
+		if g.X == g.Y {
+			// A repeated first-order variable denotes one node: x = x
+			// holds, and no node is its own first child, next sibling,
+			// child or predecessor in document order.
+			return c.constant(g.Kind == BinEq), nil
+		}
 		switch g.Kind {
 		case BinEq:
 			return c.pairFoundAtom(g.X, g.Y), nil

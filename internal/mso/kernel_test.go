@@ -22,12 +22,8 @@ func randomFormula(rng *rand.Rand, depth int, fo, so []Var, fresh *int) Formula 
 			return Label{X: pickFO(), Label: string(rune('a' + rng.Intn(3)))}
 		case k == 1:
 			return Un{Kind: UnKind(rng.Intn(3)), X: pickFO()}
-		case k <= 4 && len(fo) > 1:
-			// Distinct variables: a binary atom repeating a quantified
-			// variable fails compilation ("internal lift error").
-			i := rng.Intn(len(fo))
-			j := (i + 1 + rng.Intn(len(fo)-1)) % len(fo)
-			return Bin{Kind: BinKind(rng.Intn(5)), X: fo[i], Y: fo[j]}
+		case k <= 4:
+			return Bin{Kind: BinKind(rng.Intn(5)), X: pickFO(), Y: pickFO()}
 		case k == 5 && len(so) > 0:
 			return In{X: pickFO(), S: so[rng.Intn(len(so))]}
 		default:

@@ -138,6 +138,11 @@ var queriesUnderTest = []string{
 	// every leaf below x (in x's "descendant-closed" sets) — tests ∀ SO.
 	"forall y (y = x | ~(y = x))", // trivially all nodes
 	"exists y (y = x & leaf(y))",
+	// Binary atoms repeating one variable, quantified and free.
+	"label_a(x) & exists y (firstchild(y,y))",
+	"label_c(x) | exists y (y = y & label_b(y))",
+	"exists y ((nextsibling(y,y) | child(y,y) | before(y,y)) & label_a(y)) | label_b(x)",
+	"x = x & ~before(x,x)",
 }
 
 // TestCompiledMatchesNaive is the central Theorem 4.4 premise check:
@@ -171,6 +176,8 @@ func TestCompiledSentences(t *testing.T) {
 		"exists x (root(x) & label_b(x))",
 		"forall x (label_a(x) | label_b(x))",
 		"exists X (forall x (x in X <-> label_a(x)))", // always true
+		"forall x before(x,x)",                        // always false
+		"exists x (x = x & ~child(x,x) & label_b(x))",
 	}
 	rng := rand.New(rand.NewSource(13))
 	for _, src := range sentences {

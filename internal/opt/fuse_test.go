@@ -1,11 +1,15 @@
 package opt
 
 import (
+	"fmt"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
 	"mdlog/internal/datalog"
 	"mdlog/internal/eval"
+	"mdlog/internal/html"
 	"mdlog/internal/tree"
 )
 
@@ -360,5 +364,115 @@ reach(X) :- reach(Y), nextsibling(Y,X).
 	}
 	if len(fused.Rules) != 3 {
 		t.Fatalf("fused program:\n%s", fused)
+	}
+}
+
+// nearDuplicateWrapper builds variant v of base shape s: variant 0 is
+// the base rule itself; higher variants pad the body with a dom atom
+// and duplicated base atoms whose non-head variables are renamed fresh
+// — equivalent by construction (a conjunct implied by an existing one
+// changes nothing), yet distinct enough that α-dedup cannot merge
+// them. Only the containment checker's unfold→minimize normal form
+// collapses the class.
+func nearDuplicateWrapper(s, v int) string {
+	bases := [][]string{
+		{"firstchild(X,Y)", "label_td(Y)"},
+		{"label_td(X)", "firstchild(X,Y)", "label_b(Y)"},
+		{"label_tr(X)", "firstchild(X,Y)", "nextsibling(Y,Z)", "label_td(Z)"},
+		{"nextsibling(X,Y)", "label_td(Y)", "firstchild(Y,Z)"},
+	}
+	base := bases[s%len(bases)]
+	body := slices.Clone(base)
+	// The digits of v in base 6 are per-atom duplicate counts: every v
+	// yields an α-distinct body that stays within the checker's atom
+	// budget.
+	for j, atom := range base {
+		copies := v % 6
+		v /= 6
+		for m := 0; m < copies; m++ {
+			dup := strings.NewReplacer("Y", fmt.Sprintf("Y%d%d", j, m), "Z", fmt.Sprintf("Z%d%d", j, m)).Replace(atom)
+			body = append(body, dup)
+		}
+	}
+	if len(body) > len(base) {
+		body = append(body, "dom(X)")
+	}
+	return "q(X) :- " + strings.Join(body, ", ") + ". ?- q."
+}
+
+// nearDuplicateFleet is an n-member fleet of near-duplicate wrappers.
+// The shape rotates fastest, so every fleet of four or more covers all
+// four base shapes.
+func nearDuplicateFleet(n int) []FuseMember {
+	members := make([]FuseMember, n)
+	for i := range members {
+		p := datalog.MustParseProgram(nearDuplicateWrapper(i%4, i/4))
+		members[i] = FuseMember{Prefix: fmt.Sprintf("s%d__", i), Program: p, Visible: []string{p.Query}}
+	}
+	return members
+}
+
+// TestFuseSubsumeNearDuplicateFleet: on fleets of 8 and 32
+// near-duplicate wrappers the checker decides every visible predicate
+// (Checked = N, Unknown = 0) and leaves exactly one evaluated member
+// per base shape; the containment-aware fused plan and the plain one
+// (apex renaming and dedup only) agree on every member and document.
+func TestFuseSubsumeNearDuplicateFleet(t *testing.T) {
+	rng := rand.New(rand.NewSource(49))
+	navs := make([]*eval.Nav, 2)
+	for i := range navs {
+		navs[i] = eval.NewNav(html.Parse(html.ProductListing(rng, 50)))
+	}
+	for _, n := range []int{8, 32} {
+		members := nearDuplicateFleet(n)
+		plan := func(o FuseOptions) (*eval.FusedPlan, FuseReport) {
+			fused, aliases, rep := FuseWith(members, o)
+			fms := make([]eval.FusedMember, n)
+			for i, m := range members {
+				pred := m.Prefix + m.Program.Query
+				if tgt, ok := aliases[pred]; ok {
+					pred = tgt
+				}
+				fms[i] = eval.FusedMember{Name: fmt.Sprintf("w%d", i), Project: map[string]string{m.Program.Query: pred}}
+			}
+			fp, err := eval.NewFusedPlan(fused, fms, eval.EngineLinear)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return fp, rep
+		}
+		base, _ := plan(FuseOptions{})
+		full, rep := plan(DefaultFuseOptions)
+		if rep.SubsumeUnknown != 0 || rep.SubsumeChecked != n {
+			t.Errorf("N=%d: checked %d, unknown %d; want %d, 0", n, rep.SubsumeChecked, rep.SubsumeUnknown, n)
+		}
+		evaluated := 0
+		for _, m := range members {
+			for _, r := range full.Plan().Program().Rules {
+				if strings.HasPrefix(r.Head.Pred, m.Prefix) {
+					evaluated++
+					break
+				}
+			}
+		}
+		if evaluated != 4 {
+			t.Errorf("N=%d: %d members own rules, want 4 (one per base shape)", n, evaluated)
+		}
+		for d, nav := range navs {
+			bdb, err := base.RunFull(nav, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fdb, err := full.RunFull(nav, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bviews, fviews := base.Split(bdb), full.Split(fdb)
+			for i := range members {
+				if b, f := bviews[i].UnarySet("q"), fviews[i].UnarySet("q"); !slices.Equal(b, f) {
+					t.Errorf("N=%d doc %d w%d: plain %v, subsumed %v", n, d, i, b, f)
+				}
+			}
+		}
 	}
 }

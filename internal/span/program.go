@@ -120,7 +120,7 @@ func candPred(i int) string { return fmt.Sprintf("spn%d<nodes>", i) }
 // candidate names rule i's candidate predicate. A node part that is a
 // single intensional predicate serves as its own candidate — a
 // synthesized copy rule would double the linear engine's grounding
-// time for nothing (EXT-SPAN). Every other shape (conjunction, bare
+// time for nothing. Every other shape (conjunction, bare
 // EDB atom, empty ⇒ dom) gets the reserved spn<i>⟨nodes⟩ rule.
 func (p *Program) candidate(i int) string {
 	r := &p.Rules[i]

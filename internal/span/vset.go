@@ -13,8 +13,7 @@ package span
 // so the DFS never walks a doomed branch. Two literal prefilters —
 // a mandatory substring every match contains and a literal prefix
 // every match starts with — skip non-matching sources without touching
-// the DP at all, which is what makes the compiled path beat per-node
-// Go-regex post-processing on selective extractions (EXT-SPAN).
+// the DP at all.
 
 import (
 	"fmt"

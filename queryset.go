@@ -299,7 +299,7 @@ func NewNamedQuerySet(members ...NamedQuery) (*QuerySet, error) {
 		if linearMembers == len(fuseMembers) {
 			fusedEngine = EngineLinear
 		}
-		fp, err := eval.NewFusedPlanEngine(fusedProg, evalMembers, fusedEngine)
+		fp, err := eval.NewFusedPlan(fusedProg, evalMembers, fusedEngine)
 		if err != nil {
 			// Every member plan compiled individually, so the union
 			// must too; failing loudly beats silently degrading.
