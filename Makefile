@@ -48,9 +48,12 @@ bench-smoke:
 # Override the workload with MDLOG_FUZZ_N / MDLOG_FUZZ_SEED.
 # The store restart round-trip rides along: persistence must survive a
 # kill/reboot byte-identically, and it's fast enough for the quick path.
+# Last, ten seconds of native fuzzing pit the reference HTML parser
+# against the streaming one mdlogd serves with, on arbitrary bytes.
 fuzz-smoke:
 	MDLOG_FUZZ_N=$${MDLOG_FUZZ_N:-400} $(GO) test -run 'TestDifferentialEngines|TestIncrementalDifferential' -count=1 .
 	$(GO) test -run 'TestStoreRestartRoundTrip|TestStoreCorruptSnapshotFailsBoot' -count=1 ./internal/service
+	$(GO) test -run '^$$' -fuzz '^FuzzStreamingMatchesNodes$$' -fuzztime 10s ./internal/html
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...

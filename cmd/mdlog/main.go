@@ -244,7 +244,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	if *watchArg {
-		if err := watchLoop(stdout, treeArgs, treeFiles, htmlFiles, *watchIvl, *watchCount, *showTree, pass); err != nil {
+		if err := watchLoop(stdout, stderr, treeArgs, treeFiles, htmlFiles, *watchIvl, *watchCount, *showTree, pass); err != nil {
 			return err
 		}
 	} else {
@@ -293,8 +293,11 @@ func stampFiles(files []string) ([]fileStamp, error) {
 // changes on disk (mtime/size polling — portable, no inotify
 // dependency). Each extraction pass prints with a "[pass N]" prefix.
 // count > 0 bounds the number of passes; count == 0 runs until the
-// process is interrupted.
-func watchLoop(stdout io.Writer, treeArgs, treeFiles, htmlFiles []string, interval time.Duration, count int, showTree bool, pass func(string, []*mdlog.Tree) error) error {
+// process is interrupted. After the first pass, a document that fails
+// to load — a poll can land between os.WriteFile's truncate and its
+// write — is reported on stderr and skipped until the next change; it
+// does not count as a pass.
+func watchLoop(stdout, stderr io.Writer, treeArgs, treeFiles, htmlFiles []string, interval time.Duration, count int, showTree bool, pass func(string, []*mdlog.Tree) error) error {
 	if len(treeArgs) > 0 {
 		return fmt.Errorf("-watch needs file-backed documents (-treefile or -html), not -tree literals")
 	}
@@ -309,21 +312,26 @@ func watchLoop(stdout io.Writer, treeArgs, treeFiles, htmlFiles []string, interv
 	if err != nil {
 		return err
 	}
-	for n := 1; ; n++ {
+	for n := 1; ; {
 		docs, err := loadDocs(nil, treeFiles, htmlFiles)
-		if err != nil {
+		switch {
+		case err != nil && n == 1:
 			return err
-		}
-		if showTree {
-			for _, d := range docs {
-				fmt.Fprint(stdout, d.Pretty())
+		case err != nil:
+			fmt.Fprintf(stderr, "mdlog: -watch: %v (waiting for the next change)\n", err)
+		default:
+			if showTree {
+				for _, d := range docs {
+					fmt.Fprint(stdout, d.Pretty())
+				}
 			}
-		}
-		if err := pass(fmt.Sprintf("[pass %d] ", n), docs); err != nil {
-			return err
-		}
-		if count > 0 && n >= count {
-			return nil
+			if err := pass(fmt.Sprintf("[pass %d] ", n), docs); err != nil {
+				return err
+			}
+			if count > 0 && n >= count {
+				return nil
+			}
+			n++
 		}
 		// Block until some watched file's stamp moves.
 		for {

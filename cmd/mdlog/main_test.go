@@ -12,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -226,6 +227,78 @@ func TestWatchMode(t *testing.T) {
 	}
 	want := "[pass 1] p: [1]\n[pass 2] p: [1 3 4]\n"
 	if out.String() != want {
+		t.Errorf("watch output = %q, want %q", out.String(), want)
+	}
+}
+
+// syncBuffer is a bytes.Buffer safe to read while run writes to it
+// from another goroutine.
+type syncBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (b *syncBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.b.Write(p)
+}
+
+func (b *syncBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.b.String()
+}
+
+// TestWatchModeSkipsHalfWrittenFile: a poll that lands between
+// os.WriteFile's truncate and its write sees an empty file. The loop
+// must report that load error and wait for the next change instead of
+// exiting, and the failed load must not count as a pass.
+func TestWatchModeSkipsHalfWrittenFile(t *testing.T) {
+	dir := t.TempDir()
+	doc := filepath.Join(dir, "doc.term")
+	if err := os.WriteFile(doc, []byte("a(b,c)"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out, errb syncBuffer
+	done := make(chan error, 1)
+	go func() {
+		done <- run([]string{
+			"-query", "p(X) :- label_b(X). ?- p.",
+			"-treefile", doc,
+			"-watch", "-watch-interval", "5ms", "-watch-count", "2",
+		}, &out, &errb)
+	}()
+	waitFor := func(what string, b *syncBuffer, sub string) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); !strings.Contains(b.String(), sub); {
+			select {
+			case err := <-done:
+				t.Fatalf("watch loop exited before %s: %v (stdout %q, stderr %q)", what, err, out.String(), errb.String())
+			case <-time.After(5 * time.Millisecond):
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("no %s after 10s (stdout %q, stderr %q)", what, out.String(), errb.String())
+			}
+		}
+	}
+	waitFor("pass 1", &out, "[pass 1]")
+	if err := os.WriteFile(doc, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	waitFor("load error", &errb, "expected label")
+	if err := os.WriteFile(doc, []byte("a(b,c(b,b))"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("%v (stderr: %s)", err, errb.String())
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("watch loop did not exit after -watch-count passes")
+	}
+	if want := "[pass 1] p: [1]\n[pass 2] p: [1 3 4]\n"; out.String() != want {
 		t.Errorf("watch output = %q, want %q", out.String(), want)
 	}
 }

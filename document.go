@@ -280,19 +280,18 @@ func (d *Document) Stats() DocumentStats {
 	return ds
 }
 
-// incRunLocked returns the maintained, projected model for one plan
-// identity, creating the maintainer on first use and catching it up
-// on the pending edit windows otherwise. Caller holds d.mu.
-func (d *Document) incRunLocked(ctx context.Context, key any, project []string, engine string,
-	build func() *eval.IncState) (*Database, Stats, error) {
-	rs := Stats{Engine: engine}
+// incRunLocked returns plan's maintained, projected model under the
+// plan identity key, creating the maintainer on first use and catching
+// it up on the pending edit windows otherwise. Caller holds d.mu.
+func (d *Document) incRunLocked(ctx context.Context, key any, plan *groundingPlan) (*Database, Stats, error) {
+	rs := Stats{Engine: plan.engineName()}
 	if err := ctx.Err(); err != nil {
 		return nil, rs, err
 	}
 	start := time.Now()
 	st := d.states[key]
 	if st == nil {
-		st = &docState{inc: build(), applied: d.total}
+		st = &docState{inc: plan.NewIncState(d.arena), applied: d.total}
 		d.states[key] = st
 	} else if pending := d.log[st.applied-d.dropped:]; len(pending) > 0 {
 		if err := st.inc.Apply(tree.ComposeDeltas(pending)); err != nil {
@@ -300,7 +299,7 @@ func (d *Document) incRunLocked(ctx context.Context, key any, project []string, 
 		}
 		st.applied = d.total
 	}
-	db, err := st.inc.Database(project)
+	db, err := st.inc.Database(plan.project)
 	if err != nil {
 		return nil, rs, err
 	}
@@ -330,30 +329,17 @@ func (d *Document) pruneLocked() {
 // memoized in cache under the generation-aware key) with ids mapped
 // back to arena ids. Caller holds d.mu.
 func (q *CompiledQuery) runIncrementalIn(ctx context.Context, d *Document, cache *TreeCache) (*Database, Stats, error) {
-	plan := q.plan
-	if sp, ok := plan.(*spannerPlan); ok {
-		// A spanner's node part is an ordinary grounding plan; maintain
-		// it like one (span enumeration happens on top, per call).
-		plan = sp.inner
+	// A spanner's node part is an ordinary grounding plan, maintained
+	// like one (span enumeration happens on top, per call).
+	if g := groundingOf(q.plan); g != nil {
+		return d.incRunLocked(ctx, q.memoKey, g)
 	}
-	switch p := plan.(type) {
-	case *linearPlan:
-		return d.incRunLocked(ctx, q.memoKey, p.project, p.engineName(),
-			func() *eval.IncState { return p.plan.NewIncState(d.arena) })
-	case *bitmapPlan:
-		return d.incRunLocked(ctx, q.memoKey, p.project, p.engineName(),
-			func() *eval.IncState { return p.plan.NewIncState(d.arena) })
-	default:
-		lt, pre := d.snapshotLocked()
-		db, rs, err := q.runCachedIn(ctx, lt, cache)
-		if err != nil {
-			return nil, rs, err
-		}
-		if pre != nil {
-			db = remapToArena(db, pre, d.arena.Len())
-		}
-		return db, rs, nil
+	lt, pre := d.snapshotLocked()
+	db, rs, err := runCached(ctx, lt, cache, q.plan, q.memoKey)
+	if err != nil || pre == nil {
+		return db, rs, err
 	}
+	return remapToArena(db, pre, d.arena.Len()), rs, nil
 }
 
 // remapToArena rewrites a database computed over the live-tree
@@ -400,53 +386,11 @@ func (q *CompiledQuery) RunIncremental(ctx context.Context, d *Document) SetResu
 // individually. Result ids are arena ids; everything else matches
 // Run, including per-member error isolation and stats attribution.
 func (s *QuerySet) RunIncremental(ctx context.Context, d *Document) []SetResult {
-	out := make([]SetResult, len(s.members))
-	for i, m := range s.members {
-		out[i] = SetResult{Name: m.Name, Index: i}
-	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	var total Stats
-	if s.fused != nil {
-		full, shared, err := d.incRunLocked(ctx, s.fusedKey, s.fusedVisible, s.fused.Engine().String(),
-			func() *eval.IncState { return s.fused.NewIncState(d.arena) })
-		total.Add(shared)
-		var dbs []*Database
-		if err == nil {
-			dbs = s.fused.Split(full)
-		}
-		for j, idx := range s.fusedIdx {
-			res := &out[idx]
-			if err != nil {
-				res.Err = err
-				continue
-			}
-			st := eval.AttributeShared(shared, len(s.fusedIdx))
-			st.Runs, st.FusedRuns = 1, 1
-			s.members[idx].Query.fill(res, arenaSource{a: d.arena}, dbs[j], st)
-		}
-	}
-	for i, m := range s.members {
-		if s.isFused(i) {
-			continue
-		}
-		cache := s.cache
-		if m.Query.cache == nil {
-			cache = nil
-		}
-		db, rs, err := m.Query.runIncrementalIn(ctx, d, cache)
-		total.Add(rs)
-		if err != nil {
-			out[i].Err = err
-			continue
-		}
-		rs.Runs = 1
-		m.Query.fill(&out[i], arenaSource{a: d.arena}, db, rs)
-	}
-	for i := range out {
-		total.Facts += out[i].Stats.Facts
-	}
-	total.Runs = 1
-	s.agg.record(total)
-	return out
+	return s.runMembers(arenaSource{a: d.arena},
+		func() (*Database, Stats, error) { return d.incRunLocked(ctx, s.fusedKey, s.fusedPlan) },
+		func(q *CompiledQuery, cache *TreeCache) (*Database, Stats, error) {
+			return q.runIncrementalIn(ctx, d, cache)
+		})
 }

@@ -38,7 +38,6 @@ package eval
 import (
 	"math/bits"
 	"sync"
-	"weak"
 
 	"mdlog/internal/bitset"
 	"mdlog/internal/datalog"
@@ -63,11 +62,9 @@ type BitmapPlan struct {
 	unaryDeps [][]int
 	propDeps  [][]int
 
-	// pool recycles per-run state between Run calls. A pooled state
-	// that comes back for the same document (same Nav) also keeps its
-	// per-document condition bitmaps, so repeat evaluations skip the
-	// label and node-class column scans — the engine-level analogue of
-	// TreeCache reusing navigation arrays.
+	// pool recycles per-run state between Run calls: a state sized for
+	// the same domain keeps its allocations, while its per-document
+	// condition bitmaps and symbol table are rebuilt for every run.
 	pool sync.Pool
 }
 
@@ -104,12 +101,12 @@ func NewBitmapPlan(p *datalog.Program) (*BitmapPlan, error) {
 	if err != nil {
 		return nil, err
 	}
-	return bitmapPlanOf(pl), nil
+	return bitmapOf(pl), nil
 }
 
-// bitmapPlanOf derives the bitmap-engine analyses from a prepared
+// bitmapOf derives the bitmap-engine analyses from a prepared
 // linear plan.
-func bitmapPlanOf(pl *Plan) *BitmapPlan {
+func bitmapOf(pl *Plan) *BitmapPlan {
 	bp := &BitmapPlan{
 		pl:        pl,
 		rules:     make([]bitmapRule, 0, len(pl.rules)),
@@ -179,6 +176,9 @@ func bitmapPlanOf(pl *Plan) *BitmapPlan {
 // Program returns the source program the plan was built from.
 func (bp *BitmapPlan) Program() *datalog.Program { return bp.pl.Program() }
 
+// Engine returns EngineBitmap.
+func (bp *BitmapPlan) Engine() Engine { return EngineBitmap }
+
 // QueryPred returns the program's distinguished query predicate.
 func (bp *BitmapPlan) QueryPred() string { return bp.pl.QueryPred() }
 
@@ -186,13 +186,8 @@ func (bp *BitmapPlan) QueryPred() string { return bp.pl.QueryPred() }
 // that call between the pool Get and Put — which is what keeps Run
 // safe to call concurrently on a shared BitmapPlan.
 type bitmapRun struct {
-	bp  *BitmapPlan
-	nav *Nav
-	// weakNav remembers which Nav the per-document bitmaps were built
-	// for while the state sits in the pool. It is weak on purpose: a
-	// pooled run state must not pin a closed document session's arena
-	// in memory (the navigation arrays alias every arena column).
-	weakNav   weak.Pointer[Nav]
+	bp        *BitmapPlan
+	nav       *Nav
 	dom       int
 	labelSyms []int32
 
@@ -237,38 +232,28 @@ type bitmapRun struct {
 	work int
 }
 
-// acquire returns run state for nav: a pooled state when one is
-// available (keeping its per-document condition bitmaps if it served
-// the same Nav), a freshly allocated one otherwise. The gather columns
-// are never cleared — every read of a column entry is preceded by a
-// write for the same live bit within the same pass.
+// acquire returns run state for nav: a pooled state of the same
+// domain size when one is available, a freshly allocated one otherwise.
+// The gather columns are never cleared — every read of a column entry
+// is preceded by a write for the same live bit within the same pass.
 func (bp *BitmapPlan) acquire(nav *Nav) *bitmapRun {
 	dom := nav.Dom()
 	if v := bp.pool.Get(); v != nil {
 		st := v.(*bitmapRun)
 		if st.dom == dom {
-			if st.weakNav.Value() != nav {
-				// Different document of the same size: the sized
-				// allocations are reusable, the per-document bitmaps
-				// and symbol table are not.
-				for i := range st.labelBm {
-					st.labelBm[i] = nil
-				}
-				for i := range st.kindBm {
-					st.kindBm[i] = nil
-				}
-				st.deadBm = nil
-				for i, l := range bp.pl.labels {
-					st.labelSyms[i] = nav.LabelID(l)
-				}
+			// The sized allocations are reusable; the per-document
+			// bitmaps and symbol table are not.
+			clear(st.labelBm)
+			clear(st.kindBm[:])
+			st.deadBm = nil
+			for i, l := range bp.pl.labels {
+				st.labelSyms[i] = nav.LabelID(l)
 			}
 			st.nav = nav
 			for i := range st.unary {
 				st.unary[i].Clear()
 			}
-			for i := range st.props {
-				st.props[i] = false
-			}
+			clear(st.props)
 			st.reset()
 			return st
 		}
@@ -340,12 +325,10 @@ func (st *bitmapRun) reset() {
 	st.work = 0
 }
 
-// release parks run state in the pool. The strong Nav reference is
-// dropped (pooled state must not keep a document alive — see weakNav);
-// if the same Nav comes back before it is collected, acquire still
-// reuses the per-document condition bitmaps.
+// release parks run state in the pool. The Nav reference is dropped:
+// the navigation arrays alias every arena column, and a pooled state
+// must not keep a closed document session's arena alive.
 func (bp *BitmapPlan) release(st *bitmapRun) {
-	st.weakNav = weak.Make(st.nav)
 	st.nav = nil
 	bp.pool.Put(st)
 }
@@ -884,15 +867,6 @@ func (st *bitmapRun) setProp(pid int) {
 		st.props[pid] = true
 		st.propDirty = append(st.propDirty, pid)
 	}
-}
-
-// RunTree is Run over a bare tree, building (or fetching from cache,
-// when cache is non-nil) the navigation arrays.
-func (bp *BitmapPlan) RunTree(t *tree.Tree, cache *TreeCache) (*datalog.Database, error) {
-	if cache != nil {
-		return bp.Run(cache.Nav(t), nil)
-	}
-	return bp.Run(NewNav(t), nil)
 }
 
 // BitmapTree evaluates a monadic datalog program on one tree with the

@@ -134,7 +134,7 @@ q(X) :- label_a(X), firstchild(X,Y), label_b(Y).
 	}
 	for _, ts := range []string{"a(b)", "b(a(b),a(c))", "a"} {
 		tr := tree.MustParse(ts)
-		got, err := bp.RunTree(tr, nil)
+		got, err := bp.Run(NewNav(tr), nil)
 		if err != nil {
 			t.Fatal(err)
 		}

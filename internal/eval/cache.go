@@ -2,23 +2,25 @@ package eval
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"mdlog/internal/datalog"
 	"mdlog/internal/tree"
 )
 
-// TreeCache memoizes per-document evaluation state — the navigation
-// arrays the grounding engines run on, and per-(query, tree) results —
-// so a compiled query (or many queries sharing one cache) pays the
-// O(|dom|) materialization once per tree instead of once per call.
+// TreeCache memoizes per-(query, tree) evaluation results, so a
+// compiled query (or many queries sharing one cache, when their
+// prepared plans coincide) evaluates each document once instead of
+// once per call. Nothing else is memoized: the navigation arrays a run
+// needs are O(1) views over the document's arena (NavOf).
 //
 // Entries are keyed by (tree identity, generation): every mutation —
 // pointer-level edits followed by Reindex, or the arena mutation API —
 // advances tree.Tree.Generation, so post-mutation lookups can never be
 // served a pre-mutation memo; the stale entry simply becomes
 // unreachable and ages out under MaxTrees (or is dropped by Forget).
-// The cached navigation arrays and result databases are shared:
-// callers must treat them as read-only.
+// The cached result databases are shared: callers must treat them as
+// read-only.
 //
 // A TreeCache is safe for concurrent use. The zero value is NOT ready;
 // use NewTreeCache.
@@ -39,7 +41,7 @@ type TreeCache struct {
 	// before first use.
 	MaxResults int
 
-	hits, misses, resultEvictions int64
+	hits, misses, resultEvictions atomic.Int64
 }
 
 // DefaultMaxResults is the per-tree result-memo bound NewTreeCache
@@ -55,9 +57,8 @@ type CacheStats struct {
 	// Results is the total number of memoized (query, tree) results
 	// across all entries.
 	Results int
-	// Hits and Misses count navigation-array lookups served from memo
-	// vs materialized (as HitsMisses reports); result-memo lookups are
-	// not counted here.
+	// Hits and Misses count Result lookups that found a memoized
+	// result vs found none.
 	Hits, Misses int64
 	// ResultEvictions counts memoized results dropped to enforce
 	// MaxResults.
@@ -75,7 +76,6 @@ func keyOf(t *tree.Tree) treeKey { return treeKey{t: t, gen: t.Generation()} }
 
 type treeCacheEntry struct {
 	mu      sync.Mutex
-	nav     *Nav
 	results map[any]*datalog.Database
 }
 
@@ -108,38 +108,7 @@ func (c *TreeCache) entry(t *tree.Tree) *treeCacheEntry {
 	return e
 }
 
-func (c *TreeCache) count(hit bool) {
-	c.mu.Lock()
-	if hit {
-		c.hits++
-	} else {
-		c.misses++
-	}
-	c.mu.Unlock()
-}
-
-// Nav returns the memoized navigation arrays for t.
-func (c *TreeCache) Nav(t *tree.Tree) *Nav {
-	nav, _ := c.NavCached(t)
-	return nav
-}
-
-// NavCached is Nav also reporting whether the arrays were already
-// built (a true cache hit, as opposed to a first materialization).
-func (c *TreeCache) NavCached(t *tree.Tree) (*Nav, bool) {
-	e := c.entry(t)
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	hit := e.nav != nil
-	if !hit {
-		e.nav = NewNav(t)
-	}
-	c.count(hit)
-	return e.nav, hit
-}
-
-// peek returns t's current-generation entry without creating one (and
-// without touching the hit/miss counters).
+// peek returns t's current-generation entry without creating one.
 func (c *TreeCache) peek(t *tree.Tree) *treeCacheEntry {
 	key := keyOf(t)
 	c.mu.Lock()
@@ -152,19 +121,24 @@ func (c *TreeCache) peek(t *tree.Tree) *treeCacheEntry {
 // plan pointer — so distinct queries sharing one cache never collide.
 // The returned database is shared and must be treated as read-only.
 func (c *TreeCache) Result(t *tree.Tree, key any) (*datalog.Database, bool) {
-	e := c.peek(t)
-	if e == nil {
-		return nil, false
+	var db *datalog.Database
+	ok := false
+	if e := c.peek(t); e != nil {
+		e.mu.Lock()
+		db, ok = e.results[key]
+		e.mu.Unlock()
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	db, ok := e.results[key]
+	if ok {
+		c.hits.Add(1)
+	} else {
+		c.misses.Add(1)
+	}
 	return db, ok
 }
 
 // SetResult memoizes an evaluation result for (t, key). Results live
-// exactly as long as the tree's cache entry: Forget, Purge, or an
-// eviction drops them together with the navigation arrays. When the
+// exactly as long as the tree's cache entry: Forget or an eviction
+// drops them together. When the
 // entry already holds MaxResults results for other keys, an arbitrary
 // one is evicted first (same policy as MaxTrees).
 func (c *TreeCache) SetResult(t *tree.Tree, key any, db *datalog.Database) {
@@ -181,9 +155,7 @@ func (c *TreeCache) SetResult(t *tree.Tree, key any, db *datalog.Database) {
 				delete(e.results, k)
 				break
 			}
-			c.mu.Lock()
-			c.resultEvictions++
-			c.mu.Unlock()
+			c.resultEvictions.Add(1)
 		}
 	}
 	e.results[key] = db
@@ -195,8 +167,8 @@ func (c *TreeCache) maxResults() int {
 	return c.MaxResults
 }
 
-// Contains reports whether t already has cached state (navigation
-// arrays or results) at its current generation. Purely advisory: a
+// Contains reports whether t already has cached results at its
+// current generation. Purely advisory: a
 // concurrent Forget or eviction can invalidate the answer immediately.
 func (c *TreeCache) Contains(t *tree.Tree) bool {
 	key := keyOf(t)
@@ -219,28 +191,12 @@ func (c *TreeCache) Forget(t *tree.Tree) {
 	}
 }
 
-// Purge empties the cache.
-func (c *TreeCache) Purge() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.entries = map[treeKey]*treeCacheEntry{}
-}
-
 // Len returns the number of (tree, generation) entries with cached
 // state.
 func (c *TreeCache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.entries)
-}
-
-// HitsMisses reports how many navigation-array lookups were served
-// from memo (hits) vs had to materialize (misses). Result-memo lookups
-// are not counted here; CompiledQuery.Stats tracks those.
-func (c *TreeCache) HitsMisses() (hits, misses int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses
 }
 
 // Stats snapshots the cache contents and traffic, including the total
@@ -252,9 +208,9 @@ func (c *TreeCache) Stats() CacheStats {
 	c.mu.Lock()
 	s := CacheStats{
 		Trees:           len(c.entries),
-		Hits:            c.hits,
-		Misses:          c.misses,
-		ResultEvictions: c.resultEvictions,
+		Hits:            c.hits.Load(),
+		Misses:          c.misses.Load(),
+		ResultEvictions: c.resultEvictions.Load(),
 	}
 	es := make([]*treeCacheEntry, 0, len(c.entries))
 	for _, e := range c.entries {

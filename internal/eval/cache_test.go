@@ -73,11 +73,16 @@ func TestDefaultMaxResults(t *testing.T) {
 	if s := c.Stats(); s.Results != DefaultMaxResults {
 		t.Errorf("results = %d, want %d", s.Results, DefaultMaxResults)
 	}
-	// Stats also reflects navigation-array traffic.
-	c.Nav(tr)
-	c.Nav(tr)
-	if s := c.Stats(); s.Hits != 1 || s.Misses != 1 {
-		t.Errorf("traffic: %+v", s)
+	// Stats also reflects result-lookup traffic: a surviving key hits,
+	// an evicted or unknown one misses.
+	hits := int64(0)
+	for i := 0; i < DefaultMaxResults+5; i++ {
+		if _, ok := c.Result(tr, i); ok {
+			hits++
+		}
+	}
+	if s := c.Stats(); hits != DefaultMaxResults || s.Hits != hits || s.Misses != 5 {
+		t.Errorf("traffic: %d hits, stats %+v", hits, s)
 	}
 }
 

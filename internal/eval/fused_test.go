@@ -21,13 +21,13 @@ func TestFusedSplitShares(t *testing.T) {
 	fp, err := NewFusedPlan(prog, []FusedMember{
 		{Name: "a", Project: map[string]string{"q": "a_q", "ok": "a_ok"}},
 		{Name: "b", Project: map[string]string{"q": "b_q", "ok": "b_ok"}},
-		{Name: "c", Project: map[string]string{"q": "a_q"}, Subsumed: true},
+		{Name: "c", Project: map[string]string{"q": "a_q"}},
 	}, EngineBitmap)
 	if err != nil {
 		t.Fatal(err)
 	}
 	run := func(n int) *datalog.Database {
-		full, err := fp.RunFull(NavOf(tree.Flat(n, "td").Arena()), nil)
+		full, err := fp.Run(NavOf(tree.Flat(n, "td").Arena()), nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -110,7 +110,7 @@ type incFact struct{ pid, v int }
 // the same least model, so one IncState serves queries compiled for
 // either.
 func (pl *Plan) NewIncState(a *tree.Arena) *IncState {
-	return newIncState(bitmapPlanOf(pl), a)
+	return newIncState(bitmapOf(pl), a)
 }
 
 // NewIncState is Plan.NewIncState for an already-prepared bitmap plan.

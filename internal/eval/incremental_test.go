@@ -99,7 +99,7 @@ func TestIncrementalEval(t *testing.T) {
 					if diff := SameResults(got, full, preds); diff != "" {
 						t.Fatalf("%s trial %d step %d: incremental vs full linear: %s", tc.name, trial, step, diff)
 					}
-					fullBm, err := bitmapPlanOf(pl).Run(NavOf(a), nil)
+					fullBm, err := bitmapOf(pl).Run(NavOf(a), nil)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -341,7 +341,7 @@ func TestIncChildKSplices(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		bm, err := bitmapPlanOf(pl).Run(NavOf(a), nil)
+		bm, err := bitmapOf(pl).Run(NavOf(a), nil)
 		if err != nil {
 			t.Fatal(err)
 		}

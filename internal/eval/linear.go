@@ -346,8 +346,7 @@ func (bld planBuilder) compileLinear(r datalog.Rule, idb map[string]bool) (*line
 // contains only the intensional relations.
 //
 // LinearTree prepares the grounding plan anew on every call; use
-// NewPlan + Plan.Run (or Plan.RunTree) to amortize that work across
-// many documents.
+// NewPlan + Plan.Run to amortize that work across many documents.
 func LinearTree(p *datalog.Program, t *tree.Tree) (*datalog.Database, error) {
 	pl, err := NewPlan(p)
 	if err != nil {

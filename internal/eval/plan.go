@@ -110,8 +110,44 @@ func NewPlan(p *datalog.Program) (*Plan, error) {
 	return pl, nil
 }
 
+// Grounding is a monadic datalog program prepared for one of the two
+// grounding engines — the Theorem 4.2 linear engine (*Plan) or its
+// columnar bitmap counterpart (*BitmapPlan). Both compute the same
+// least model; a Grounding is immutable and safe for concurrent use.
+type Grounding interface {
+	// Run evaluates the program on the document behind nav, returning
+	// the intensional relations among project (nil: every one).
+	Run(nav *Nav, project []string) (*datalog.Database, error)
+	// NewIncState builds an incremental maintainer for the program over
+	// the document behind a.
+	NewIncState(a *tree.Arena) *IncState
+	// Program returns the source program the plan was built from.
+	Program() *datalog.Program
+	// Engine names the engine Run executes on.
+	Engine() Engine
+}
+
+// NewGrounding prepares p for engine, which must be EngineLinear or
+// EngineBitmap — the engines that execute prepared Theorem 4.2 plans.
+func NewGrounding(p *datalog.Program, engine Engine) (Grounding, error) {
+	if engine != EngineLinear && engine != EngineBitmap {
+		return nil, fmt.Errorf("eval: unsupported engine %v (valid engines: %v, %v)", engine, EngineLinear, EngineBitmap)
+	}
+	pl, err := NewPlan(p)
+	if err != nil {
+		return nil, err
+	}
+	if engine == EngineBitmap {
+		return bitmapOf(pl), nil
+	}
+	return pl, nil
+}
+
 // Program returns the source program the plan was built from.
 func (pl *Plan) Program() *datalog.Program { return pl.src }
+
+// Engine returns EngineLinear.
+func (pl *Plan) Engine() Engine { return EngineLinear }
 
 // QueryPred returns the program's distinguished query predicate.
 func (pl *Plan) QueryPred() string { return pl.src.Query }
@@ -253,13 +289,4 @@ func (pl *Plan) Run(nav *Nav, project []string) (*datalog.Database, error) {
 // every relation for a nil project, else the listed ones.
 func projected(project []string, pred string) bool {
 	return project == nil || slices.Contains(project, pred)
-}
-
-// RunTree is Run over a bare tree, building (or fetching from cache,
-// when cache is non-nil) the navigation arrays.
-func (pl *Plan) RunTree(t *tree.Tree, cache *TreeCache) (*datalog.Database, error) {
-	if cache != nil {
-		return pl.Run(cache.Nav(t), nil)
-	}
-	return pl.Run(NewNav(t), nil)
 }

@@ -64,45 +64,77 @@ r(X) :- child_3(Y,X), lastchild(Y,X).
 func TestTreeCache(t *testing.T) {
 	tr := tree.MustParse("a(b,c(d))")
 	c := NewTreeCache(0)
-	n1, n2 := c.Nav(tr), c.Nav(tr)
-	if n1 != n2 {
-		t.Error("Nav not memoized")
+	if _, ok := c.Result(tr, "q"); ok || c.Contains(tr) {
+		t.Error("empty cache reported a result")
+	}
+	db := datalog.NewDatabase(tr.Size())
+	c.SetResult(tr, "q", db)
+	if got, ok := c.Result(tr, "q"); !ok || got != db {
+		t.Error("result not memoized")
+	}
+	if _, ok := c.Result(tr, "r"); ok {
+		t.Error("a different key shared the result")
 	}
 	if !c.Contains(tr) || c.Len() != 1 {
 		t.Error("cache bookkeeping wrong")
 	}
+	if s := c.Stats(); s.Hits != 1 || s.Misses != 2 || s.Results != 1 {
+		t.Errorf("stats = %+v, want 1 hit, 2 misses, 1 result", s)
+	}
 	c.Forget(tr)
-	if c.Contains(tr) {
+	if _, ok := c.Result(tr, "q"); ok || c.Contains(tr) {
 		t.Error("Forget did not drop the entry")
 	}
 
 	// Bounded cache evicts.
 	b := NewTreeCache(2)
 	for i := 0; i < 5; i++ {
-		b.Nav(tree.MustParse("a(b)"))
+		b.SetResult(tree.MustParse("a(b)"), "q", db)
 	}
 	if b.Len() > 2 {
 		t.Errorf("bounded cache holds %d entries", b.Len())
 	}
 }
 
+// TestTreeCacheConcurrent races SetResult, Result and Forget on shared
+// trees (run it under -race): every hit returns the one database stored
+// for its key, and the counters account for every lookup.
 func TestTreeCacheConcurrent(t *testing.T) {
-	tr := tree.MustParse("a(b(c),d,e(f(g)))")
+	trees := []*tree.Tree{tree.MustParse("a(b(c),d,e(f(g)))"), tree.MustParse("a(b)")}
+	dbs := []*datalog.Database{datalog.NewDatabase(7), datalog.NewDatabase(2)}
 	c := NewTreeCache(0)
+	c.MaxResults = 3
+	const workers, iters = 16, 200
 	var wg sync.WaitGroup
-	navs := make([]*Nav, 32)
-	for i := 0; i < 32; i++ {
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(i int) {
+		go func(w int) {
 			defer wg.Done()
-			navs[i] = c.Nav(tr)
-		}(i)
+			for i := 0; i < iters; i++ {
+				k := (w + i) % len(trees)
+				key := i % 5
+				switch i % 7 {
+				case 0:
+					c.Forget(trees[k])
+				case 1, 2:
+					c.SetResult(trees[k], key, dbs[k])
+				default:
+					if db, ok := c.Result(trees[k], key); ok && db != dbs[k] {
+						t.Errorf("tree %d key %d: hit returned another tree's result", k, key)
+					}
+				}
+			}
+		}(w)
 	}
 	wg.Wait()
-	for i := 1; i < 32; i++ {
-		if navs[i] != navs[0] {
-			t.Fatal("concurrent Nav returned distinct values")
+	lookups := int64(0)
+	for i := 0; i < iters; i++ {
+		if i%7 > 2 {
+			lookups++
 		}
+	}
+	if s := c.Stats(); s.Hits+s.Misses != workers*lookups || s.Results > len(trees)*c.MaxResults {
+		t.Errorf("stats = %+v, want %d lookups and at most %d results", s, workers*lookups, len(trees)*c.MaxResults)
 	}
 }
 

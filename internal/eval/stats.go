@@ -12,8 +12,10 @@ type Stats struct {
 	// (datalog translation, TMNF rewriting, automaton construction,
 	// grounding-plan compilation).
 	Compile time.Duration
-	// Materialize is the time spent building navigation arrays; zero
-	// when a cache supplied them.
+	// Materialize is the time spent building the navigation arrays a
+	// grounding engine runs on (NewNav: O(1) over an existing arena,
+	// plus the arena build on a pointer tree's first use); zero for a
+	// run served from the result memo.
 	Materialize time.Duration
 	// Eval is the time spent in the engine proper.
 	Eval time.Duration
@@ -24,8 +26,8 @@ type Stats struct {
 	// Runs is the number of executions aggregated into this Stats (1
 	// for a per-run value).
 	Runs int64
-	// CacheHits counts runs whose per-tree state came out of a
-	// TreeCache without materialization.
+	// CacheHits counts runs answered from a TreeCache result memo
+	// without evaluation.
 	CacheHits int64
 	// FusedRuns counts runs served by a fused QuerySet pass (one
 	// shared evaluation for many wrappers) rather than an individual

@@ -182,7 +182,7 @@ func ParseNodes(src string) *tree.Tree {
 				i = len(src)
 				break
 			}
-			name := strings.ToLower(strings.TrimSpace(src[i+2 : i+end]))
+			name := lowerASCIIString(strings.TrimSpace(src[i+2 : i+end]))
 			closeTag(name)
 			i += end + 1
 		default:
@@ -203,7 +203,7 @@ func ParseNodes(src string) *tree.Tree {
 			openTag(name, attrs, selfClose)
 			if rawText[name] && !selfClose {
 				endTag := "</" + name
-				idx := strings.Index(strings.ToLower(src[i:]), endTag)
+				idx := strings.Index(lowerASCIIString(src[i:]), endTag)
 				if idx < 0 {
 					i = len(src)
 					closeTag(name)
@@ -227,6 +227,12 @@ func ParseNodes(src string) *tree.Tree {
 	flushText()
 	return tree.NewTree(doc)
 }
+
+// lowerASCIIString lowercases the ASCII letters of s only, as HTML
+// does for tag and attribute names and as the streaming parser does:
+// every other byte, invalid UTF-8 included, passes through, so offsets
+// into the result are offsets into s.
+func lowerASCIIString(s string) string { return string(lowerASCII([]byte(s))) }
 
 // findTagEnd returns the index of the '>' closing the start tag that
 // begins at src[i] == '<', skipping over quoted attribute values, or
@@ -264,7 +270,7 @@ func scanTag(s string) (string, map[string]string, bool) {
 	for j < len(s) && isNameByte(s[j]) {
 		j++
 	}
-	name := strings.ToLower(s[:j])
+	name := lowerASCIIString(s[:j])
 	var attrs map[string]string
 	selfClose := false
 	for j < len(s) {
@@ -284,7 +290,7 @@ func scanTag(s string) (string, map[string]string, bool) {
 		for j < len(s) && s[j] != '=' && s[j] != '/' && !isSpace(s[j]) {
 			j++
 		}
-		aName := strings.ToLower(s[aStart:j])
+		aName := lowerASCIIString(s[aStart:j])
 		aVal := ""
 		if j < len(s) && s[j] == '=' {
 			j++

@@ -270,31 +270,71 @@ func (r iotest) Read(p []byte) (int, error) {
 // TestStreamingMatchesNodes differential-tests the streaming arena
 // parser against the independent pointer-per-node builder on crafted
 // and generated documents.
-func TestStreamingMatchesNodes(t *testing.T) {
-	crafted := []string{
-		"",
-		"plain text only",
-		`<html><body><p>Hello <b>world</b></p></body></html>`,
-		`<table><tr><td>a<td>b<tr><td>c</table>`,
-		`<ul><li>one<li>two<li>three</ul>`,
-		`<table><tr><td><table><tr><td>x</table></table>`,
-		`<!DOCTYPE html><!-- c --><p>x &amp; &#x27;y&#X2019; &#65;</p>`,
-		`<div><script>if (a < b) { x(); }</script><p>after</p></div>`,
-		`<style>a &gt; b</STYLE>tail`,
-		`<a href="/x" class='big' data-n=5 checked>link</a>`,
-		`<a title="a>b" q='c>d'>x</a>`,
-		`</div><p>a</b></p>2 < 3`,
-		`a < b`,
-		`<p>unterminated `,
-		`<p attr="unterminated`,
-		`<script>never closed`,
-		`</unterminated`,
-		`<!-- unterminated`,
-		`<td><b>Price:</b> 9 EUR</td>`,
-		`<p>a <br>b<hr/>c </p><p>d</p>`,
-		"<div> \n <p>x</p> \n </div>",
-		`<<<>>><x/><//>`,
+// streamingCrafted is the crafted input list of the streaming/reference
+// parser differential, and the seed corpus of its fuzz target.
+var streamingCrafted = []string{
+	"",
+	"plain text only",
+	`<html><body><p>Hello <b>world</b></p></body></html>`,
+	`<table><tr><td>a<td>b<tr><td>c</table>`,
+	`<ul><li>one<li>two<li>three</ul>`,
+	`<table><tr><td><table><tr><td>x</table></table>`,
+	`<!DOCTYPE html><!-- c --><p>x &amp; &#x27;y&#X2019; &#65;</p>`,
+	`<div><script>if (a < b) { x(); }</script><p>after</p></div>`,
+	`<style>a &gt; b</STYLE>tail`,
+	`<a href="/x" class='big' data-n=5 checked>link</a>`,
+	`<a title="a>b" q='c>d'>x</a>`,
+	`</div><p>a</b></p>2 < 3`,
+	`a < b`,
+	`<p>unterminated `,
+	`<p attr="unterminated`,
+	`<script>never closed`,
+	`</unterminated`,
+	`<!-- unterminated`,
+	`<td><b>Price:</b> 9 EUR</td>`,
+	`<p>a <br>b<hr/>c </p><p>d</p>`,
+	"<div> \n <p>x</p> \n </div>",
+	`<<<>>><x/><//>`,
+	// Names are lowercased ASCII-only, and a raw-text end tag is found
+	// at a byte offset that invalid UTF-8 must not shift.
+	"<script>" + strings.Repeat("\xff", 10) + "</script>",
+	"<p \xcd=0>",
+	"<p AÉ=1>",
+}
+
+// checkParsersAgree fails t unless the reference parser and the
+// streaming parser build the same tree from src, with the same text and
+// attributes on every node.
+func checkParsersAgree(t *testing.T, src string) {
+	t.Helper()
+	legacy := ParseNodes(src)
+	streamed, err := ParseReader(strings.NewReader(src))
+	if err != nil {
+		t.Fatalf("%.40q: %v", src, err)
 	}
+	if !legacy.Equal(streamed) {
+		t.Errorf("parsers disagree on %.80q:\nnodes:  %s\nstream: %s", src, legacy, streamed)
+		return
+	}
+	for j, n := range legacy.Nodes {
+		sn := streamed.Nodes[j]
+		if n.Text != sn.Text {
+			t.Errorf("%.40q: node %d text %q vs %q", src, j, n.Text, sn.Text)
+		}
+		if len(n.Attrs) != len(sn.Attrs) {
+			t.Errorf("%.40q: node %d attrs %v vs %v", src, j, n.Attrs, sn.Attrs)
+			continue
+		}
+		for k, v := range n.Attrs {
+			if w, ok := sn.Attrs[k]; !ok || w != v {
+				t.Errorf("%.40q: node %d attr %q=%q vs %q", src, j, k, v, w)
+			}
+		}
+	}
+}
+
+func TestStreamingMatchesNodes(t *testing.T) {
+	crafted := append([]string(nil), streamingCrafted...)
 	rng := rand.New(rand.NewSource(11))
 	for i := 0; i < 6; i++ {
 		crafted = append(crafted,
@@ -302,29 +342,20 @@ func TestStreamingMatchesNodes(t *testing.T) {
 			NewsIndex(rng, 1+rng.Intn(4), 1+rng.Intn(6)))
 	}
 	for _, src := range crafted {
-		legacy := ParseNodes(src)
-		streamed, err := ParseReader(strings.NewReader(src))
-		if err != nil {
-			t.Fatalf("%.40q: %v", src, err)
-		}
-		if !legacy.Equal(streamed) {
-			t.Errorf("parsers disagree on %.80q:\nnodes:  %s\nstream: %s", src, legacy, streamed)
-			continue
-		}
-		// Attributes agree node-by-node.
-		for j, n := range legacy.Nodes {
-			sn := streamed.Nodes[j]
-			if len(n.Attrs) != len(sn.Attrs) {
-				t.Errorf("%.40q: node %d attrs %v vs %v", src, j, n.Attrs, sn.Attrs)
-				continue
-			}
-			for k, v := range n.Attrs {
-				if sn.Attrs[k] != v {
-					t.Errorf("%.40q: node %d attr %s=%q vs %q", src, j, k, v, sn.Attrs[k])
-				}
-			}
-		}
+		checkParsersAgree(t, src)
 	}
+}
+
+// FuzzStreamingMatchesNodes is the streaming/reference parser
+// differential over arbitrary bytes: neither parser may panic, and both
+// must build the same tree with the same text and attributes.
+//
+//	go test -run '^$' -fuzz '^FuzzStreamingMatchesNodes$' -fuzztime 10s ./internal/html
+func FuzzStreamingMatchesNodes(f *testing.F) {
+	for _, src := range streamingCrafted {
+		f.Add(src)
+	}
+	f.Fuzz(checkParsersAgree)
 }
 
 // TestParseArena checks the bare-arena entry point agrees with the
@@ -457,5 +488,29 @@ func TestParseReaderNoProgress(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("ParseReader hung on a (0, nil) reader")
+	}
+}
+
+// TestArenaColumnsTrimmed: the streaming parser sizes its arena from
+// the input length, which overshoots on markup-heavy pages; a parsed
+// arena must keep no slack in its columns, since cached documents live
+// long.
+func TestArenaColumnsTrimmed(t *testing.T) {
+	src := NewsIndex(rand.New(rand.NewSource(21)), 6, 1000/30)
+	a, err := ParseArena(strings.NewReader(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if guess := len(src)/10 + 64; guess <= a.Len() {
+		t.Fatalf("%d rows against a size guess of %d: the page no longer exercises the trim", a.Len(), guess)
+	}
+	for name, col := range map[string][]int32{
+		"Label": a.Label, "Parent": a.Parent, "FirstChild": a.FirstChild,
+		"NextSibling": a.NextSibling, "PrevSibling": a.PrevSibling,
+		"LastChild": a.LastChild, "TextStart": a.TextStart, "TextEnd": a.TextEnd,
+	} {
+		if len(col) != a.Len() || cap(col) != len(col) {
+			t.Errorf("%s: len %d, cap %d, want both %d", name, len(col), cap(col), a.Len())
+		}
 	}
 }

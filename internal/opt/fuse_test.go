@@ -448,7 +448,7 @@ func TestFuseSubsumeNearDuplicateFleet(t *testing.T) {
 		}
 		evaluated := 0
 		for _, m := range members {
-			for _, r := range full.Plan().Program().Rules {
+			for _, r := range full.Program().Rules {
 				if strings.HasPrefix(r.Head.Pred, m.Prefix) {
 					evaluated++
 					break
@@ -459,11 +459,11 @@ func TestFuseSubsumeNearDuplicateFleet(t *testing.T) {
 			t.Errorf("N=%d: %d members own rules, want 4 (one per base shape)", n, evaluated)
 		}
 		for d, nav := range navs {
-			bdb, err := base.RunFull(nav, nil)
+			bdb, err := base.Run(nav, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			fdb, err := full.RunFull(nav, nil)
+			fdb, err := full.Run(nav, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

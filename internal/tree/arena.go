@@ -177,21 +177,25 @@ func (b *ArenaBuilder) Syms() *Symbols { return b.a.Syms }
 
 // Grow pre-sizes the arrays for n expected nodes.
 func (b *ArenaBuilder) Grow(n int) {
-	grow := func(s *[]int32) {
+	for _, s := range b.columns() {
 		if cap(*s) < n {
-			t := make([]int32, len(*s), n)
-			copy(t, *s)
-			*s = t
+			*s = withCap(*s, n)
 		}
 	}
-	grow(&b.a.Label)
-	grow(&b.a.Parent)
-	grow(&b.a.FirstChild)
-	grow(&b.a.NextSibling)
-	grow(&b.a.PrevSibling)
-	grow(&b.a.LastChild)
-	grow(&b.a.TextStart)
-	grow(&b.a.TextEnd)
+}
+
+// columns lists the arena's int32 columns, for whole-arena resizes.
+func (b *ArenaBuilder) columns() []*[]int32 {
+	a := &b.a
+	return []*[]int32{&a.Label, &a.Parent, &a.FirstChild, &a.NextSibling,
+		&a.PrevSibling, &a.LastChild, &a.TextStart, &a.TextEnd}
+}
+
+// withCap copies s into a fresh slice of capacity n ≥ len(s).
+func withCap(s []int32, n int) []int32 {
+	t := make([]int32, len(s), n)
+	copy(t, s)
+	return t
 }
 
 // Open appends a new node labeled label as the next child of the
@@ -299,6 +303,13 @@ func (b *ArenaBuilder) SetAttrs(id int32, attrs map[string]string) {
 // Finish closes any still-open nodes, seals the text blob and returns
 // the arena. The builder must not be reused afterwards.
 func (b *ArenaBuilder) Finish() *Arena {
+	// Grow's capacity is a guess: a sealed arena keeps exactly its rows,
+	// so a cached document carries no slack in its columns.
+	for _, s := range b.columns() {
+		if cap(*s) > len(*s) {
+			*s = withCap(*s, len(*s))
+		}
+	}
 	b.stack = b.stack[:0]
 	b.a.Blob = string(b.blob)
 	b.blob = nil

@@ -6,7 +6,7 @@ package mdlog
 // Compile(src, lang) into one CompiledQuery value whose one run path,
 // Run (with Select / Eval / Wrap as readings of it), executes a
 // prepared plan against any number of documents, concurrently, with
-// per-document state memoized in a TreeCache. See DESIGN.md for the
+// per-document results memoized in a TreeCache. See DESIGN.md for the
 // architecture.
 
 import (
@@ -149,9 +149,8 @@ func (l *Language) UnmarshalText(b []byte) error {
 // Stats is the per-query / per-run timing and fact-count record.
 type Stats = eval.Stats
 
-// TreeCache memoizes per-document evaluation state (navigation
-// arrays, per-query results) across runs and across queries sharing
-// the cache.
+// TreeCache memoizes per-(query, document) results across runs and
+// across queries sharing the cache.
 type TreeCache = eval.TreeCache
 
 // CacheStats is a snapshot of a TreeCache's contents and traffic (see
@@ -235,11 +234,11 @@ func WithExtract(preds ...string) Option { return func(c *compileConfig) { c.ext
 func WithWrapOptions(o WrapOptions) Option { return func(c *compileConfig) { c.wrapOpts = o } }
 
 // WithCache shares a TreeCache between several compiled queries, so
-// documents are materialized once for all of them.
+// queries whose prepared plans coincide share memoized results.
 func WithCache(tc *TreeCache) Option { return func(c *compileConfig) { c.cache = tc } }
 
-// WithoutCache disables per-document memoization: every run rebuilds
-// its navigation arrays.
+// WithoutCache disables per-document memoization: every run
+// evaluates the document afresh.
 func WithoutCache() Option { return func(c *compileConfig) { c.noCache = true } }
 
 // WithOptLevel sets the compile-time optimization level (default
@@ -254,7 +253,7 @@ func WithOptLevel(l OptLevel) Option { return func(c *compileConfig) { c.optLeve
 // engineName identifies the executor for stats attribution (the
 // datalog engine name, "automaton", or a *-direct evaluator).
 type queryPlan interface {
-	run(ctx context.Context, t *Tree, cache *TreeCache) (*Database, Stats, error)
+	run(t *Tree) (*Database, Stats, error)
 	engineName() string
 }
 
@@ -387,7 +386,7 @@ func parseSource(src string, lang Language, opts []Option) (func() (*CompiledQue
 		if err != nil {
 			return nil, err
 		}
-		return func() (*CompiledQuery, error) { return compileDatalog(p, lang, newConfig(opts)) }, nil
+		return func() (*CompiledQuery, error) { return compileDatalog(p, lang, opts) }, nil
 	case LangMSO:
 		f, err := mso.Parse(src)
 		if err != nil {
@@ -425,12 +424,28 @@ func parseSource(src string, lang Language, opts []Option) (func() (*CompiledQue
 	return nil, fmt.Errorf("mdlog: unknown language %v", lang)
 }
 
-func newConfig(opts []Option) *compileConfig {
+// newConfig applies opts over the defaults. It rejects, for every
+// language, any engine but the two grounding engines: an unknown
+// engine must never defer its failure to the first run (or silently
+// fall back).
+func newConfig(opts []Option) (*compileConfig, error) {
 	cfg := &compileConfig{engine: eval.DefaultEngine, optLevel: OptFull}
 	for _, o := range opts {
 		o(cfg)
 	}
-	return cfg
+	if cfg.engine != EngineLinear && cfg.engine != EngineBitmap {
+		return nil, fmt.Errorf("mdlog: unsupported engine %v (valid engines: %v, %v)", cfg.engine, EngineLinear, EngineBitmap)
+	}
+	return cfg, nil
+}
+
+// pred is the query predicate of a language without a natural one:
+// WithQueryPred's, else DefaultQueryPred.
+func (cfg *compileConfig) pred() string {
+	if cfg.queryPred != "" {
+		return cfg.queryPred
+	}
+	return DefaultQueryPred
 }
 
 // visiblePreds computes the predicates whose extensions a caller can
@@ -456,7 +471,10 @@ func visiblePreds(p *Program, cfg *compileConfig, all []string) []string {
 	return vis
 }
 
-func (cfg *compileConfig) newQuery(lang Language, plan queryPlan, queryPred string, extract []string) *CompiledQuery {
+// newQuery builds the query shell a Compile* function installs its plan
+// in; the result memo is keyed by the query's identity unless ground
+// supplies a plan key.
+func (cfg *compileConfig) newQuery(lang Language, queryPred string, extract []string) *CompiledQuery {
 	cache := cfg.cache
 	if cache == nil && !cfg.noCache {
 		cache = NewTreeCache(DefaultCacheTrees)
@@ -473,7 +491,6 @@ func (cfg *compileConfig) newQuery(lang Language, plan queryPlan, queryPred stri
 		extract:   extract,
 		wrapOpts:  cfg.wrapOpts,
 		cache:     cache,
-		plan:      plan,
 	}
 	q.memoKey = q
 	return q
@@ -486,111 +503,93 @@ func (q *CompiledQuery) setCompile(d time.Duration) { q.agg.compile.Store(int64(
 // CompileProgram prepares an already-parsed monadic datalog program
 // (the AST-level twin of Compile(src, LangDatalog)).
 func CompileProgram(p *Program, opts ...Option) (*CompiledQuery, error) {
-	return compileDatalog(p, LangDatalog, newConfig(opts))
+	return compileDatalog(p, LangDatalog, opts)
 }
 
-// checkEngine rejects, at compile time and for every language, any
-// engine but the two grounding engines — an unknown engine must never
-// defer its failure to the first run (or silently fall back).
-func (cfg *compileConfig) checkEngine() error {
-	if cfg.engine != EngineLinear && cfg.engine != EngineBitmap {
-		return fmt.Errorf("mdlog: unsupported engine %v (valid engines: %v, %v)", cfg.engine, EngineLinear, EngineBitmap)
-	}
-	return nil
-}
-
-// groundPlan prepares an already-normalized program for one of the
-// two grounding engines: the Theorem 4.2 linear engine or its
-// columnar bitmap counterpart.
-func groundPlan(np *Program, engine Engine, project []string) (queryPlan, error) {
-	if engine == EngineBitmap {
-		bp, err := eval.NewBitmapPlan(np)
-		if err != nil {
-			return nil, err
-		}
-		return &bitmapPlan{plan: bp, project: project}, nil
-	}
-	pl, err := eval.NewPlan(np)
+// ground is the compile tail every datalog-routed language shares: it
+// optimizes the normalized program np for the visible predicates,
+// prepares it for the configured grounding engine, and installs the
+// plan, the optimizer report and the result-memo key on q.
+func (cfg *compileConfig) ground(q *CompiledQuery, np *Program, visible []string) (*groundingPlan, error) {
+	np, q.optReport = opt.Optimize(np, opt.Options{Level: cfg.optLevel, Roots: visible})
+	g, err := eval.NewGrounding(np, cfg.engine)
 	if err != nil {
 		return nil, err
 	}
-	return &linearPlan{plan: pl, project: project}, nil
-}
-
-func compileDatalog(p *Program, lang Language, cfg *compileConfig) (*CompiledQuery, error) {
-	start := time.Now()
-	if err := cfg.checkEngine(); err != nil {
-		return nil, err
-	}
-	extract := p.IntensionalPreds()
-	if lang == LangTMNF {
-		if err := tmnf.IsTMNF(p); err != nil {
-			return nil, err
-		}
-	}
-	visible := visiblePreds(p, cfg, extract)
-	np := p
-	// Normalize: the grounding engines cannot use child/2 (no
-	// functional dependency, Proposition 4.1); Theorem 5.2 eliminates
-	// it. The visible-predicate projection keeps the tm_* auxiliaries
-	// out of the result relations.
-	if lang == LangDatalog && eval.SignatureOf(p).Child {
-		tp, err := tmnf.Transform(p)
-		if err != nil {
-			return nil, err
-		}
-		np = tp
-	}
-	np, report := opt.Optimize(np, opt.Options{Level: cfg.optLevel, Roots: visible})
-	plan, err := groundPlan(np, cfg.engine, visible)
-	if err != nil {
-		return nil, err
-	}
-	q := cfg.newQuery(lang, plan, p.Query, extract)
-	q.optReport = report
+	gp := &groundingPlan{Grounding: g, project: visible}
+	q.plan = gp
 	q.memoKey = newPlanKey(np, cfg.engine, visible)
+	return gp, nil
+}
+
+// withoutChild normalizes a program that uses child/2 into TMNF
+// (Theorem 5.2): the grounding engines cannot use child/2, which has
+// no functional dependency (Proposition 4.1). Other programs pass
+// through unchanged.
+func withoutChild(p *Program) (*Program, error) {
+	if !eval.SignatureOf(p).Child {
+		return p, nil
+	}
+	return tmnf.Transform(p)
+}
+
+func compileDatalog(p *Program, lang Language, opts []Option) (*CompiledQuery, error) {
+	start := time.Now()
+	cfg, err := newConfig(opts)
+	if err != nil {
+		return nil, err
+	}
+	np := p
+	if lang == LangTMNF {
+		err = tmnf.IsTMNF(p)
+	} else {
+		np, err = withoutChild(p)
+	}
+	if err != nil {
+		return nil, err
+	}
+	// The visible-predicate projection keeps the tm_* auxiliaries of
+	// the normalization out of the result relations.
+	extract := p.IntensionalPreds()
+	q := cfg.newQuery(lang, p.Query, extract)
+	if _, err := cfg.ground(q, np, visiblePreds(p, cfg, extract)); err != nil {
+		return nil, err
+	}
 	q.setCompile(time.Since(start))
 	return q, nil
 }
 
 // CompileMSO prepares an already-parsed unary MSO formula.
 func CompileMSO(f MSOFormula, opts ...Option) (*CompiledQuery, error) {
-	cfg := newConfig(opts)
 	start := time.Now()
-	if err := cfg.checkEngine(); err != nil {
+	cfg, err := newConfig(opts)
+	if err != nil {
 		return nil, err
 	}
 	uq, err := mso.CompileQuery(f)
 	if err != nil {
 		return nil, err
 	}
-	pred := cfg.queryPred
-	if pred == "" {
-		pred = DefaultQueryPred
-	}
-	q := cfg.newQuery(LangMSO, &msoPlan{q: uq, pred: pred}, pred, []string{pred})
+	pred := cfg.pred()
+	q := cfg.newQuery(LangMSO, pred, []string{pred})
+	q.plan = &msoPlan{q: uq, pred: pred}
 	q.setCompile(time.Since(start))
 	return q, nil
 }
 
 // CompileXPath prepares an already-parsed Core XPath query.
 func CompileXPath(x *XPath, opts ...Option) (*CompiledQuery, error) {
-	cfg := newConfig(opts)
 	start := time.Now()
-	if err := cfg.checkEngine(); err != nil {
+	cfg, err := newConfig(opts)
+	if err != nil {
 		return nil, err
 	}
-	pred := cfg.queryPred
-	if pred == "" {
-		pred = DefaultQueryPred
-	}
-	var plan queryPlan
-	var report OptReport
-	var memoKey any
+	pred := cfg.pred()
+	q := cfg.newQuery(LangXPath, pred, []string{pred})
 	if x.HasNegation() {
 		// not(·) has no positive datalog translation; use the direct
 		// evaluator (reference semantics).
-		plan = &xpathDirectPlan{x: x, pred: pred}
+		q.plan = &xpathDirectPlan{x: x, pred: pred}
 	} else {
 		dp, err := xpath.ToDatalog(x, pred)
 		if err != nil {
@@ -600,18 +599,9 @@ func CompileXPath(x *XPath, opts ...Option) (*CompiledQuery, error) {
 		if err != nil {
 			return nil, err
 		}
-		tp, report = opt.Optimize(tp, opt.Options{Level: cfg.optLevel, Roots: []string{pred}})
-		pl, err := groundPlan(tp, cfg.engine, []string{pred})
-		if err != nil {
+		if _, err := cfg.ground(q, tp, []string{pred}); err != nil {
 			return nil, err
 		}
-		plan = pl
-		memoKey = newPlanKey(tp, cfg.engine, []string{pred})
-	}
-	q := cfg.newQuery(LangXPath, plan, pred, []string{pred})
-	q.optReport = report
-	if memoKey != nil {
-		q.memoKey = memoKey
 	}
 	q.setCompile(time.Since(start))
 	return q, nil
@@ -620,40 +610,29 @@ func CompileXPath(x *XPath, opts ...Option) (*CompiledQuery, error) {
 // CompileCaterpillar prepares a caterpillar expression as the unary
 // query root.E (Corollary 5.12).
 func CompileCaterpillar(e CaterpillarExpr, opts ...Option) (*CompiledQuery, error) {
-	cfg := newConfig(opts)
 	start := time.Now()
-	if err := cfg.checkEngine(); err != nil {
-		return nil, err
-	}
-	pred := cfg.queryPred
-	if pred == "" {
-		pred = DefaultQueryPred
-	}
-	cp := caterpillar.QueryProgram(e, pred)
-	if eval.SignatureOf(cp).Child {
-		tp, err := tmnf.Transform(cp)
-		if err != nil {
-			return nil, err
-		}
-		cp = tp
-	}
-	cp, report := opt.Optimize(cp, opt.Options{Level: cfg.optLevel, Roots: []string{pred}})
-	pl, err := groundPlan(cp, cfg.engine, []string{pred})
+	cfg, err := newConfig(opts)
 	if err != nil {
 		return nil, err
 	}
-	q := cfg.newQuery(LangCaterpillar, pl, pred, []string{pred})
-	q.optReport = report
-	q.memoKey = newPlanKey(cp, cfg.engine, []string{pred})
+	pred := cfg.pred()
+	cp, err := withoutChild(caterpillar.QueryProgram(e, pred))
+	if err != nil {
+		return nil, err
+	}
+	q := cfg.newQuery(LangCaterpillar, pred, []string{pred})
+	if _, err := cfg.ground(q, cp, []string{pred}); err != nil {
+		return nil, err
+	}
 	q.setCompile(time.Since(start))
 	return q, nil
 }
 
 // CompileElog prepares an already-parsed Elog⁻ / Elog⁻Δ program.
 func CompileElog(p *ElogProgram, opts ...Option) (*CompiledQuery, error) {
-	cfg := newConfig(opts)
 	start := time.Now()
-	if err := cfg.checkEngine(); err != nil {
+	cfg, err := newConfig(opts)
+	if err != nil {
 		return nil, err
 	}
 	if err := p.Validate(); err != nil {
@@ -676,28 +655,17 @@ func CompileElog(p *ElogProgram, opts ...Option) (*CompiledQuery, error) {
 	} else if len(patterns) == 1 {
 		pred = patterns[0]
 	}
-	var plan queryPlan
-	var report OptReport
-	var memoKey any
+	q := cfg.newQuery(LangElog, pred, extract)
 	if p.UsesDelta() {
-		plan = &elogDirectPlan{prog: p, patterns: patterns}
+		q.plan = &elogDirectPlan{prog: p, patterns: patterns}
 	} else {
 		dp, err := p.CompileLinear() // ToDatalog + TMNF (Corollary 6.4)
 		if err != nil {
 			return nil, err
 		}
-		dp, report = opt.Optimize(dp, opt.Options{Level: cfg.optLevel, Roots: patterns})
-		pl, err := groundPlan(dp, cfg.engine, patterns)
-		if err != nil {
+		if _, err := cfg.ground(q, dp, patterns); err != nil {
 			return nil, err
 		}
-		plan = pl
-		memoKey = newPlanKey(dp, cfg.engine, patterns)
-	}
-	q := cfg.newQuery(LangElog, plan, pred, extract)
-	q.optReport = report
-	if memoKey != nil {
-		q.memoKey = memoKey
 	}
 	q.setCompile(time.Since(start))
 	return q, nil
@@ -759,7 +727,7 @@ func (q *CompiledQuery) Run(ctx context.Context, t *Tree) SetResult {
 
 // run is Run also returning the visible result database.
 func (q *CompiledQuery) run(ctx context.Context, t *Tree) (*Database, SetResult) {
-	db, rs, err := q.runCached(ctx, t)
+	db, rs, err := runCached(ctx, t, q.cache, q.plan, q.memoKey)
 	return db, q.result(arenaSource{a: t.Arena()}, db, rs, err)
 }
 
@@ -815,31 +783,25 @@ func (q *CompiledQuery) Eval(ctx context.Context, t *Tree) (*Database, error) {
 	return db, res.Err
 }
 
-// runCached consults the per-(query, tree) result memo before the
-// plan: on an immutable document the plan is deterministic, so a
-// repeat run is a map lookup (use TreeCache.Forget after mutating a
-// document, or WithoutCache to opt out). The cached database is
-// shared and must be treated as read-only.
-func (q *CompiledQuery) runCached(ctx context.Context, t *Tree) (*Database, Stats, error) {
-	return q.runCachedIn(ctx, t, q.cache)
-}
-
-// runCachedIn is runCached against an explicit cache instead of the
-// query's own — a QuerySet routes its unfused members through the
-// set's cache, so one Forget invalidates every member's state for a
-// mutated document.
-func (q *CompiledQuery) runCachedIn(ctx context.Context, t *Tree, cache *TreeCache) (*Database, Stats, error) {
+// runCached is the one way a plan runs over a tree: it consults the
+// result memo in cache (nil: no memoization) under key before running
+// the plan, and memoizes what the plan returns. On an immutable
+// document the plan is deterministic, so a repeat run is a map lookup
+// (use TreeCache.Forget after mutating a document, or WithoutCache to
+// opt out). The cached database is shared and must be treated as
+// read-only.
+func runCached(ctx context.Context, t *Tree, cache *TreeCache, plan queryPlan, key any) (*Database, Stats, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, Stats{}, err
 	}
 	if cache != nil {
-		if db, ok := cache.Result(t, q.memoKey); ok {
-			return db, Stats{CacheHits: 1, Engine: q.plan.engineName()}, nil
+		if db, ok := cache.Result(t, key); ok {
+			return db, Stats{CacheHits: 1, Engine: plan.engineName()}, nil
 		}
 	}
-	db, rs, err := q.plan.run(ctx, t, cache)
+	db, rs, err := plan.run(t)
 	if err == nil && cache != nil {
-		cache.SetResult(t, q.memoKey, db)
+		cache.SetResult(t, key, db)
 	}
 	return db, rs, err
 }
@@ -873,61 +835,39 @@ func (q *CompiledQuery) Wrap(ctx context.Context, t *Tree) (*Tree, error) {
 // ---------------------------------------------------------------------
 // Plan implementations.
 
-// linearPlan executes a prepared Theorem 4.2 plan; project restricts
-// the visible predicates (nil: everything the program derives).
-type linearPlan struct {
-	plan    *eval.Plan
+// groundingPlan runs a prepared grounding plan — the Theorem 4.2
+// linear engine or its columnar bitmap counterpart — projected onto the
+// visible predicates (nil: everything the program derives).
+type groundingPlan struct {
+	eval.Grounding
 	project []string
 }
 
-func (p *linearPlan) engineName() string { return EngineLinear.String() }
+func (p *groundingPlan) engineName() string { return p.Engine().String() }
 
-func (p *linearPlan) run(ctx context.Context, t *Tree, cache *TreeCache) (*Database, Stats, error) {
-	return runGrounding(ctx, t, cache, p.engineName(), p.project, p.plan.Run)
-}
-
-// bitmapPlan executes a prepared columnar bitmap plan — the same
-// Theorem 4.2 fragment as linearPlan, evaluated as bulk bitset
-// algebra over the arena columns.
-type bitmapPlan struct {
-	plan    *eval.BitmapPlan
-	project []string
-}
-
-func (p *bitmapPlan) engineName() string { return EngineBitmap.String() }
-
-func (p *bitmapPlan) run(ctx context.Context, t *Tree, cache *TreeCache) (*Database, Stats, error) {
-	return runGrounding(ctx, t, cache, p.engineName(), p.project, p.plan.Run)
-}
-
-// runGrounding is the shared run path of the two grounding-engine
-// plans: fetch or build the navigation arrays, then execute the
-// prepared plan, which materializes only the visible relations.
-func runGrounding(ctx context.Context, t *Tree, cache *TreeCache, engine string, project []string,
-	exec func(*eval.Nav, []string) (*Database, error)) (*Database, Stats, error) {
-	rs := Stats{Engine: engine}
-	if err := ctx.Err(); err != nil {
-		return nil, rs, err
-	}
-	var nav *eval.Nav
+// run builds the navigation arrays over t's arena and executes the
+// plan, which materializes only the visible relations.
+func (p *groundingPlan) run(t *Tree) (*Database, Stats, error) {
+	rs := Stats{Engine: p.engineName()}
 	start := time.Now()
-	if cache != nil {
-		var hit bool
-		nav, hit = cache.NavCached(t)
-		if hit {
-			rs.CacheHits = 1
-		}
-	} else {
-		nav = eval.NewNav(t)
-	}
+	nav := eval.NewNav(t)
 	rs.Materialize = time.Since(start)
 	start = time.Now()
-	db, err := exec(nav, project)
+	db, err := p.Run(nav, p.project)
 	rs.Eval = time.Since(start)
-	if err != nil {
-		return nil, rs, err
+	return db, rs, err
+}
+
+// groundingOf returns the grounding plan behind p — a spanner's node
+// part included — or nil for the automaton and the direct evaluators.
+func groundingOf(p queryPlan) *groundingPlan {
+	switch p := p.(type) {
+	case *groundingPlan:
+		return p
+	case *spannerPlan:
+		return p.groundingPlan
 	}
-	return db, rs, nil
+	return nil
 }
 
 // msoPlan runs the compiled tree automaton (two linear passes).
@@ -938,11 +878,8 @@ type msoPlan struct {
 
 func (p *msoPlan) engineName() string { return "automaton" }
 
-func (p *msoPlan) run(ctx context.Context, t *Tree, _ *TreeCache) (*Database, Stats, error) {
+func (p *msoPlan) run(t *Tree) (*Database, Stats, error) {
 	rs := Stats{Engine: p.engineName()}
-	if err := ctx.Err(); err != nil {
-		return nil, rs, err
-	}
 	start := time.Now()
 	ids := p.q.Select(t)
 	rs.Eval = time.Since(start)
@@ -958,11 +895,8 @@ type xpathDirectPlan struct {
 
 func (p *xpathDirectPlan) engineName() string { return "xpath-direct" }
 
-func (p *xpathDirectPlan) run(ctx context.Context, t *Tree, _ *TreeCache) (*Database, Stats, error) {
+func (p *xpathDirectPlan) run(t *Tree) (*Database, Stats, error) {
 	rs := Stats{Engine: p.engineName()}
-	if err := ctx.Err(); err != nil {
-		return nil, rs, err
-	}
 	start := time.Now()
 	ids := xpath.Select(p.x, t)
 	rs.Eval = time.Since(start)
@@ -978,11 +912,8 @@ type elogDirectPlan struct {
 
 func (p *elogDirectPlan) engineName() string { return "elog-direct" }
 
-func (p *elogDirectPlan) run(ctx context.Context, t *Tree, _ *TreeCache) (*Database, Stats, error) {
+func (p *elogDirectPlan) run(t *Tree) (*Database, Stats, error) {
 	rs := Stats{Engine: p.engineName()}
-	if err := ctx.Err(); err != nil {
-		return nil, rs, err
-	}
 	start := time.Now()
 	res, err := p.prog.EvalDirect(t)
 	rs.Eval = time.Since(start)

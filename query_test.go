@@ -325,31 +325,6 @@ func TestCompiledQueryContextCancel(t *testing.T) {
 	}
 }
 
-func TestSharedCacheAcrossQueries(t *testing.T) {
-	doc := ParseHTML(crossPage)
-	tc := NewTreeCache(0)
-	q1, err := Compile(`q(X) :- label_td(X). ?- q.`, LangDatalog, WithCache(tc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	q2, err := Compile(`q(X) :- label_tr(X). ?- q.`, LangDatalog, WithCache(tc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	if _, err := q1.Select(ctx, doc); err != nil {
-		t.Fatal(err)
-	}
-	if res := q2.Run(ctx, doc); res.Err != nil {
-		t.Fatal(res.Err)
-	} else if rs := res.Stats; rs.CacheHits != 1 {
-		t.Errorf("q2 should reuse q1's cached document state: %+v", rs)
-	}
-	if tc.Len() != 1 {
-		t.Errorf("cache holds %d trees, want 1", tc.Len())
-	}
-}
-
 // TestUnknownBinaryDiagnosedAtEveryOptLevel: a typo'd tree relation
 // must fail compilation identically at -O0 and -O1 — the optimizer is
 // not allowed to eliminate its way past a diagnosable error, even

@@ -20,11 +20,10 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"time"
 
-	"mdlog/internal/datalog"
 	"mdlog/internal/eval"
 	"mdlog/internal/opt"
+	"mdlog/internal/span"
 )
 
 // FuseReport describes what fusing a QuerySet did: total member rules
@@ -95,20 +94,20 @@ type QuerySet struct {
 
 	// fused covers the members at the positions in fusedIdx — every
 	// member whose plan routes through a grounding datalog engine; nil
-	// when fewer than two members are fusable.
-	fused    *eval.FusedPlan
-	fusedIdx []int
-	fusedKey planKey
-	// fusedNoCache disables the fused pass's memoization: set when any
-	// fused member was compiled WithoutCache, because memoizing the
-	// shared result would silently reinstate the per-document caching
-	// that member's compile options opted out of.
-	fusedNoCache bool
-	// fusedVisible is the union of the members' apex-renamed visible
+	// when fewer than two members are fusable. fusedPlan runs it
+	// projected onto the union of the members' apex-renamed visible
 	// predicates — the only relations the fused pass materializes, so
 	// the memo never retains merged auxiliary relations.
-	fusedVisible []string
-	report       FuseReport
+	fused     *eval.FusedPlan
+	fusedPlan *groundingPlan
+	fusedIdx  []int
+	fusedKey  planKey
+	// fusedCache memoizes the fused pass: the set's cache, or nil when
+	// any fused member was compiled WithoutCache, because memoizing the
+	// shared result would silently reinstate the per-document caching
+	// that member's compile options opted out of.
+	fusedCache *TreeCache
+	report     FuseReport
 	// plans is the per-member compile outcome (fused / subsumed /
 	// equivalence class), computed once at build time.
 	plans []MemberPlan
@@ -178,40 +177,32 @@ func NewNamedQuerySet(members ...NamedQuery) (*QuerySet, error) {
 	}
 	var fuseMembers []opt.FuseMember
 	linearMembers := 0
+	s.fusedCache = s.cache
 	for i, m := range s.members {
 		if m.Query == nil {
 			return nil, fmt.Errorf("mdlog: QuerySet member %d (%s) is nil", i, m.Name)
 		}
-		// Both grounding-engine plans fuse: they execute the same
-		// prepared Theorem 4.2 plans, only the execution strategy
-		// differs.
-		var prog *datalog.Program
-		var visible []string
-		// A spanner member's node part is an ordinary grounding plan —
-		// fuse it; the span rules run per member on the split-out
-		// candidate relations (see fill).
-		plan := m.Query.plan
-		if sp, ok := plan.(*spannerPlan); ok {
-			plan = sp.inner
-		}
-		switch lp := plan.(type) {
-		case *linearPlan:
-			prog, visible = lp.plan.Program(), lp.project
-			linearMembers++
-		case *bitmapPlan:
-			prog, visible = lp.plan.Program(), lp.project
-		default:
+		// Every grounding plan fuses, whichever engine it was compiled
+		// for — both execute the same prepared Theorem 4.2 plans. A
+		// spanner member's node part is one too; the span rules run per
+		// member on the split-out candidate relations (see fill).
+		g := groundingOf(m.Query.plan)
+		if g == nil {
 			continue
+		}
+		prog := g.Program()
+		if g.Engine() == EngineLinear {
+			linearMembers++
 		}
 		fuseMembers = append(fuseMembers, opt.FuseMember{
 			Prefix:  fmt.Sprintf("s%d__", i),
 			Program: prog,
-			Visible: append([]string(nil), visible...),
+			Visible: append([]string(nil), g.project...),
 		})
 		s.plans[i].Rules = len(prog.Rules)
 		s.fusedIdx = append(s.fusedIdx, i)
 		if m.Query.cache == nil {
-			s.fusedNoCache = true
+			s.fusedCache = nil
 		}
 	}
 	if len(fuseMembers) >= 2 {
@@ -280,10 +271,7 @@ func NewNamedQuerySet(members ...NamedQuery) (*QuerySet, error) {
 					classRep[cls] = s.members[idx].Name
 				}
 			}
-			if mp.Rules == 0 {
-				evalMembers[j].Subsumed = true
-				mp.Subsumed = true
-			}
+			mp.Subsumed = mp.Rules == 0
 		}
 		for j := range fuseMembers {
 			mp := &s.plans[s.fusedIdx[j]]
@@ -306,8 +294,8 @@ func NewNamedQuerySet(members ...NamedQuery) (*QuerySet, error) {
 			return nil, fmt.Errorf("mdlog: fusing %d queries: %w", len(fuseMembers), err)
 		}
 		s.fused = fp
+		s.fusedPlan = &groundingPlan{Grounding: fp, project: project}
 		s.report = rep
-		s.fusedVisible = project
 		s.fusedKey = newPlanKey(fusedProg, fusedEngine, project)
 	} else {
 		s.fusedIdx = nil
@@ -369,9 +357,9 @@ func (s *QuerySet) FusedLen() int {
 func (s *QuerySet) FuseStats() FuseReport { return s.report }
 
 // Cache returns the set's TreeCache, which holds ALL of the set's
-// per-document state — the fused pass's navigation arrays and result
-// memo plus the unfused members' memos — so Forget on a mutated
-// document invalidates every member's results at once.
+// per-document results — the fused pass's memo plus the unfused
+// members' memos — so Forget on a mutated document invalidates every
+// member's results at once.
 func (s *QuerySet) Cache() *TreeCache { return s.cache }
 
 // Stats returns the set's lifetime aggregate: one entry of Runs per
@@ -385,31 +373,50 @@ func (s *QuerySet) Stats() Stats { return s.agg.snapshot() }
 // failure is isolated to its own result; a canceled context fails
 // every member still pending.
 func (s *QuerySet) Run(ctx context.Context, t *Tree) []SetResult {
+	return s.runMembers(arenaSource{a: t.Arena()},
+		func() (*Database, Stats, error) {
+			return runCached(ctx, t, s.fusedCache, s.fusedPlan, s.fusedKey)
+		},
+		func(q *CompiledQuery, cache *TreeCache) (*Database, Stats, error) {
+			return runCached(ctx, t, cache, q.plan, q.memoKey)
+		})
+}
+
+// runMembers is the one member loop behind Run and RunIncremental:
+// fused computes the shared pass's database, which is split per fused
+// member, and member computes one unfused member's visible database
+// against cache. src supplies character data for spanner members in
+// the databases' id space. Stats are attributed per member and the
+// set-level total is recorded once.
+func (s *QuerySet) runMembers(src span.Source, fused func() (*Database, Stats, error),
+	member func(q *CompiledQuery, cache *TreeCache) (*Database, Stats, error)) []SetResult {
 	out := make([]SetResult, len(s.members))
 	for i, m := range s.members {
 		out[i] = SetResult{Name: m.Name, Index: i}
 	}
 	var total Stats
-	src := arenaSource{a: t.Arena()}
 	if s.fused != nil {
-		dbs, shared, err := s.runFused(ctx, t)
+		full, shared, err := fused()
 		total.Add(shared)
+		var dbs []*Database
+		if err == nil {
+			dbs = s.fused.Split(full)
+		}
 		for j, idx := range s.fusedIdx {
-			res := &out[idx]
 			if err != nil {
-				res.Err = err
+				out[idx].Err = err
 				continue
 			}
 			st := eval.AttributeShared(shared, len(s.fusedIdx))
 			st.Runs, st.FusedRuns = 1, 1
-			if s.fused.MemberSubsumed(j) {
+			if s.plans[idx].Subsumed {
 				st.SubsumedRuns = 1
 			}
-			s.members[idx].Query.fill(res, src, dbs[j], st)
+			s.members[idx].Query.fill(&out[idx], src, dbs[j], st)
 		}
 	}
 	for i, m := range s.members {
-		if s.isFused(i) {
+		if s.plans[i].Fused {
 			continue
 		}
 		// Unfused members run against the SET's cache, not their own:
@@ -421,7 +428,7 @@ func (s *QuerySet) Run(ctx context.Context, t *Tree) []SetResult {
 		if m.Query.cache == nil {
 			cache = nil
 		}
-		db, rs, err := m.Query.runCachedIn(ctx, t, cache)
+		db, rs, err := member(m.Query, cache)
 		total.Add(rs)
 		if err != nil {
 			out[i].Err = err
@@ -436,55 +443,4 @@ func (s *QuerySet) Run(ctx context.Context, t *Tree) []SetResult {
 	total.Runs = 1
 	s.agg.record(total)
 	return out
-}
-
-// isFused reports whether member i is covered by the fused plan.
-func (s *QuerySet) isFused(i int) bool {
-	for _, idx := range s.fusedIdx {
-		if idx == i {
-			return true
-		}
-	}
-	return false
-}
-
-// runFused executes the shared pass for one document, consulting the
-// set's result memo first: the fused result database is memoized whole
-// and re-split per call, so a repeat document costs one map lookup plus
-// N cheap projections. When a fused member opted out of caching
-// (WithoutCache), the whole pass runs uncached — fresh navigation,
-// no memo — honoring that member's contract for the shared result.
-func (s *QuerySet) runFused(ctx context.Context, t *Tree) ([]*Database, Stats, error) {
-	rs := Stats{Engine: s.fused.Engine().String()}
-	if err := ctx.Err(); err != nil {
-		return nil, rs, err
-	}
-	if !s.fusedNoCache {
-		if full, ok := s.cache.Result(t, s.fusedKey); ok {
-			rs.CacheHits = 1
-			return s.fused.Split(full), rs, nil
-		}
-	}
-	start := time.Now()
-	var nav *eval.Nav
-	if s.fusedNoCache {
-		nav = eval.NewNav(t)
-	} else {
-		var hit bool
-		nav, hit = s.cache.NavCached(t)
-		if hit {
-			rs.CacheHits = 1
-		}
-	}
-	rs.Materialize = time.Since(start)
-	start = time.Now()
-	full, err := s.fused.RunFull(nav, s.fusedVisible)
-	rs.Eval = time.Since(start)
-	if err != nil {
-		return nil, rs, err
-	}
-	if !s.fusedNoCache {
-		s.cache.SetResult(t, s.fusedKey, full)
-	}
-	return s.fused.Split(full), rs, nil
 }

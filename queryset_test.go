@@ -542,6 +542,27 @@ func TestQuerySetSubsumption(t *testing.T) {
 	if st := base.Stats(); st.SubsumedRuns != 0 || st.Runs != 1 {
 		t.Fatalf("base lifetime stats: %+v", st)
 	}
+
+	// RunIncremental attributes the same way: it shares Run's member
+	// loop, so the subsumed member's maintained run is flagged too.
+	inc := set.RunIncremental(ctx, NewDocument(ParseHTML(querySetPage)))
+	for i, r := range inc {
+		if r.Err != nil {
+			t.Fatalf("incremental %s: %v", r.Name, r.Err)
+		}
+		if fmt.Sprint(r.IDs) != fmt.Sprint(res[i].IDs) {
+			t.Fatalf("incremental %s answers %v, Run %v", r.Name, r.IDs, res[i].IDs)
+		}
+	}
+	if st := inc[1].Stats; st.SubsumedRuns != 1 || st.FusedRuns != 1 {
+		t.Fatalf("incremental variant run stats: %+v", st)
+	}
+	if st := inc[0].Stats; st.SubsumedRuns != 0 {
+		t.Fatalf("incremental base run stats: %+v", st)
+	}
+	if st := variant.Stats(); st.SubsumedRuns != 2 || st.Runs != 2 {
+		t.Fatalf("variant lifetime stats after RunIncremental: %+v", st)
+	}
 }
 
 // TestQuerySetSubsumptionDistinctKeptApart: near-miss members (proper

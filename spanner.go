@@ -19,10 +19,7 @@ import (
 	"slices"
 	"time"
 
-	"mdlog/internal/eval"
-	"mdlog/internal/opt"
 	"mdlog/internal/span"
-	"mdlog/internal/tmnf"
 	"mdlog/internal/tree"
 )
 
@@ -63,22 +60,16 @@ func ParseSpanner(src string) (*SpannerProgram, error) { return span.ParseProgra
 // span evaluator. The node part runs (and caches) like any grounding
 // plan; CompiledQuery.fill adds the span enumeration on top.
 type spannerPlan struct {
-	inner queryPlan
-	eval  *span.Evaluator
-}
-
-func (p *spannerPlan) engineName() string { return p.inner.engineName() }
-
-func (p *spannerPlan) run(ctx context.Context, t *Tree, cache *TreeCache) (*Database, Stats, error) {
-	return p.inner.run(ctx, t, cache)
+	*groundingPlan
+	eval *span.Evaluator
 }
 
 // CompileSpanner prepares an already-parsed spanner program (the
 // AST-level twin of Compile(src, LangSpanner)).
 func CompileSpanner(p *SpannerProgram, opts ...Option) (*CompiledQuery, error) {
-	cfg := newConfig(opts)
 	start := time.Now()
-	if err := cfg.checkEngine(); err != nil {
+	cfg, err := newConfig(opts)
+	if err != nil {
 		return nil, err
 	}
 	np, cands, err := p.NodeProgram()
@@ -99,21 +90,16 @@ func CompileSpanner(p *SpannerProgram, opts ...Option) (*CompiledQuery, error) {
 			visible = append(visible, c)
 		}
 	}
-	if eval.SignatureOf(np).Child {
-		tp, err := tmnf.Transform(np)
-		if err != nil {
-			return nil, err
-		}
-		np = tp
-	}
-	np, report := opt.Optimize(np, opt.Options{Level: cfg.optLevel, Roots: visible})
-	inner, err := groundPlan(np, cfg.engine, visible)
+	np, err = withoutChild(np)
 	if err != nil {
 		return nil, err
 	}
-	q := cfg.newQuery(LangSpanner, &spannerPlan{inner: inner, eval: ev}, p.Node.Query, extract)
-	q.optReport = report
-	q.memoKey = newPlanKey(np, cfg.engine, visible)
+	q := cfg.newQuery(LangSpanner, p.Node.Query, extract)
+	gp, err := cfg.ground(q, np, visible)
+	if err != nil {
+		return nil, err
+	}
+	q.plan = &spannerPlan{groundingPlan: gp, eval: ev}
 	q.setCompile(time.Since(start))
 	return q, nil
 }
