@@ -43,17 +43,20 @@ bench-smoke:
 # compared with the naive fixpoint on every visible relation, plus
 # all-linear and all-bitmap fused QuerySet passes against their
 # individual evaluations, plus the random edit-script oracle
-# (incremental maintenance — grounding plans and the MSO snapshot
-# fallback — ≡ replay from scratch).
+# (incremental maintenance of grounding plans, and the MSO, negated
+# XPath and Elog⁻Δ plans run on the live arena, ≡ replay from scratch).
 # Override the workload with MDLOG_FUZZ_N / MDLOG_FUZZ_SEED.
 # The store restart round-trip rides along: persistence must survive a
 # kill/reboot byte-identically, and it's fast enough for the quick path.
-# Last, ten seconds of native fuzzing pit the reference HTML parser
-# against the streaming one mdlogd serves with, on arbitrary bytes.
+# Last, ten seconds each of native fuzzing: the reference HTML parser
+# against the streaming one mdlogd serves with, on arbitrary bytes;
+# then the XPath printer against the parser and the set-at-a-time
+# Select against the node-at-a-time reference, on arbitrary queries.
 fuzz-smoke:
 	MDLOG_FUZZ_N=$${MDLOG_FUZZ_N:-400} $(GO) test -run 'TestDifferentialEngines|TestIncrementalDifferential' -count=1 .
 	$(GO) test -run 'TestStoreRestartRoundTrip|TestStoreCorruptSnapshotFailsBoot' -count=1 ./internal/service
 	$(GO) test -run '^$$' -fuzz '^FuzzStreamingMatchesNodes$$' -fuzztime 10s ./internal/html
+	$(GO) test -run '^$$' -fuzz '^FuzzXPathSelect$$' -fuzztime 10s ./internal/xpath
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...

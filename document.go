@@ -7,11 +7,11 @@ package mdlog
 // (eval.IncState, DESIGN.md § Incremental maintenance). A compiled
 // query — or a whole QuerySet — run through RunIncremental pays per
 // edit for the delta-rule maintenance of its model instead of
-// re-evaluating the document from scratch; plans outside the
-// maintainable fragment (the MSO automaton, direct evaluators)
-// transparently fall back to a from-scratch run over the canonical
-// live tree, mapped back to arena ids, so results are
-// engine-independent.
+// re-evaluating the document from scratch. Plans outside the
+// maintainable fragment (the MSO automaton, the direct XPath and
+// Elog⁻Δ evaluators) run from scratch on the document's own tree,
+// whose arena they read in live preorder, memoized per generation.
+// Every plan answers in arena ids, so results are engine-independent.
 //
 // All edits to a Document's tree MUST go through the Document: it
 // serializes mutation against evaluation and keeps the delta log that
@@ -22,11 +22,9 @@ package mdlog
 import (
 	"context"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
-	"mdlog/internal/datalog"
 	"mdlog/internal/eval"
 	"mdlog/internal/tree"
 )
@@ -55,13 +53,6 @@ type Document struct {
 	// states maps a plan identity (CompiledQuery.memoKey or
 	// QuerySet.fusedKey) to its incremental maintainer.
 	states map[any]*docState
-
-	// snap memoizes the canonical live tree (and its preorder → arena
-	// id mapping) per generation, for the fallback path of plans the
-	// delta maintainer cannot cover.
-	snap    *Tree
-	snapPre []int32
-	snapGen uint64
 
 	edits int64
 }
@@ -123,29 +114,19 @@ func (d *Document) LiveNodes() []int {
 	return out
 }
 
-// Snapshot returns the canonical live tree: the document re-parsed
-// into a fresh immutable Tree with document-order (preorder) ids.
-// Before any edit this is the document's own tree (arena ids already
-// canonical); after edits it is a copy whose ids differ from the
-// arena ids live queries return. Snapshots are memoized per
-// generation.
+// Snapshot returns the canonical live tree: the document as an
+// immutable Tree with document-order (preorder) ids, numbered as a
+// re-parse of its current content would number them. Before any edit
+// this is the document's own tree (arena ids already canonical).
+// After edits each call builds a fresh copy, whose ids differ from the
+// arena ids live queries return; LiveNodes maps between the two.
 func (d *Document) Snapshot() *Tree {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	lt, _ := d.snapshotLocked()
-	return lt
-}
-
-func (d *Document) snapshotLocked() (*Tree, []int32) {
 	if !d.arena.Mutated() {
-		return d.t, nil
+		return d.t
 	}
-	if g := d.t.Generation(); d.snap == nil || d.snapGen != g {
-		d.snap = d.arena.LiveTree()
-		d.snapPre = d.arena.LivePreorder()
-		d.snapGen = g
-	}
-	return d.snap, d.snapPre
+	return d.arena.LiveTree()
 }
 
 // edit runs one mutation under the lock and appends its delta window
@@ -325,45 +306,16 @@ func (d *Document) pruneLocked() {
 // runIncrementalIn evaluates q against the live document. Grounding
 // plans (linear, bitmap) are delta-maintained via the document's
 // per-plan IncState; every other plan runs from scratch on the
-// canonical live-tree snapshot (memoized per generation, results
-// memoized in cache under the generation-aware key) with ids mapped
-// back to arena ids. Caller holds d.mu.
+// document's own tree, whose arena it reads in live preorder, with
+// results memoized in cache under the generation-aware key. Both
+// answer in arena ids. Caller holds d.mu.
 func (q *CompiledQuery) runIncrementalIn(ctx context.Context, d *Document, cache *TreeCache) (*Database, Stats, error) {
 	// A spanner's node part is an ordinary grounding plan, maintained
 	// like one (span enumeration happens on top, per call).
 	if g := groundingOf(q.plan); g != nil {
 		return d.incRunLocked(ctx, q.memoKey, g)
 	}
-	lt, pre := d.snapshotLocked()
-	db, rs, err := runCached(ctx, lt, cache, q.plan, q.memoKey)
-	if err != nil || pre == nil {
-		return db, rs, err
-	}
-	return remapToArena(db, pre, d.arena.Len()), rs, nil
-}
-
-// remapToArena rewrites a database computed over the live-tree
-// snapshot (preorder ids) into arena ids via the live preorder.
-func remapToArena(db *Database, pre []int32, dom int) *Database {
-	out := datalog.NewDatabase(dom)
-	for _, pred := range db.Preds() {
-		r := db.RelOrNil(pred)
-		switch r.Arity {
-		case 1:
-			ids := db.UnarySet(pred)
-			mapped := make([]int, len(ids))
-			for i, v := range ids {
-				mapped[i] = int(pre[v])
-			}
-			sort.Ints(mapped)
-			out.Rel(pred, 1).AddUnarySet(mapped)
-		case 0:
-			if r.Len() > 0 {
-				out.Rel(pred, 0).Add(nil)
-			}
-		}
-	}
-	return out
+	return runCached(ctx, d.t, cache, q.plan, q.memoKey)
 }
 
 // RunIncremental is Run against a live document: the query's model
@@ -382,9 +334,10 @@ func (q *CompiledQuery) RunIncremental(ctx context.Context, d *Document) SetResu
 
 // RunIncremental is Run against a live document: the fused pass
 // maintains ONE incremental state for the whole member union (split
-// per member as in Run), and unfused members maintain (or fall back)
-// individually. Result ids are arena ids; everything else matches
-// Run, including per-member error isolation and stats attribution.
+// per member as in Run), and unfused members are maintained or run
+// from scratch individually. Result ids are arena ids; everything
+// else matches Run, including per-member error isolation and stats
+// attribution.
 func (s *QuerySet) RunIncremental(ctx context.Context, d *Document) []SetResult {
 	d.mu.Lock()
 	defer d.mu.Unlock()

@@ -100,39 +100,143 @@ func TestDocumentDetectsOutOfBandMutation(t *testing.T) {
 	}
 }
 
-// TestDocumentIncrementalFallback drives a plan outside the
-// delta-maintainable fragment (the MSO automaton) through the
-// snapshot fallback: results must equal a from-scratch run on the
-// canonical live tree, mapped back to arena ids.
+// directPlans are one query per plan outside the delta-maintainable
+// fragment: the MSO automaton, the direct Core XPath evaluator that
+// not(·) needs, and Elog⁻Δ's EvalDirect. RunIncremental runs them from
+// scratch on the document's own arena.
+var directPlans = []struct {
+	src  string
+	lang Language
+}{
+	{`exists y (child(x,y) & label_b(y))`, LangMSO},
+	{`//a[b and not(c)]`, LangXPath},
+	{`q(x) :- root(x0), subelem("_", x0, x), notbefore("b", x0, x).`, LangElog},
+}
+
+// TestDocumentIncrementalFallback drives every plan outside the
+// delta-maintainable fragment through RunIncremental over random
+// edits: its arena-id results must equal a from-scratch run on the
+// canonical live tree (Snapshot), mapped back to arena ids.
 func TestDocumentIncrementalFallback(t *testing.T) {
 	ctx := context.Background()
-	rng := rand.New(rand.NewSource(7))
 	labels := []string{"a", "b", "c"}
-	q, err := Compile("exists y (child(x,y) & label_b(y))", LangMSO)
+	for _, dp := range directPlans {
+		q, err := Compile(dp.src, dp.lang)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(7))
+		tr := tree.Random(rng, tree.RandomOptions{Labels: labels, Size: 40, MaxChildren: 4})
+		doc := NewDocument(tr)
+		for step := 0; step < 8; step++ {
+			randomDocEdit(t, rng, doc, labels)
+			got, err := selectInc(ctx, q, doc)
+			if err != nil {
+				t.Fatalf("%s step %d: %v", dp.src, step, err)
+			}
+			ref, err := q.Select(ctx, doc.Snapshot())
+			if err != nil {
+				t.Fatalf("%s step %d: %v", dp.src, step, err)
+			}
+			pre := doc.Tree().Arena().LivePreorder()
+			want := make([]int, len(ref))
+			for i, v := range ref {
+				want[i] = int(pre[v])
+			}
+			sort.Ints(want)
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("%s step %d: incremental %v, snapshot oracle %v", dp.src, step, got, want)
+			}
+		}
+	}
+}
+
+// TestRunOnLiveTreeAnswersInArenaIDs runs one query per plan kind on a
+// document whose arena ids and document order disagree: a(b) is
+// inserted as the root's first child (arena rows 7 and 8, first in
+// document order) and c(b) (row 3) is removed. Run on the document's
+// tree must answer in arena ids, like RunIncremental: it sizes its
+// result by the arena rows, not the live count, never reaches the
+// removed rows, and orders nodes by document order, not by id.
+func TestRunOnLiveTreeAnswersInArenaIDs(t *testing.T) {
+	ctx := context.Background()
+	cases := []struct {
+		name, src string
+		lang      Language
+		want      string
+	}{
+		{"datalog", `q(X) :- label_a(X), child(X,Y), label_b(Y). ?- q.`, LangDatalog, "[1 7]"},
+		{"xpath", `//a[b]`, LangXPath, "[1 7]"},
+		{"xpath-direct", `//a[b and not(c)]`, LangXPath, "[1 7]"},
+		{"xpath-direct-reverse", `//b[not(ancestor::a/preceding-sibling::a)]`, LangXPath, "[8]"},
+		{"caterpillar", `child*.label_a.child.label_b.(child^-1).label_a`, LangCaterpillar, "[1 7]"},
+		{"spanner", "q(X) :- label_a(X), child(X,Y), label_b(Y).\nw(X, A) :- q(X), text(X, S), match(S, /(?<w>x)/, A).\n?- q.\n", LangSpanner, "[1 7]"},
+		{"mso", `label_a(x) & exists y (child(x,y) & label_b(y))`, LangMSO, "[1 7]"},
+		{"elog", `q(x) :- root(x0), subelem("a", x0, x), contains("b", x, y).`, LangElog, "[1 7]"},
+		{"elog-direct-notafter", `q(x) :- root(x0), subelem("a", x0, x), notafter("a", x0, x).`, LangElog, "[7]"},
+		{"elog-direct-notbefore", `q(x) :- root(x0), subelem("a", x0, x), notbefore("a", x0, x).`, LangElog, "[5]"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			q, err := Compile(c.src, c.lang)
+			if err != nil {
+				t.Fatal(err)
+			}
+			doc := NewDocument(tree.MustParse("r(a(b),c(b),a(c))"))
+			if _, err := doc.InsertSubtree(0, 0, tree.New("a", tree.New("b"))); err != nil {
+				t.Fatal(err)
+			}
+			if err := doc.RemoveSubtree(3); err != nil {
+				t.Fatal(err)
+			}
+			run := q.Run(ctx, doc.Tree())
+			inc := q.RunIncremental(ctx, doc)
+			if run.Err != nil || inc.Err != nil {
+				t.Fatalf("Run: %v, RunIncremental: %v", run.Err, inc.Err)
+			}
+			if got := fmt.Sprint(run.IDs); got != c.want || fmt.Sprint(inc.IDs) != c.want {
+				t.Fatalf("%s (%s): Run %s, RunIncremental %v; want %s", c.src, q.EngineName(), got, inc.IDs, c.want)
+			}
+			db, err := q.Eval(ctx, doc.Tree())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if db.Dom != doc.NumNodes() {
+				t.Fatalf("%s (%s): result domain %d, want the %d arena rows", c.src, q.EngineName(), db.Dom, doc.NumNodes())
+			}
+		})
+	}
+}
+
+// TestForgetLiveDocumentFreesMemo: the results a QuerySet memoizes for
+// a live document are keyed by the document's own tree, so Forget on
+// it — the call that closes a session — frees every generation's.
+func TestForgetLiveDocumentFreesMemo(t *testing.T) {
+	ctx := context.Background()
+	set, err := CompileSet([]SetSpec{
+		{Name: "mso", Source: `label_b(x)`, Lang: LangMSO},
+		{Name: "dl", Source: `q(X) :- leaf(X). ?- q.`, Lang: LangDatalog},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := tree.Random(rng, tree.RandomOptions{Labels: labels, Size: 40, MaxChildren: 4})
-	doc := NewDocument(tr)
-	for step := 0; step < 8; step++ {
-		randomDocEdit(t, rng, doc, labels)
-		got, err := selectInc(ctx, q, doc)
-		if err != nil {
-			t.Fatalf("step %d: %v", step, err)
+	doc := NewDocument(tree.MustParse("a(b(c),d)"))
+	for i := 0; i < 5; i++ {
+		if _, err := doc.InsertSubtree(0, i, tree.New("b")); err != nil {
+			t.Fatal(err)
 		}
-		ref, err := q.Select(ctx, doc.Snapshot())
-		if err != nil {
-			t.Fatalf("step %d: %v", step, err)
+		for _, res := range set.RunIncremental(ctx, doc) {
+			if res.Err != nil {
+				t.Fatalf("%s: %v", res.Name, res.Err)
+			}
 		}
-		pre := doc.Tree().Arena().LivePreorder()
-		want := make([]int, len(ref))
-		for i, v := range ref {
-			want[i] = int(pre[v])
-		}
-		sort.Ints(want)
-		if fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Fatalf("step %d: incremental %v, snapshot oracle %v", step, got, want)
-		}
+	}
+	if set.Cache().Len() == 0 {
+		t.Fatal("no memo entries after five incremental runs")
+	}
+	set.Cache().Forget(doc.Tree())
+	if n := set.Cache().Len(); n != 0 {
+		t.Fatalf("Forget(doc.Tree()) left %d memo entries", n)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"mdlog/internal/html"
+	"mdlog/internal/xpath"
 )
 
 // raceDetector reports a -race build (see race_test.go).
@@ -98,11 +99,11 @@ func TestFusedRuleCountGate(t *testing.T) {
 	}
 }
 
-// liveGate is a live ProductListing maintained by the part of
-// gateFleet that DRed maintains: not the MSO member, whose automaton
-// re-evaluates a snapshot, and not the members that recurse from the
-// root (//td[b], the caterpillar, the Elog field), for which one row
-// edit overdeletes and rederives almost the whole model.
+// liveGate is a live ProductListing run by gateFleet without the
+// members that recurse from the root (//td[b], the caterpillar, the
+// Elog field), for which one row edit overdeletes and rederives almost
+// the whole model. DRed maintains the rest, except the MSO member,
+// whose automaton re-runs on the document's own arena.
 type liveGate struct {
 	doc   *Document
 	table int    // the product table
@@ -114,7 +115,7 @@ type liveGate struct {
 // newLiveGate opens a ProductListing of about n nodes as a live
 // document and runs the fleet on it once.
 func newLiveGate(t *testing.T, n int) *liveGate {
-	skip := map[string]bool{"td_b_mso": true, "td_b_xpath": true, "td_b_cat": true, "price_cells": true}
+	skip := map[string]bool{"td_b_xpath": true, "td_b_cat": true, "price_cells": true}
 	set, err := CompileSet(slices.DeleteFunc(gateFleet(t), func(sp SetSpec) bool { return skip[sp.Name] }))
 	if err != nil {
 		t.Fatal(err)
@@ -151,8 +152,10 @@ func newLiveGate(t *testing.T, n int) *liveGate {
 // fleet. Maintenance that rebuilds state instead of propagating the
 // delta fails it deterministically.
 func TestLiveEditAllocGate(t *testing.T) {
-	// 167 allocations at the time of writing, with or without -race;
-	// rebuilding the maintained state on every step costs 361.
+	// 190 allocations at the time of writing, with or without -race,
+	// 23 of them the MSO member's run on the arena; rebuilding the
+	// maintained state on every step costs 361, and running the MSO
+	// member on a per-generation pointer copy of the page cost 2,415.
 	maxAllocsPerRun, runs := 200.0, 20
 	if raceDetector {
 		maxAllocsPerRun, runs = 300, 100
@@ -218,5 +221,30 @@ func TestDRedCounterGate(t *testing.T) {
 	if inc.Overdeleted > maxOverdeleted || inc.Rederived > maxRederived || inc.Fallbacks > maxFallbacks {
 		t.Fatalf("DRed counters over bound: overdeleted %d (≤ %d), rederived %d (≤ %d), fallbacks %d (≤ %d)",
 			inc.Overdeleted, maxOverdeleted, inc.Rederived, maxRederived, inc.Fallbacks, maxFallbacks)
+	}
+}
+
+// TestXPathSelectAllocGate pins the direct Core XPath evaluator to
+// O(|Q|) allocations per run whatever the page size: a negated query
+// over ProductListing pages of ~1k and ~10k nodes must allocate the
+// same number of times, give or take a fixed slack. The node-at-a-time
+// evaluator it replaced allocated per candidate node (1,805 and 17,809).
+func TestXPathSelectAllocGate(t *testing.T) {
+	const slack = 4
+	x, err := ParseXPath("//tr[td[b] and not(td[i])]")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var allocs [2]float64
+	for i, n := range []int{1000, 10000} {
+		doc := ParseHTML(html.ProductListing(rand.New(rand.NewSource(7)), n/9))
+		if len(xpath.Select(x, doc)) == 0 {
+			t.Fatalf("%d nodes: the gate query selects nothing", doc.Size())
+		}
+		allocs[i] = testing.AllocsPerRun(10, func() { xpath.Select(x, doc) })
+		t.Logf("%d nodes: %.0f allocs per run", doc.Size(), allocs[i])
+	}
+	if allocs[1] > allocs[0]+slack {
+		t.Fatalf("Select allocates %.0f times at ~10k nodes and %.0f at ~1k, slack %d", allocs[1], allocs[0], slack)
 	}
 }

@@ -3,9 +3,10 @@ package mdlog
 // Differential testing of the live-document path: randomly edited
 // documents queried through CompiledQuery.RunIncremental and
 // QuerySet.RunIncremental must match replay-from-scratch — a from-scratch
-// evaluation of the canonical live tree, mapped back to arena ids
-// through the live preorder. Shares the program/tree generators and
-// MDLOG_FUZZ_N / MDLOG_FUZZ_SEED knobs with differential_test.go.
+// evaluation of the canonical live tree (Document.Snapshot) by an
+// independent evaluator, mapped back to arena ids through the live
+// preorder. Shares the program/tree generators and MDLOG_FUZZ_N /
+// MDLOG_FUZZ_SEED knobs with differential_test.go.
 
 import (
 	"context"
@@ -53,35 +54,132 @@ func replayUnary(t *testing.T, p *Program, doc *Document, preds []string) map[st
 	if err != nil {
 		t.Fatalf("replay oracle: %v\nprogram:\n%s", err, p)
 	}
-	pre := doc.Tree().Arena().LivePreorder()
 	out := make(map[string][]int, len(preds))
 	for _, pred := range preds {
-		ids := ref.UnarySet(pred)
-		mapped := make([]int, len(ids))
-		for i, v := range ids {
-			mapped[i] = int(pre[v])
-		}
-		sort.Ints(mapped)
-		out[pred] = mapped
+		out[pred] = toArenaIDs(doc, ref.UnarySet(pred))
 	}
 	return out
 }
 
-// fallbackArms pairs MSO queries — plans outside the maintainable
-// fragment, which RunIncremental serves by a from-scratch run over the
-// live-tree snapshot remapped to arena ids — with datalog twins the
-// replay oracle evaluates.
-var fallbackArms = []struct{ mso, datalog string }{
+// toArenaIDs maps canonical live-tree (preorder) ids to the document's
+// arena ids, sorted.
+func toArenaIDs(doc *Document, ids []int) []int {
+	pre := doc.Tree().Arena().LivePreorder()
+	mapped := make([]int, len(ids))
+	for i, v := range ids {
+		mapped[i] = int(pre[v])
+	}
+	sort.Ints(mapped)
+	return mapped
+}
+
+// directArm is a query whose plan lies outside the maintainable
+// fragment — RunIncremental runs it from scratch on the document's own
+// arena — with a replay oracle that evaluates a twin of it
+// independently on the document's Snapshot.
+type directArm struct {
+	name   string
+	q      *CompiledQuery
+	oracle func(t *testing.T, doc *Document) map[string][]int
+}
+
+// msoTwinArms pair MSO queries with datalog twins the replay oracle
+// evaluates.
+var msoTwinArms = []struct{ mso, datalog string }{
 	{`exists y (child(x,y) & label_b(y))`, `q(X) :- child(X,Y), label_b(Y).`},
 	{`label_a(x) & exists y nextsibling(x,y)`, `q(X) :- label_a(X), nextsibling(X,Y).`},
 	{`leaf(x) & exists y (child(y,x) & label_c(y))`, `q(X) :- leaf(X), child(Y,X), label_c(Y).`},
 }
 
+// xpathTwinArms pair negated Core XPath queries, which run on the
+// direct evaluator, with MSO twin formulas the automaton evaluates.
+// `//` excludes the root (it is no node's child); siblings are two
+// children of one parent ordered by before.
+var xpathTwinArms = []struct{ xpath, mso string }{
+	{`//a[b and not(c)]`,
+		`label_a(x) & ~root(x) & exists y (child(x,y) & label_b(y)) & ~exists y (child(x,y) & label_c(y))`},
+	{`//c[not(preceding-sibling::b)]`,
+		`label_c(x) & ~root(x) & ~exists y (label_b(y) & exists z (child(z,x) & child(z,y)) & before(y,x))`},
+	{`//b[not(parent::a) or following-sibling::c]`,
+		`label_b(x) & ~root(x) & (~exists y (child(y,x) & label_a(y)) | exists y (label_c(y) & exists z (child(z,x) & child(z,y)) & before(x,y)))`},
+}
+
+// elogDeltaArm is an Elog⁻Δ program over every node: the first a-child
+// (notafter), leaves with no c-sibling after them (notbefore), and
+// b-children with an f-sibling at most halfway along (before). Its
+// oracle is EvalDirect on the Snapshot.
+const elogDeltaArm = `n(x) :- root(x).
+n(x) :- n(x0), subelem("_", x0, x).
+f(x) :- n(x0), subelem("a", x0, x), notafter("a", x0, x).
+l(x) :- n(x0), subelem("_", x0, x), notbefore("c", x0, x), leaf(x).
+m(x) :- n(x0), subelem("b", x0, x), before("_", 0, 50, x0, x, y), f(y).`
+
+// directArms compiles the MSO, negated-XPath and Elog⁻Δ arms.
+func directArms(t *testing.T) []directArm {
+	var arms []directArm
+	for _, a := range msoTwinArms {
+		q, err := Compile(a.mso, LangMSO, WithQueryPred("q"))
+		if err != nil {
+			t.Fatalf("compiling %s: %v", a.mso, err)
+		}
+		twin, err := ParseProgram(a.datalog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		arms = append(arms, directArm{a.mso, q, func(t *testing.T, doc *Document) map[string][]int {
+			return replayUnary(t, twin, doc, []string{"q"})
+		}})
+	}
+	for _, a := range xpathTwinArms {
+		q, err := Compile(a.xpath, LangXPath, WithQueryPred("q"))
+		if err != nil {
+			t.Fatalf("compiling %s: %v", a.xpath, err)
+		}
+		if q.EngineName() != "xpath-direct" {
+			t.Fatalf("%s runs on %s, want the direct evaluator", a.xpath, q.EngineName())
+		}
+		twin, err := Compile(a.mso, LangMSO)
+		if err != nil {
+			t.Fatalf("compiling %s: %v", a.mso, err)
+		}
+		arms = append(arms, directArm{a.xpath, q, func(t *testing.T, doc *Document) map[string][]int {
+			ids, err := twin.Select(context.Background(), doc.Snapshot())
+			if err != nil {
+				t.Fatal(err)
+			}
+			return map[string][]int{"q": toArenaIDs(doc, ids)}
+		}})
+	}
+	prog, err := ParseElog(elogDeltaArm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := CompileElog(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q.EngineName() != "elog-direct" {
+		t.Fatalf("the Elog⁻Δ arm runs on %s, want the direct evaluator", q.EngineName())
+	}
+	arms = append(arms, directArm{"Elog⁻Δ arm", q, func(t *testing.T, doc *Document) map[string][]int {
+		ref, err := prog.EvalDirect(doc.Snapshot())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for pat, ids := range ref {
+			ref[pat] = toArenaIDs(doc, ids)
+		}
+		return ref
+	}})
+	return arms
+}
+
 // TestIncrementalDifferential fuzzes edit scripts: random programs
 // over randomly edited documents, with the incremental results of
 // every engine/level arm — plus all-linear and all-bitmap fused
-// QuerySets and one MSO query on the snapshot fallback — compared
-// against replay-from-scratch after every edit window.
+// QuerySets and the direct arms (MSO, negated XPath, Elog⁻Δ), which
+// run from scratch on the document's arena — compared against
+// replay-from-scratch after every edit window.
 func TestIncrementalDifferential(t *testing.T) {
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(fuzzSeed(t) ^ 0x9e3779b9))
@@ -89,22 +187,7 @@ func TestIncrementalDifferential(t *testing.T) {
 	iters := fuzzIterations(t)/4 + 2
 	engines := []Engine{EngineLinear, EngineBitmap}
 	levels := []OptLevel{OptNone, OptFull}
-	type fallback struct {
-		q    *CompiledQuery
-		twin *Program
-	}
-	fallbacks := make([]fallback, len(fallbackArms))
-	for k, fa := range fallbackArms {
-		q, err := Compile(fa.mso, LangMSO)
-		if err != nil {
-			t.Fatalf("compiling fallback arm %s: %v", fa.mso, err)
-		}
-		twin, err := ParseProgram(fa.datalog)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fallbacks[k] = fallback{q, twin}
-	}
+	direct := directArms(t)
 
 	for i := 0; i < iters; i++ {
 		progs := []*Program{randomMonadicProgram(rng), randomMonadicProgram(rng), randomMonadicProgram(rng)}
@@ -151,7 +234,9 @@ func TestIncrementalDifferential(t *testing.T) {
 			}
 			sets[e] = set
 		}
-		fb := fallbacks[i%len(fallbacks)]
+		// Two direct arms per case, so every arm runs within the
+		// smallest workload.
+		dirs := []directArm{direct[i%len(direct)], direct[(i+len(direct)/2)%len(direct)]}
 
 		for step := 0; step < 6; step++ {
 			for k := 1 + rng.Intn(2); k > 0; k-- {
@@ -186,12 +271,23 @@ func TestIncrementalDifferential(t *testing.T) {
 					}
 				}
 			}
-			res := fb.q.RunIncremental(ctx, doc)
-			if res.Err != nil {
-				t.Fatalf("case %d step %d: fallback %s: %v", i, step, fb.q.Source(), res.Err)
-			}
-			if got, want := fmt.Sprint(res.IDs), fmt.Sprint(replayUnary(t, fb.twin, doc, []string{"q"})["q"]); got != want {
-				t.Fatalf("case %d step %d: fallback %s selects %s, replay %s", i, step, fb.q.Source(), got, want)
+			// RunIncremental and a plain Run on the document's tree
+			// both answer in arena ids.
+			for _, d := range dirs {
+				oracle := d.oracle(t, doc)
+				for how, res := range map[string]SetResult{
+					"RunIncremental": d.q.RunIncremental(ctx, doc),
+					"Run":            d.q.Run(ctx, doc.Tree()),
+				} {
+					if res.Err != nil {
+						t.Fatalf("case %d step %d: direct %s %s: %v", i, step, d.name, how, res.Err)
+					}
+					for pred, want := range oracle {
+						if got := fmt.Sprint(res.Assignment[pred]); got != fmt.Sprint(want) {
+							t.Fatalf("case %d step %d: direct %s %s: %s = %s, replay %v", i, step, d.name, how, pred, got, want)
+						}
+					}
+				}
 			}
 		}
 	}

@@ -2,25 +2,30 @@ package elog
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"mdlog/internal/tree"
 )
 
 // EvalDirect evaluates an Elog⁻ or Elog⁻Δ program directly on a tree:
 // a monotone fixpoint over pattern extensions, with conditions
-// (including the non-MSO Δ conditions) evaluated natively on the tree.
-// It is the reference semantics against which the Corollary 6.4
-// compilation route is tested, and the only route for Elog⁻Δ.
+// (including the non-MSO Δ conditions) evaluated natively on the
+// tree's arena columns. It is the reference semantics against which
+// the Corollary 6.4 compilation route is tested, and the only route
+// for Elog⁻Δ. Pattern extensions hold arena ids; only live nodes are
+// reachable from the root, so on an arena mutated in place the
+// answers are arena ids, as the grounding engines return them.
 func (p *Program) EvalDirect(t *tree.Tree) (map[string][]int, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
+	d := newDoc(t.Arena())
+	n := d.a.Len()
 	ext := map[string][]bool{}
 	for _, pat := range p.Patterns() {
-		ext[pat] = make([]bool, t.Size())
+		ext[pat] = make([]bool, n)
 	}
-	rootExt := make([]bool, t.Size())
+	rootExt := make([]bool, n)
 	rootExt[0] = true // the root
 	lookup := func(pat string) []bool {
 		if pat == RootPattern {
@@ -37,15 +42,15 @@ func (p *Program) EvalDirect(t *tree.Tree) (map[string][]int, error) {
 				return nil, fmt.Errorf("elog: undefined parent pattern %q in %s", r.Parent, r)
 			}
 			headExt := ext[r.Head]
-			for x0 := 0; x0 < t.Size(); x0++ {
+			for x0 := 0; x0 < n; x0++ {
 				if !parentExt[x0] {
 					continue
 				}
-				for _, x := range pathTargets(t, x0, r.Path) {
+				for _, x := range d.pathTargets(x0, r.Path) {
 					if headExt[x] {
 						continue
 					}
-					ok, err := r.satisfied(p, t, lookup, x0, x)
+					ok, err := r.satisfied(p, d, lookup, x0, x)
 					if err != nil {
 						return nil, err
 					}
@@ -71,16 +76,45 @@ func (p *Program) EvalDirect(t *tree.Tree) (map[string][]int, error) {
 	return out, nil
 }
 
+// doc is the arena EvalDirect reads, with the document-order rank of
+// each live node when the arena was mutated in place (its ids are then
+// not in document order).
+type doc struct {
+	a    *tree.Arena
+	rank []int32 // nil: arena ids are document order
+}
+
+func newDoc(a *tree.Arena) doc {
+	d := doc{a: a}
+	if a.Mutated() {
+		d.rank = make([]int32, a.Len())
+		for i, v := range a.LivePreorder() {
+			d.rank[v] = int32(i)
+		}
+	}
+	return d
+}
+
+// before reports that node z precedes node y in document order.
+func (d doc) before(z, y int) bool {
+	if d.rank == nil {
+		return z < y
+	}
+	return d.rank[z] < d.rank[y]
+}
+
 // pathTargets returns the nodes reachable from x0 via the subelem path
-// (ε yields x0 itself).
-func pathTargets(t *tree.Tree, x0 int, path Path) []int {
+// (ε yields x0 itself). In a tree every target has one path from x0,
+// so the result has no duplicates.
+func (d doc) pathTargets(x0 int, path Path) []int {
+	a := d.a
 	cur := []int{x0}
 	for _, el := range path {
 		var next []int
 		for _, v := range cur {
-			for _, c := range t.View()[v].Children {
-				if el == Wildcard || c.Label == el {
-					next = append(next, c.ID)
+			for c := a.FirstChild[v]; c != tree.NoNode; c = a.NextSibling[c] {
+				if el == Wildcard || a.LabelName(c) == el {
+					next = append(next, int(c))
 				}
 			}
 		}
@@ -89,32 +123,21 @@ func pathTargets(t *tree.Tree, x0 int, path Path) []int {
 			return nil
 		}
 	}
-	sort.Ints(cur)
-	return dedupInts(cur)
-}
-
-func dedupInts(xs []int) []int {
-	out := xs[:0]
-	for i, x := range xs {
-		if i == 0 || x != xs[i-1] {
-			out = append(out, x)
-		}
-	}
-	return out
+	return cur
 }
 
 // satisfied checks the rule's conditions and references under the
 // binding {ParentVar → x0, HeadVar → x}, generating bindings for
 // further variables as needed.
-func (r Rule) satisfied(p *Program, t *tree.Tree, lookup func(string) []bool, x0, x int) (bool, error) {
+func (r Rule) satisfied(p *Program, d doc, lookup func(string) []bool, x0, x int) (bool, error) {
 	binding := map[string]int{r.ParentVar: x0, r.HeadVar: x}
-	return r.solve(p, t, lookup, binding, append([]Condition(nil), r.Conds...), append([]Ref(nil), r.Refs...))
+	return r.solve(p, d, lookup, binding, append([]Condition(nil), r.Conds...), append([]Ref(nil), r.Refs...))
 }
 
 // solve processes conditions and references by repeatedly picking one
 // whose input variables are bound, enumerating candidates for unbound
 // output variables.
-func (r Rule) solve(p *Program, t *tree.Tree, lookup func(string) []bool,
+func (r Rule) solve(p *Program, d doc, lookup func(string) []bool,
 	binding map[string]int, conds []Condition, refs []Ref) (bool, error) {
 	// Pick a processable condition.
 	for i, c := range conds {
@@ -126,7 +149,7 @@ func (r Rule) solve(p *Program, t *tree.Tree, lookup func(string) []bool,
 			continue
 		}
 		rest := append(append([]Condition(nil), conds[:i]...), conds[i+1:]...)
-		cands, err := c.candidates(t, binding)
+		cands, err := c.candidates(d, binding)
 		if err != nil {
 			return false, err
 		}
@@ -136,11 +159,11 @@ func (r Rule) solve(p *Program, t *tree.Tree, lookup func(string) []bool,
 			if len(cands) == 0 {
 				return false, nil
 			}
-			return r.solve(p, t, lookup, binding, rest, refs)
+			return r.solve(p, d, lookup, binding, rest, refs)
 		}
 		for _, v := range cands {
 			binding[outVar] = v
-			ok, err := r.solve(p, t, lookup, binding, rest, refs)
+			ok, err := r.solve(p, d, lookup, binding, rest, refs)
 			if err != nil {
 				return false, err
 			}
@@ -164,14 +187,14 @@ func (r Rule) solve(p *Program, t *tree.Tree, lookup func(string) []bool,
 			if !extb[v] {
 				return false, nil
 			}
-			return r.solve(p, t, lookup, binding, conds, rest)
+			return r.solve(p, d, lookup, binding, conds, rest)
 		}
 		for v, in := range extb {
 			if !in {
 				continue
 			}
 			binding[ref.Var] = v
-			ok, err := r.solve(p, t, lookup, binding, conds, rest)
+			ok, err := r.solve(p, d, lookup, binding, conds, rest)
 			if err != nil {
 				return false, err
 			}
@@ -232,99 +255,80 @@ func (c Condition) outputVar(b map[string]int) string {
 // candidates returns the values for the condition's output variable
 // consistent with the binding; for pure tests it returns a nonempty
 // slice iff the condition holds.
-func (c Condition) candidates(t *tree.Tree, b map[string]int) ([]int, error) {
-	node := func(v string) *tree.Node { return t.View()[b[v]] }
+func (c Condition) candidates(d doc, b map[string]int) ([]int, error) {
+	a, x := d.a, b[c.Vars[0]]
+	// test passes the condition's input as the witness of a pure test.
+	test := func(ok bool) ([]int, error) {
+		if ok {
+			return []int{x}, nil
+		}
+		return nil, nil
+	}
+	// among returns cands for variable v when it is unbound, else v's
+	// value if cands holds it.
+	among := func(v string, cands []int) ([]int, error) {
+		y, ok := b[v]
+		switch {
+		case !ok:
+			return cands, nil
+		case slices.Contains(cands, y):
+			return []int{y}, nil
+		}
+		return nil, nil
+	}
+	node := func(v int32) []int {
+		if v == tree.NoNode {
+			return nil
+		}
+		return []int{int(v)}
+	}
 	switch c.Kind {
 	case CondLeaf:
-		if node(c.Vars[0]).IsLeaf() {
-			return []int{b[c.Vars[0]]}, nil
-		}
-		return nil, nil
+		return test(a.FirstChild[x] == tree.NoNode)
 	case CondFirstSibling:
-		if node(c.Vars[0]).IsFirstSibling() {
-			return []int{b[c.Vars[0]]}, nil
-		}
-		return nil, nil
+		return test(a.Parent[x] != tree.NoNode && a.PrevSibling[x] == tree.NoNode)
 	case CondLastSibling:
-		if node(c.Vars[0]).IsLastSibling() {
-			return []int{b[c.Vars[0]]}, nil
-		}
-		return nil, nil
+		return test(a.Parent[x] != tree.NoNode && a.NextSibling[x] == tree.NoNode)
 	case CondNextSibling:
-		x, xOK := b[c.Vars[0]]
-		y, yOK := b[c.Vars[1]]
-		switch {
-		case xOK && yOK:
-			ns := t.View()[x].NextSibling()
-			if ns != nil && ns.ID == y {
-				return []int{y}, nil
-			}
-			return nil, nil
-		case xOK:
-			if ns := t.View()[x].NextSibling(); ns != nil {
-				return []int{ns.ID}, nil
-			}
-			return nil, nil
-		default:
+		if !bound(b, c.Vars[0]) {
 			// Only Vars[1] bound: generate Vars[0] via the previous sibling.
-			if ps := t.View()[y].PrevSibling(); ps != nil {
-				return []int{ps.ID}, nil
-			}
-			return nil, nil
+			return node(a.PrevSibling[b[c.Vars[1]]]), nil
 		}
+		return among(c.Vars[1], node(a.NextSibling[x]))
 	case CondContains:
-		targets := pathTargets(t, b[c.Vars[0]], c.Path)
-		if y, ok := b[c.Vars[1]]; ok {
-			for _, v := range targets {
-				if v == y {
-					return []int{y}, nil
-				}
-			}
-			return nil, nil
-		}
-		return targets, nil
+		return among(c.Vars[1], d.pathTargets(x, c.Path))
 	case CondBefore:
-		x0n := node(c.Vars[0])
-		k := len(x0n.Children)
-		if k == 0 {
+		// Positions among the children of x0; x must be one of them.
+		var kids []int
+		xPos := -1
+		for ch := a.FirstChild[x]; ch != tree.NoNode; ch = a.NextSibling[ch] {
+			if int(ch) == b[c.Vars[1]] {
+				xPos = len(kids)
+			}
+			kids = append(kids, int(ch))
+		}
+		if xPos < 0 {
 			return nil, nil
 		}
-		// Positions among the children of x0.
-		pos := map[int]int{}
-		for i, ch := range x0n.Children {
-			pos[ch.ID] = i
-		}
-		xPos, ok := pos[b[c.Vars[1]]]
-		if !ok {
-			return nil, nil // x must be a child of x0
-		}
+		k := len(kids)
 		lo := (k*c.Alpha + 99) / 100 // ⌈kα/100⌉
 		hi := k * c.Beta / 100       // ⌊kβ/100⌋
 		var out []int
-		for i, ch := range x0n.Children {
-			d := i - xPos
-			if d < lo || d > hi {
+		for i, ch := range kids {
+			if dist := i - xPos; dist < lo || dist > hi {
 				continue
 			}
-			if c.Path[0] != Wildcard && ch.Label != c.Path[0] {
+			if c.Path[0] != Wildcard && a.LabelName(int32(ch)) != c.Path[0] {
 				continue
 			}
-			out = append(out, ch.ID)
+			out = append(out, ch)
 		}
-		if y, bnd := b[c.Vars[2]]; bnd {
-			for _, v := range out {
-				if v == y {
-					return []int{y}, nil
-				}
-			}
-			return nil, nil
-		}
-		return out, nil
+		return among(c.Vars[2], out)
 	case CondNotAfter:
 		// No node reachable from x via π lies strictly before y.
 		y := b[c.Vars[1]]
-		for _, z := range pathTargets(t, b[c.Vars[0]], c.Path) {
-			if z < y {
+		for _, z := range d.pathTargets(x, c.Path) {
+			if d.before(z, y) {
 				return nil, nil
 			}
 		}
@@ -332,8 +336,8 @@ func (c Condition) candidates(t *tree.Tree, b map[string]int) ([]int, error) {
 	case CondNotBefore:
 		// No node reachable from x via π lies strictly after y.
 		y := b[c.Vars[1]]
-		for _, z := range pathTargets(t, b[c.Vars[0]], c.Path) {
-			if z > y {
+		for _, z := range d.pathTargets(x, c.Path) {
+			if d.before(y, z) {
 				return nil, nil
 			}
 		}

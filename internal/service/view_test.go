@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
@@ -36,8 +37,8 @@ func cachedTree(t *testing.T, s *Server, body string) *mdlog.Tree {
 // TestCachedTreesStayPointerFree pins the arena-only serving path: a
 // cached page served to /extractall (nodes, assign, spans) and /extract
 // (nodes, spans) over wrappers in every language never builds its
-// *Node view — the engines, the MSO automaton and span extraction all
-// read the arena. output=xml is the one reply that needs the view; it
+// *Node view — the engines, the MSO automaton, the direct XPath and
+// Elog⁻Δ evaluators and span extraction all read the arena. output=xml is the one reply that needs the view; it
 // builds it and still answers like Wrap on an eagerly parsed tree.
 func TestCachedTreesStayPointerFree(t *testing.T) {
 	p, err := mdlog.ParseProgram(`q(X) :- label_td(X), child(X,Y), label_b(Y). ?- q.`)
@@ -52,10 +53,12 @@ func TestCachedTreesStayPointerFree(t *testing.T) {
 		{"dl", "datalog", `q(X) :- label_td(X), child(X,Y), label_b(Y). ?- q.`},
 		{"tm", "tmnf", tp.String() + "?- q."},
 		{"xp", "xpath", `//td[b]`},
+		{"xn", "xpath", `//td[not(i)]`},
 		{"ms", "mso", `label_td(x) & exists y (child(x,y) & label_b(y))`},
 		{"ca", "caterpillar", `child*.label_td.child.label_b.(child^-1).label_td`},
 		{"el", "elog", `q(x) :- root(x0), subelem("html.body.table.tr.td", x0, x), contains("b", x, y).`},
 		{"sp", "spanner", spannerSrc},
+		{"ed", "elog", `q(x) :- root(x0), subelem("html.body.table.tr", x0, x), notafter("html.body.table.tr", x0, x).`},
 	}
 	s, ts := newTestServer(t, nil)
 	for _, w := range wrappers {
@@ -81,8 +84,12 @@ func TestCachedTreesStayPointerFree(t *testing.T) {
 	paths = append(paths, "/extract/sp?output=spans")
 	for _, path := range paths {
 		body := post(path)
-		if path == "/extractall?output=nodes" && !bytes.Contains(body, []byte(`{"nodes":[7],"wrapper":"ms"}`)) {
-			t.Fatalf("%s: MSO member missing or empty: %s", path, body)
+		if path == "/extractall?output=nodes" {
+			for _, want := range []string{`{"nodes":[7],"wrapper":"ms"}`, `{"nodes":[5,7,11,13],"wrapper":"xn"}`, `{"nodes":[4],"wrapper":"ed"}`} {
+				if !bytes.Contains(body, []byte(want)) {
+					t.Fatalf("%s: want %s in %s", path, want, body)
+				}
+			}
 		}
 		if tree.HasView(cachedTree(t, s, viewPage)) {
 			t.Fatalf("%s built the cached tree's *Node view", path)
@@ -93,7 +100,7 @@ func TestCachedTreesStayPointerFree(t *testing.T) {
 	if !tree.HasView(cachedTree(t, s, viewPage)) {
 		t.Fatal("output=xml answered without building the *Node view")
 	}
-	q, err := mdlog.Compile(wrappers[5].src, mdlog.LangElog)
+	q, err := mdlog.Compile(wrappers[6].src, mdlog.LangElog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,6 +114,35 @@ func TestCachedTreesStayPointerFree(t *testing.T) {
 	}
 	if string(got) != want.String() || !strings.Contains(want.String(), "<q") {
 		t.Fatalf("output=xml on the cached tree:\n%s\nwant:\n%s", got, want.String())
+	}
+}
+
+// TestSessionDirectPlansStayPointerFree: on an edited session, the
+// plans DRed does not maintain — the MSO automaton, negated XPath and
+// Elog⁻Δ — run on the session tree's arena and answer in arena ids,
+// without building its *Node view.
+func TestSessionDirectPlansStayPointerFree(t *testing.T) {
+	s, url := sessionServer(t, &Config{Wrappers: []ConfigWrapper{
+		{Name: "ms", WrapperSpec: WrapperSpec{Lang: mdlog.LangMSO, Source: `label_li(x) & exists y (child(x,y) & label_b(y))`}},
+		{Name: "xn", WrapperSpec: WrapperSpec{Lang: mdlog.LangXPath, Source: `//li[not(b)]`}},
+		{Name: "ed", WrapperSpec: WrapperSpec{Lang: mdlog.LangElog, Source: `q(x) :- root(x0), subelem("html.body.ul.li", x0, x), notafter("html.body.ul.li", x0, x).`}},
+	}})
+	// li(b) becomes the list's first item as arena rows 8 and 9.
+	if code, v := doJSON(t, "PATCH", url+"/documents/page", `{"ops":[{"op":"insert","parent":3,"pos":0,"term":"li(b)"}]}`); code != http.StatusOK {
+		t.Fatalf("PATCH: %d %v", code, v)
+	}
+	got := extractAllSession(t, url, "page")
+	for name, want := range map[string]string{"ms": "[8]", "xn": "[4 6]", "ed": "[8]"} {
+		if fmt.Sprint(got[name]) != want {
+			t.Errorf("%s selects %v, want %s", name, got[name], want)
+		}
+	}
+	ss, ok := s.sessions.get("page")
+	if !ok {
+		t.Fatal("no session")
+	}
+	if tree.HasView(ss.doc.Tree()) {
+		t.Fatal("session extractall built the *Node view")
 	}
 }
 

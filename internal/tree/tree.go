@@ -332,11 +332,6 @@ func (t *Tree) Depth() int {
 	return rec(t.View()[0])
 }
 
-// DocBefore reports n1 ≺ n2 in document order (Example 2.5). With
-// preorder IDs this is simply ID comparison; the caterpillar package
-// proves the equivalence with the paper's expression.
-func (t *Tree) DocBefore(n1, n2 *Node) bool { return n1.ID < n2.ID }
-
 // Clone returns a deep copy of the tree (Attrs maps are copied).
 func (t *Tree) Clone() *Tree {
 	var cp func(n *Node) *Node

@@ -1,152 +1,185 @@
 package xpath
 
 import (
+	"slices"
+
 	"mdlog/internal/tree"
 )
 
-// Direct evaluation of Core XPath on trees — the reference semantics
-// for the datalog translation, with full support for not(·).
+// Direct evaluation of full Core XPath, not(·) included, on the arena
+// columns. It works set-at-a-time, after Gottlob, Koch & Pichler
+// (VLDB 2002): every step and every predicate is computed once, as a
+// node set over the whole document, so a run takes O(|D|·|Q|) time
+// and O(|Q|) allocations whatever the document size. A location step
+// maps its context set forward through its axis. A predicate path is
+// evaluated backward through the inverse axes (the construction
+// pathSat encodes in datalog), giving the nodes from which it can be
+// completed. not(·) is set complement.
 
-// Select evaluates the path on the document. Absolute paths start at
-// the root; relative paths are evaluated with the root as context (the
-// common convention for whole-document queries).
+// Select evaluates the path on the document and returns the sorted
+// arena ids of the selected nodes. Absolute paths start at the root;
+// relative paths are evaluated with the root as context (the common
+// convention for whole-document queries). Only live nodes are read, so
+// on an arena mutated in place the ids are arena ids, as the grounding
+// engines return them.
 func Select(p *Path, t *tree.Tree) []int {
-	nodes := t.View()
-	ctx := make([]bool, len(nodes))
-	ctx[0] = true // the root
-	res := evalPath(p.expandComposite(), nodes, ctx)
-	var out []int
-	for id, in := range res {
-		if in {
-			out = append(out, id)
+	a := t.Arena()
+	e := &evaluator{a: a, order: a.LivePreorder()}
+	cur := e.newSet()
+	cur[0] = true // the root
+	for _, st := range p.expandComposite().Steps {
+		cur = e.filter(st, e.image(st.Axis, cur))
+	}
+	out := make([]int, 0, len(e.order))
+	for _, v := range e.order {
+		if cur[v] {
+			out = append(out, int(v))
+		}
+	}
+	if a.Mutated() {
+		slices.Sort(out)
+	}
+	return out
+}
+
+// evaluator holds the arena a run reads and its live nodes in document
+// order. Node sets are []bool indexed by arena id; every loop walks
+// order, so entries of dead rows are never read or written.
+type evaluator struct {
+	a     *tree.Arena
+	order []int32
+}
+
+func (e *evaluator) newSet() []bool { return make([]bool, e.a.Len()) }
+
+// inverse maps each primitive axis to its inverse: y is reachable
+// from x via ax iff x is reachable from y via inverse[ax].
+var inverse = [...]Axis{
+	AxisSelf:  AxisSelf,
+	AxisChild: AxisParent, AxisParent: AxisChild,
+	AxisDescendant: AxisAncestor, AxisAncestor: AxisDescendant,
+	AxisDescendantOrSelf: AxisAncestorOrSelf, AxisAncestorOrSelf: AxisDescendantOrSelf,
+	AxisFollowingSibling: AxisPrecedingSibling, AxisPrecedingSibling: AxisFollowingSibling,
+}
+
+// image returns the nodes reachable from some node of s via the axis,
+// as a fresh set. Forward axes read each node's parent or previous
+// sibling, which precede it in document order; reverse axes read its
+// children or next sibling in reverse document order. So one pass
+// over order closes each transitive axis.
+func (e *evaluator) image(ax Axis, s []bool) []bool {
+	out := e.newSet()
+	parent, prev, next := e.a.Parent, e.a.PrevSibling, e.a.NextSibling
+	switch ax {
+	case AxisSelf:
+		copy(out, s)
+	case AxisChild:
+		for _, v := range e.order {
+			p := parent[v]
+			out[v] = p != tree.NoNode && s[p]
+		}
+	case AxisDescendant:
+		for _, v := range e.order {
+			p := parent[v]
+			out[v] = p != tree.NoNode && (s[p] || out[p])
+		}
+	case AxisDescendantOrSelf:
+		for _, v := range e.order {
+			p := parent[v]
+			out[v] = s[v] || p != tree.NoNode && out[p]
+		}
+	case AxisParent:
+		for _, v := range e.order {
+			if p := parent[v]; p != tree.NoNode && s[v] {
+				out[p] = true
+			}
+		}
+	case AxisAncestor:
+		for _, v := range slices.Backward(e.order) {
+			if p := parent[v]; p != tree.NoNode && (s[v] || out[v]) {
+				out[p] = true
+			}
+		}
+	case AxisAncestorOrSelf:
+		for _, v := range slices.Backward(e.order) {
+			out[v] = out[v] || s[v]
+			if p := parent[v]; p != tree.NoNode && out[v] {
+				out[p] = true
+			}
+		}
+	case AxisFollowingSibling:
+		for _, v := range e.order {
+			q := prev[v]
+			out[v] = q != tree.NoNode && (s[q] || out[q])
+		}
+	case AxisPrecedingSibling:
+		for _, v := range slices.Backward(e.order) {
+			q := next[v]
+			out[v] = q != tree.NoNode && (s[q] || out[q])
 		}
 	}
 	return out
 }
 
-func evalPath(p *Path, nodes []*tree.Node, ctx []bool) []bool {
-	cur := ctx
-	for _, st := range p.Steps {
-		cur = evalStep(st, nodes, cur)
+// filter keeps, in place, the nodes of s that pass the step's node
+// test and predicates. Core XPath is defined over plain labeled trees:
+// '*' matches any node (text nodes are ordinary leaves labeled #text,
+// matched explicitly by text()).
+func (e *evaluator) filter(st Step, s []bool) []bool {
+	if st.Test != "*" {
+		sym, label := e.a.Syms.ID(st.Test), e.a.Label
+		for _, v := range e.order {
+			s[v] = s[v] && label[v] == sym
+		}
 	}
-	return cur
+	for _, pr := range st.Preds {
+		sat := e.expr(pr)
+		for _, v := range e.order {
+			s[v] = s[v] && sat[v]
+		}
+	}
+	return s
 }
 
-func evalStep(st Step, nodes []*tree.Node, cur []bool) []bool {
-	next := make([]bool, len(nodes))
-	addAxis(st.Axis, nodes, cur, next)
-	// Node test. Core XPath is defined over plain labeled trees: '*'
-	// matches any node (text nodes are ordinary leaves labeled #text,
-	// matched explicitly by text()).
-	for id := range next {
-		if !next[id] {
-			continue
-		}
-		if st.Test != "*" && nodes[id].Label != st.Test {
-			next[id] = false
-		}
-	}
-	// Predicates.
-	for _, e := range st.Preds {
-		for id := range next {
-			if next[id] && !evalExpr(e, nodes, id) {
-				next[id] = false
-			}
-		}
-	}
-	return next
-}
-
-func addAxis(ax Axis, nodes []*tree.Node, cur, next []bool) {
-	switch ax {
-	case AxisSelf:
-		copy(next, cur)
-	case AxisChild:
-		for id, in := range cur {
-			if !in {
-				continue
-			}
-			for _, c := range nodes[id].Children {
-				next[c.ID] = true
-			}
-		}
-	case AxisDescendant, AxisDescendantOrSelf:
-		var mark func(n *tree.Node)
-		mark = func(n *tree.Node) {
-			next[n.ID] = true
-			for _, c := range n.Children {
-				mark(c)
-			}
-		}
-		for id, in := range cur {
-			if !in {
-				continue
-			}
-			if ax == AxisDescendantOrSelf {
-				mark(nodes[id])
-			} else {
-				for _, c := range nodes[id].Children {
-					mark(c)
-				}
-			}
-		}
-	case AxisParent:
-		for id, in := range cur {
-			if in && nodes[id].Parent != nil {
-				next[nodes[id].Parent.ID] = true
-			}
-		}
-	case AxisAncestor, AxisAncestorOrSelf:
-		for id, in := range cur {
-			if !in {
-				continue
-			}
-			if ax == AxisAncestorOrSelf {
-				next[id] = true
-			}
-			for a := nodes[id].Parent; a != nil; a = a.Parent {
-				next[a.ID] = true
-			}
-		}
-	case AxisFollowingSibling:
-		for id, in := range cur {
-			if !in {
-				continue
-			}
-			for s := nodes[id].NextSibling(); s != nil; s = s.NextSibling() {
-				next[s.ID] = true
-			}
-		}
-	case AxisPrecedingSibling:
-		for id, in := range cur {
-			if !in {
-				continue
-			}
-			for s := nodes[id].PrevSibling(); s != nil; s = s.PrevSibling() {
-				next[s.ID] = true
-			}
-		}
-	}
-}
-
-func evalExpr(e Expr, nodes []*tree.Node, id int) bool {
-	switch g := e.(type) {
+// expr returns the nodes satisfying the filter expression, as a fresh
+// set.
+func (e *evaluator) expr(x Expr) []bool {
+	switch g := x.(type) {
 	case ExprPath:
-		ctx := make([]bool, len(nodes))
-		ctx[id] = true
-		res := evalPath(g.Path, nodes, ctx)
-		for _, in := range res {
-			if in {
-				return true
-			}
-		}
-		return false
+		return e.sat(g.Path)
 	case ExprAnd:
-		return evalExpr(g.L, nodes, id) && evalExpr(g.R, nodes, id)
+		l, r := e.expr(g.L), e.expr(g.R)
+		for _, v := range e.order {
+			l[v] = l[v] && r[v]
+		}
+		return l
 	case ExprOr:
-		return evalExpr(g.L, nodes, id) || evalExpr(g.R, nodes, id)
+		l, r := e.expr(g.L), e.expr(g.R)
+		for _, v := range e.order {
+			l[v] = l[v] || r[v]
+		}
+		return l
 	case ExprNot:
-		return !evalExpr(g.E, nodes, id)
+		s := e.expr(g.E)
+		for _, v := range e.order {
+			s[v] = !s[v]
+		}
+		return s
 	}
-	return false
+	return e.newSet()
+}
+
+// sat returns the nodes from which the relative path can be completed,
+// built back to front as pathSat builds its datalog: after the last
+// step every node qualifies, and each earlier step maps the nodes that
+// pass its test and predicates back through the inverse of its axis.
+func (e *evaluator) sat(p *Path) []bool {
+	s := e.newSet()
+	for _, v := range e.order {
+		s[v] = true
+	}
+	for _, st := range slices.Backward(p.Steps) {
+		s = e.image(inverse[st.Axis], e.filter(st, s))
+	}
+	return s
 }

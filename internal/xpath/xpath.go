@@ -13,7 +13,8 @@
 //
 // The positive fragment (no not) compiles to pure monadic datalog
 // (ToDatalog); the direct evaluator (Select) supports full Core XPath
-// including negation and serves as the reference semantics.
+// including negation, set-at-a-time in O(|D|·|Q|), and serves as the
+// reference semantics for the translation.
 package xpath
 
 import (
@@ -127,9 +128,18 @@ func (ExprOr) isExpr()   {}
 func (ExprNot) isExpr()  {}
 
 func (e ExprPath) String() string { return e.Path.String() }
-func (e ExprAnd) String() string  { return e.L.String() + " and " + e.R.String() }
+func (e ExprAnd) String() string  { return andOperand(e.L) + " and " + andOperand(e.R) }
 func (e ExprOr) String() string   { return e.L.String() + " or " + e.R.String() }
 func (e ExprNot) String() string  { return "not(" + e.E.String() + ")" }
+
+// andOperand prints an operand of and, parenthesizing a disjunction:
+// and binds tighter than or.
+func andOperand(e Expr) string {
+	if _, ok := e.(ExprOr); ok {
+		return "(" + e.String() + ")"
+	}
+	return e.String()
+}
 
 // HasNegation reports whether the path uses not(·) anywhere.
 func (p *Path) HasNegation() bool {

@@ -13,20 +13,23 @@ import (
 	"mdlog/internal/tree"
 )
 
+// printCases are queries that must parse and reparse; they also seed
+// FuzzXPathSelect.
+var printCases = []string{
+	"/html/body//div",
+	"//table/tr[td/b]/td",
+	"//li[following-sibling::li]",
+	"/a/b[c and d or e]",
+	"//p[not(b)]",
+	"//a/..",
+	"//a/.",
+	"/descendant-or-self::p/ancestor::div",
+	"//td/text()",
+	"/",
+}
+
 func TestParseAndPrint(t *testing.T) {
-	cases := []string{
-		"/html/body//div",
-		"//table/tr[td/b]/td",
-		"//li[following-sibling::li]",
-		"/a/b[c and d or e]",
-		"//p[not(b)]",
-		"//a/..",
-		"//a/.",
-		"/descendant-or-self::p/ancestor::div",
-		"//td/text()",
-		"/",
-	}
-	for _, src := range cases {
+	for _, src := range printCases {
 		p, err := Parse(src)
 		if err != nil {
 			t.Fatalf("Parse(%q): %v", src, err)

@@ -588,7 +588,7 @@ func CompileXPath(x *XPath, opts ...Option) (*CompiledQuery, error) {
 	q := cfg.newQuery(LangXPath, pred, []string{pred})
 	if x.HasNegation() {
 		// not(·) has no positive datalog translation; use the direct
-		// evaluator (reference semantics).
+		// evaluator.
 		q.plan = &xpathDirectPlan{x: x, pred: pred}
 	} else {
 		dp, err := xpath.ToDatalog(x, pred)
@@ -886,7 +886,7 @@ func (p *msoPlan) run(t *Tree) (*Database, Stats, error) {
 	return unaryDB(t.Arena().Len(), p.pred, ids), rs, nil
 }
 
-// xpathDirectPlan runs the reference Core XPath evaluator (needed for
+// xpathDirectPlan runs the direct Core XPath evaluator (needed for
 // not(·), which has no positive datalog translation).
 type xpathDirectPlan struct {
 	x    *XPath
@@ -900,7 +900,7 @@ func (p *xpathDirectPlan) run(t *Tree) (*Database, Stats, error) {
 	start := time.Now()
 	ids := xpath.Select(p.x, t)
 	rs.Eval = time.Since(start)
-	return unaryDB(t.Size(), p.pred, ids), rs, nil
+	return unaryDB(t.Arena().Len(), p.pred, ids), rs, nil
 }
 
 // elogDirectPlan runs the native Elog⁻Δ fixpoint (Theorem 6.6 lives
@@ -920,7 +920,7 @@ func (p *elogDirectPlan) run(t *Tree) (*Database, Stats, error) {
 	if err != nil {
 		return nil, rs, err
 	}
-	db := datalog.NewDatabase(t.Size())
+	db := datalog.NewDatabase(t.Arena().Len())
 	for _, pat := range p.patterns {
 		db.Rel(pat, 1).AddUnarySet(res[pat])
 	}
