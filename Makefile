@@ -42,7 +42,9 @@ bench-smoke:
 # bitmap} × {-O0, -O1} and the raw program on {semi-naive, LIT}, all
 # compared with the naive fixpoint on every visible relation, plus
 # all-linear and all-bitmap fused QuerySet passes against their
-# individual evaluations, plus the random edit-script oracle
+# individual evaluations, plus each program fused with a renamed,
+# reordered copy of itself that dedup must merge away, plus the random
+# edit-script oracle
 # (incremental maintenance of grounding plans, and the MSO, negated
 # XPath and Elog⁻Δ plans run on the live arena, ≡ replay from scratch).
 # Override the workload with MDLOG_FUZZ_N / MDLOG_FUZZ_SEED.
@@ -51,12 +53,14 @@ bench-smoke:
 # Last, ten seconds each of native fuzzing: the reference HTML parser
 # against the streaming one mdlogd serves with, on arbitrary bytes;
 # then the XPath printer against the parser and the set-at-a-time
-# Select against the node-at-a-time reference, on arbitrary queries.
+# Select against the node-at-a-time reference, on arbitrary queries;
+# then the datalog printer against the parser, on arbitrary programs.
 fuzz-smoke:
 	MDLOG_FUZZ_N=$${MDLOG_FUZZ_N:-400} $(GO) test -run 'TestDifferentialEngines|TestIncrementalDifferential' -count=1 .
 	$(GO) test -run 'TestStoreRestartRoundTrip|TestStoreCorruptSnapshotFailsBoot' -count=1 ./internal/service
 	$(GO) test -run '^$$' -fuzz '^FuzzStreamingMatchesNodes$$' -fuzztime 10s ./internal/html
 	$(GO) test -run '^$$' -fuzz '^FuzzXPathSelect$$' -fuzztime 10s ./internal/xpath
+	$(GO) test -run '^$$' -fuzz '^FuzzParseProgram$$' -fuzztime 10s ./internal/datalog
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...

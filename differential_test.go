@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -264,6 +265,12 @@ func TestDifferentialEngines(t *testing.T) {
 			for _, lvl := range levels {
 				fuzzSubsumedPair(t, ctx, i, p, tr, lvl, want)
 			}
+			// Renamed-twin arm: p's compiled program beside a copy with
+			// every intensional predicate renamed and the rule order
+			// reversed. Dedup must merge the copy away entirely.
+			for _, lvl := range levels {
+				fuzzRenamedTwin(t, ctx, i, p, tr, lvl, want)
+			}
 			if d == 0 {
 				fuzzCheckerSoundness(t, ctx, i, rng, p, tr, ref)
 			}
@@ -501,6 +508,59 @@ func fuzzSubsumedPair(t *testing.T, ctx context.Context, caseNo int, p *Program,
 		got, wantIDs := res[1].Assignment[pred], ind.UnarySet(pred)
 		if fmt.Sprint(got) != fmt.Sprint(wantIDs) && (len(got) > 0 || len(wantIDs) > 0) {
 			t.Fatalf("case %d: variant %s = %v via set, %v individually\nvariant:\n%s", caseNo, pred, got, wantIDs, variant)
+		}
+	}
+}
+
+// fuzzRenamedTwin fuses p, compiled at lvl, with a twin: its
+// post-optimization program with every intensional predicate renamed
+// and the rules in reverse order, compiled as is. The twin is the same
+// program up to names, so dedup's partition refinement must merge every
+// twin predicate into p's — the twin owns no fused rule — and both
+// members must select the reference p0 set.
+func fuzzRenamedTwin(t *testing.T, ctx context.Context, caseNo int, p *Program, tr *Tree, lvl OptLevel, want string) {
+	t.Helper()
+	q, err := CompileProgram(p.Clone(), WithOptLevel(lvl), WithoutCache())
+	if err != nil {
+		t.Fatalf("case %d: compiling original at %v: %v\nprogram:\n%s", caseNo, lvl, err, p)
+	}
+	post := groundingOf(q.plan).Program()
+	twin := post.Clone()
+	rename := func(pred string) string { return "twin_" + pred }
+	idb := map[string]bool{}
+	for _, pred := range twin.IntensionalPreds() {
+		idb[pred] = true
+	}
+	slices.Reverse(twin.Rules)
+	for ri := range twin.Rules {
+		r := &twin.Rules[ri]
+		r.Head.Pred = rename(r.Head.Pred)
+		for j := range r.Body {
+			if idb[r.Body[j].Pred] {
+				r.Body[j].Pred = rename(r.Body[j].Pred)
+			}
+		}
+	}
+	twin.Query = rename(post.Query)
+	tq, err := CompileProgram(twin, WithOptLevel(OptNone), WithExtract(twin.Query), WithoutCache())
+	if err != nil {
+		t.Fatalf("case %d: compiling twin at %v: %v\ntwin:\n%s", caseNo, lvl, err, twin)
+	}
+	set, err := NewNamedQuerySet(NamedQuery{Name: "orig", Query: q}, NamedQuery{Name: "twin", Query: tq})
+	if err != nil {
+		t.Fatalf("case %d: fusing renamed twin at %v: %v", caseNo, lvl, err)
+	}
+	if rules := set.Plans()[1].Rules; rules != 0 {
+		t.Fatalf("case %d: renamed twin at %v owns %d fused rules, want 0\nprogram:\n%s\ntwin:\n%s",
+			caseNo, lvl, rules, post, twin)
+	}
+	for _, r := range set.Run(ctx, tr) {
+		if r.Err != nil {
+			t.Fatalf("case %d: renamed twin pair member %s at %v: %v", caseNo, r.Name, lvl, r.Err)
+		}
+		if got := fmt.Sprint(r.IDs); got != want {
+			t.Fatalf("case %d: renamed twin pair member %s at %v selects %s, want %s\nprogram:\n%s\ntree: %s",
+				caseNo, r.Name, lvl, got, want, post, tr)
 		}
 	}
 }

@@ -209,8 +209,9 @@ func TestRunOnLiveTreeAnswersInArenaIDs(t *testing.T) {
 }
 
 // TestForgetLiveDocumentFreesMemo: the results a QuerySet memoizes for
-// a live document are keyed by the document's own tree, so Forget on
-// it — the call that closes a session — frees every generation's.
+// a live document are keyed by the document's own tree, so each edit's
+// results replace the last generation's, and Forget on the tree — the
+// call that closes a session — frees them.
 func TestForgetLiveDocumentFreesMemo(t *testing.T) {
 	ctx := context.Background()
 	set, err := CompileSet([]SetSpec{
@@ -231,8 +232,8 @@ func TestForgetLiveDocumentFreesMemo(t *testing.T) {
 			}
 		}
 	}
-	if set.Cache().Len() == 0 {
-		t.Fatal("no memo entries after five incremental runs")
+	if n := set.Cache().Len(); n != 1 {
+		t.Fatalf("%d memo entries after five edits and incremental runs, want 1", n)
 	}
 	set.Cache().Forget(doc.Tree())
 	if n := set.Cache().Len(); n != 0 {

@@ -89,7 +89,7 @@ func TestFusedRunAllocGate(t *testing.T) {
 // apex renaming, dedup, CSE and subsumption together. A pass that
 // stops merging or starts duplicating moves it.
 func TestFusedRuleCountGate(t *testing.T) {
-	const want = 49
+	const want = 45
 	set, err := CompileSet(gateFleet(t))
 	if err != nil {
 		t.Fatal(err)

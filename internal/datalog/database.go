@@ -185,14 +185,13 @@ func (db *Database) Has(pred string, args ...int) bool {
 }
 
 // Unary returns the extension of a unary predicate as a dense bitmap
-// over the domain (nil-safe: unknown predicates yield all-false).
+// over the domain (nil-safe: unknown predicates yield all-false). It
+// panics on a tuple outside the domain.
 func (db *Database) Unary(pred string) []bool {
 	out := make([]bool, db.Dom)
 	if r := db.rels[pred]; r != nil && r.Arity == 1 {
 		for _, t := range r.tuples {
-			if t[0] >= 0 && t[0] < db.Dom {
-				out[t[0]] = true
-			}
+			out[t[0]] = true
 		}
 	}
 	return out

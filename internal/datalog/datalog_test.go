@@ -18,8 +18,9 @@ func TestTermAtomRuleStrings(t *testing.T) {
 	}
 }
 
-func TestParseProgram(t *testing.T) {
-	src := `
+// exampleProgram is a well-formed program with a comment, a constant
+// fact, a propositional head and a query directive.
+const exampleProgram = `
 % Example 3.2 fragment
 b0(X) :- leaf(X).
 c1(X) :- b0(X), label_a(X).
@@ -27,7 +28,9 @@ fact(3).
 b :- c1(Y).
 ?- c1.
 `
-	p, err := ParseProgram(src)
+
+func TestParseProgram(t *testing.T) {
+	p, err := ParseProgram(exampleProgram)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,20 +56,22 @@ b :- c1(Y).
 	}
 }
 
+// badPrograms are texts ParseProgram must reject.
+var badPrograms = []string{
+	"p(X)",                            // missing period
+	"p(X) :- q(X)",                    // missing period
+	"p(X) :- .",                       // empty body
+	"p(X :- q(X).",                    // bad atom
+	"p(X) :- q(X,).",                  // bad term
+	"P(X) :- q(X).",                   // uppercase predicate
+	"p(X) :- q(Y).",                   // actually safe? no: head var X not in body -> unsafe
+	"p(x) :- q(x).",                   // lowercase terms are not variables nor constants
+	"?- .",                            // missing pred
+	"p(X) :- q(X). p(X,Y) :- r(X,Y).", // arity clash
+}
+
 func TestParseErrors(t *testing.T) {
-	bad := []string{
-		"p(X)",                            // missing period
-		"p(X) :- q(X)",                    // missing period
-		"p(X) :- .",                       // empty body
-		"p(X :- q(X).",                    // bad atom
-		"p(X) :- q(X,).",                  // bad term
-		"P(X) :- q(X).",                   // uppercase predicate
-		"p(X) :- q(Y).",                   // actually safe? no: head var X not in body -> unsafe
-		"p(x) :- q(x).",                   // lowercase terms are not variables nor constants
-		"?- .",                            // missing pred
-		"p(X) :- q(X). p(X,Y) :- r(X,Y).", // arity clash
-	}
-	for _, src := range bad {
+	for _, src := range badPrograms {
 		if _, err := ParseProgram(src); err == nil {
 			t.Errorf("ParseProgram(%q): expected error", src)
 		}
@@ -156,6 +161,19 @@ func TestDatabaseBasics(t *testing.T) {
 	if !strings.Contains(db.String(), "e(0,1).") {
 		t.Errorf("String = %q", db.String())
 	}
+}
+
+// TestUnaryOutOfDomainPanics: a unary tuple outside the domain is a
+// fault of whoever added it, and the dense view must not hide it.
+func TestUnaryOutOfDomainPanics(t *testing.T) {
+	db := NewDatabase(3)
+	db.Rel("u", 1).AddUnarySet([]int{1, 3})
+	defer func() {
+		if recover() == nil {
+			t.Error("Unary dropped id 3 in a domain of 3 without a panic")
+		}
+	}()
+	db.Unary("u")
 }
 
 // TestDatabaseCopiesIndependent checks that Clone and Project copy

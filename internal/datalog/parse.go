@@ -15,7 +15,7 @@ import (
 //
 // Variables begin with an uppercase letter; constants are nonnegative
 // integers (domain element ids); predicate names begin with a lowercase
-// letter, '_' or '#' and may contain letters, digits and  _ # ' - < > .
+// letter, '_' or '#' and may contain letters, digits and _ # ' - < >.
 // A directive "?- pred." sets the program's query predicate.
 func ParseProgram(src string) (*Program, error) {
 	p := &progParser{src: src, line: 1}

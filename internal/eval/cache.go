@@ -14,24 +14,24 @@ import (
 // once per call. Nothing else is memoized: the navigation arrays a run
 // needs are O(1) views over the document's arena (NavOf).
 //
-// Entries are keyed by (tree identity, generation): every mutation —
-// pointer-level edits followed by Reindex, or the arena mutation API —
-// advances tree.Tree.Generation, so post-mutation lookups can never be
-// served a pre-mutation memo; the stale entry simply becomes
-// unreachable and ages out under MaxTrees (or is dropped by Forget).
-// The cached result databases are shared: callers must treat them as
-// read-only.
+// Entries are keyed by tree identity, and each records the generation
+// its results were computed at: every mutation — pointer-level edits
+// followed by Reindex, or the arena mutation API — advances
+// tree.Tree.Generation, so a post-mutation lookup misses, and the next
+// SetResult replaces the superseded results. A live document thus
+// holds one entry however often it is edited. The cached result
+// databases are shared: callers must treat them as read-only.
 //
 // A TreeCache is safe for concurrent use. The zero value is NOT ready;
 // use NewTreeCache.
 type TreeCache struct {
 	mu      sync.Mutex
-	entries map[treeKey]*treeCacheEntry
+	entries map[*tree.Tree]*treeCacheEntry
 
-	// MaxTrees bounds the number of retained entries — one per (tree,
-	// generation) pair (0 = unbounded). When full, inserting a new one
-	// evicts an arbitrary old entry — the cache targets "same document
-	// queried many times", not LRU-precise scan workloads.
+	// MaxTrees bounds the number of retained entries — one per tree
+	// (0 = unbounded). When full, inserting a new one evicts an
+	// arbitrary old entry — the cache targets "same document queried
+	// many times", not LRU-precise scan workloads.
 	MaxTrees int
 
 	// MaxResults bounds the per-tree result memo: how many distinct
@@ -65,17 +65,10 @@ type CacheStats struct {
 	ResultEvictions int64
 }
 
-// treeKey identifies one generation of one document: the staleness
-// guard that makes mutation safe against every memo layer at once.
-type treeKey struct {
-	t   *tree.Tree
-	gen uint64
-}
-
-func keyOf(t *tree.Tree) treeKey { return treeKey{t: t, gen: t.Generation()} }
-
 type treeCacheEntry struct {
-	mu      sync.Mutex
+	mu sync.Mutex
+	// gen is the tree generation the results were computed at.
+	gen     uint64
 	results map[any]*datalog.Database
 }
 
@@ -84,17 +77,16 @@ type treeCacheEntry struct {
 // MaxResults before first use to change it.
 func NewTreeCache(maxTrees int) *TreeCache {
 	return &TreeCache{
-		entries:    map[treeKey]*treeCacheEntry{},
+		entries:    map[*tree.Tree]*treeCacheEntry{},
 		MaxTrees:   maxTrees,
 		MaxResults: DefaultMaxResults,
 	}
 }
 
 func (c *TreeCache) entry(t *tree.Tree) *treeCacheEntry {
-	key := keyOf(t)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e, ok := c.entries[key]
+	e, ok := c.entries[t]
 	if !ok {
 		if c.MaxTrees > 0 && len(c.entries) >= c.MaxTrees {
 			for k := range c.entries {
@@ -103,17 +95,16 @@ func (c *TreeCache) entry(t *tree.Tree) *treeCacheEntry {
 			}
 		}
 		e = &treeCacheEntry{}
-		c.entries[key] = e
+		c.entries[t] = e
 	}
 	return e
 }
 
-// peek returns t's current-generation entry without creating one.
+// peek returns t's entry without creating one.
 func (c *TreeCache) peek(t *tree.Tree) *treeCacheEntry {
-	key := keyOf(t)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.entries[key]
+	return c.entries[t]
 }
 
 // Result returns the memoized evaluation result for (t, key), if any.
@@ -124,8 +115,11 @@ func (c *TreeCache) Result(t *tree.Tree, key any) (*datalog.Database, bool) {
 	var db *datalog.Database
 	ok := false
 	if e := c.peek(t); e != nil {
+		gen := t.Generation()
 		e.mu.Lock()
-		db, ok = e.results[key]
+		if e.gen == gen {
+			db, ok = e.results[key]
+		}
 		e.mu.Unlock()
 	}
 	if ok {
@@ -136,18 +130,20 @@ func (c *TreeCache) Result(t *tree.Tree, key any) (*datalog.Database, bool) {
 	return db, ok
 }
 
-// SetResult memoizes an evaluation result for (t, key). Results live
-// exactly as long as the tree's cache entry: Forget or an eviction
-// drops them together. When the
-// entry already holds MaxResults results for other keys, an arbitrary
-// one is evicted first (same policy as MaxTrees).
+// SetResult memoizes an evaluation result for (t, key) at t's current
+// generation. Results live exactly as long as the tree's cache entry:
+// Forget or an eviction drops them together, and a result for a new
+// generation replaces all of them. When the entry already holds
+// MaxResults results for other keys, an arbitrary one is evicted first
+// (same policy as MaxTrees).
 func (c *TreeCache) SetResult(t *tree.Tree, key any, db *datalog.Database) {
 	maxResults := c.maxResults()
+	gen := t.Generation()
 	e := c.entry(t)
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.results == nil {
-		e.results = map[any]*datalog.Database{}
+	if e.results == nil || e.gen != gen {
+		e.gen, e.results = gen, map[any]*datalog.Database{}
 	}
 	if maxResults > 0 && len(e.results) >= maxResults {
 		if _, present := e.results[key]; !present {
@@ -171,28 +167,25 @@ func (c *TreeCache) maxResults() int {
 // current generation. Purely advisory: a
 // concurrent Forget or eviction can invalidate the answer immediately.
 func (c *TreeCache) Contains(t *tree.Tree) bool {
-	key := keyOf(t)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	_, ok := c.entries[key]
-	return ok
+	e := c.peek(t)
+	if e == nil {
+		return false
+	}
+	gen := t.Generation()
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.gen == gen
 }
 
-// Forget drops all cached state for t, across every generation — the
-// release hook for closing document sessions (superseded-generation
-// entries would otherwise linger until evicted).
+// Forget drops all cached state for t — the release hook for closing
+// document sessions.
 func (c *TreeCache) Forget(t *tree.Tree) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for k := range c.entries {
-		if k.t == t {
-			delete(c.entries, k)
-		}
-	}
+	delete(c.entries, t)
 }
 
-// Len returns the number of (tree, generation) entries with cached
-// state.
+// Len returns the number of trees with cached state.
 func (c *TreeCache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()

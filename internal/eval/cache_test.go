@@ -122,3 +122,25 @@ func TestTreeDBNoPhantomLabels(t *testing.T) {
 		}
 	}
 }
+
+// TestResultMemoGenerations: a tree keeps one entry across mutations.
+// A lookup after a mutation misses, and the next SetResult replaces
+// the superseded results.
+func TestResultMemoGenerations(t *testing.T) {
+	c := NewTreeCache(0)
+	tr := tree.MustParse("a(b)")
+	old, cur := datalog.NewDatabase(2), datalog.NewDatabase(2)
+	c.SetResult(tr, "q", old)
+	c.SetResult(tr, "p", old)
+	tr.Reindex()
+	if _, ok := c.Result(tr, "q"); ok || c.Contains(tr) {
+		t.Fatal("a mutated tree is served its old results")
+	}
+	c.SetResult(tr, "q", cur)
+	if got := c.Stats(); got.Trees != 1 || got.Results != 1 {
+		t.Errorf("after a new generation's result: %+v, want 1 tree and 1 result", got)
+	}
+	if db, ok := c.Result(tr, "q"); !ok || db != cur {
+		t.Error("the new generation's result is not served")
+	}
+}

@@ -39,7 +39,7 @@ type Canon struct {
 func Canonicalize(p *datalog.Program, extra ...string) Canon {
 	lines := make([]string, len(p.Rules))
 	for i, r := range p.Rules {
-		lines[i] = CanonicalRule(r)
+		lines[i] = canonicalRule(r)
 	}
 	sort.Strings(lines)
 	key := strings.Join(lines, "\n")
@@ -55,13 +55,13 @@ func Canonicalize(p *datalog.Program, extra ...string) Canon {
 	return Canon{Key: key, Hash: h.Sum64(), Rules: len(p.Rules)}
 }
 
-// CanonicalRule renders a rule with body atoms sorted by their literal
+// canonicalRule renders a rule with body atoms sorted by their literal
 // text and variables then renumbered by first occurrence. α-equivalent
 // rules with consistently ordered atoms collide; two rules can only
 // collide if some variable renaming makes them literally identical, so
 // a collision always means semantic equality (the converse is
 // best-effort: exotic orderings of same-predicate atoms may escape).
-func CanonicalRule(r datalog.Rule) string {
+func canonicalRule(r datalog.Rule) string {
 	body := make([]string, len(r.Body))
 	for i, b := range r.Body {
 		body[i] = b.String()
@@ -69,9 +69,6 @@ func CanonicalRule(r datalog.Rule) string {
 	sort.Strings(body)
 	return renameByFirstOccurrence(r, body)
 }
-
-// canonicalRule is the package-internal spelling of CanonicalRule.
-func canonicalRule(r datalog.Rule) string { return CanonicalRule(r) }
 
 // renameByFirstOccurrence renders head + sorted body with variables
 // renamed v0, v1, ... in order of first occurrence.
@@ -118,36 +115,4 @@ func renameByFirstOccurrence(r datalog.Rule, sortedBody []string) string {
 		}
 	}
 	return sb.String()
-}
-
-// selfToken stands in for a predicate's own name when canonicalizing
-// its definition, so directly-recursive twins still collide. The NUL
-// byte keeps it out of the space of parseable predicate names.
-const selfToken = "\x00self"
-
-// canonicalDef renders a predicate's complete defining rule set in a
-// form where two predicates with α-equivalent, order-insensitive,
-// self-reference-insensitive definitions (under the current merge
-// renaming) collide: each rule is canonicalized like CanonicalRule
-// with the predicate's own name replaced by selfToken, and the rule
-// strings are sorted.
-func canonicalDef(pred string, rules []datalog.Rule, resolve func(string) string) string {
-	subst := func(p string) string {
-		p = resolve(p)
-		if p == pred {
-			return selfToken
-		}
-		return p
-	}
-	lines := make([]string, len(rules))
-	for i, r := range rules {
-		c := r.Clone()
-		c.Head.Pred = subst(c.Head.Pred)
-		for j := range c.Body {
-			c.Body[j].Pred = subst(c.Body[j].Pred)
-		}
-		lines[i] = canonicalRule(c)
-	}
-	sort.Strings(lines)
-	return strings.Join(lines, "\n")
 }

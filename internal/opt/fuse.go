@@ -17,18 +17,27 @@ package opt
 //     consequence operator of the union decomposes into the members'
 //     operators, which cannot interact through disjoint predicates.
 //
-//  2. Shared-auxiliary deduplication. Two intensional predicates whose
-//     complete defining rule sets are identical — up to variable
-//     renaming, body-atom order, self-reference, and the merges
-//     already performed — have identical extensions in every least
-//     model (induction on fixpoint stages), so the duplicate may be
-//     replaced by its representative everywhere. This is what makes
-//     fusion pay: the tm_*/conn_* chains that every translation emits
-//     for shared document structure are evaluated once for the whole
-//     set instead of once per wrapper.
+//  2. Shared-auxiliary deduplication. Dedup partitions the
+//     intensional predicates into blocks such that any two predicates
+//     of a block have the same rule set once every intensional
+//     predicate is replaced by its block (a stable partition).
+//     Predicates of one block have equal fixpoint stages, by
+//     induction: stage 0 is empty for all, and if stage k agrees within
+//     every block, a rule of p and its block-equal twin of q derive the
+//     same facts at stage k+1, since their body predicates lie in the
+//     same blocks and the extensional relations are shared. So a
+//     block's predicates have one least model, and renaming each to one
+//     representative changes no visible extension. This is what makes
+//     fusion pay: the tm_*/conn_* chains and descendant closures that
+//     every translation emits for shared document structure are
+//     evaluated once for the whole set instead of once per wrapper.
 
 import (
-	"sort"
+	"fmt"
+	"maps"
+	"slices"
+	"strconv"
+	"strings"
 
 	"mdlog/internal/datalog"
 	"mdlog/internal/eval"
@@ -43,9 +52,9 @@ type FuseMember struct {
 	// mutated.
 	Program *datalog.Program
 	// Visible are the predicates whose extensions the caller observes
-	// for this member; they are protected from deduplication (their
-	// prefixed names survive into the fused program, as
-	// Prefix+pred), while everything else is fair game for merging.
+	// for this member; they are protected: each stays addressable as
+	// Prefix+pred, in the fused program or through the alias map Fuse
+	// returns, while everything else is fair game for merging.
 	Visible []string
 }
 
@@ -76,25 +85,6 @@ type FuseReport struct {
 	CheckNs int64
 }
 
-// FuseOptions selects which structure-sharing passes FuseWith runs on
-// top of baseline apex-rename + α-equivalent dedup.
-type FuseOptions struct {
-	// CSE extracts common connected rule-body fragments that recur
-	// across members into shared auxiliary predicates, so near-
-	// duplicate wrappers share ground work even when no complete
-	// predicate definition coincides.
-	CSE bool
-	// Subsume runs the containment checker over the visible
-	// predicates and merges those proven semantically equivalent, so a
-	// wrapper answerable from another's relation costs zero evaluation.
-	Subsume bool
-	// Contain tunes the subsumption pass's checker (nil: defaults).
-	Contain *ContainOptions
-}
-
-// DefaultFuseOptions is what Fuse uses: all passes on.
-var DefaultFuseOptions = FuseOptions{CSE: true, Subsume: true}
-
 // Fuse apex-renames each member's program and unions them into one,
 // then merges predicates whose definitions coincide across members.
 // Each member's visible predicate v appears in the result as
@@ -103,22 +93,18 @@ var DefaultFuseOptions = FuseOptions{CSE: true, Subsume: true}
 // surviving predicate carrying the extension (reading that relation
 // under the visible name costs nothing per document, whereas keeping
 // an alias RULE would ground one clause per node). The fused program
-// has no distinguished query predicate.
+// has no distinguished query predicate. The pipeline is
+//
+//	apex-rename ∪ → dedup → (CSE → dedup)* → subsume
+//
+// where dedup is the partition-refinement merge of predicates with
+// equal definitions, CSE repeats until it stops extracting (each
+// extraction can expose new whole-definition collisions, and each merge
+// can make further fragments coincide), and subsume is the
+// containment-checker pass over visible predicates. Alias maps from
+// successive passes are composed, so the returned map always points at
+// surviving predicates.
 func Fuse(members []FuseMember) (*datalog.Program, map[string]string, FuseReport) {
-	return FuseWith(members, DefaultFuseOptions)
-}
-
-// FuseWith is Fuse with explicit pass selection. The pipeline is
-//
-//	apex-rename ∪ → dedup → (CSE → dedup)* → subsume → dedup
-//
-// where dedup is the α-equivalent definition merge, CSE repeats until
-// it stops extracting (each extraction can expose new whole-definition
-// collisions, and each merge can make further fragments coincide), and
-// subsume is the containment-checker pass over visible predicates.
-// Alias maps from successive passes are composed, so the returned map
-// always points at surviving predicates.
-func FuseWith(members []FuseMember, o FuseOptions) (*datalog.Program, map[string]string, FuseReport) {
 	rep := FuseReport{Members: len(members)}
 	fused := &datalog.Program{}
 	protected := map[string]bool{}
@@ -134,21 +120,17 @@ func FuseWith(members []FuseMember, o FuseOptions) (*datalog.Program, map[string
 		}
 	}
 	aliases := dedupShared(fused, protected, &rep)
-	if o.CSE {
-		cseCounter := 0
-		// The bound is a backstop; extraction normally converges in two
-		// or three rounds (fragments are strictly consumed by aux
-		// predicates, which are then fair game for whole-def dedup).
-		for round := 0; round < 8; round++ {
-			if !cseShared(fused, &cseCounter, &rep) {
-				break
-			}
-			aliases = composeAliases(aliases, dedupShared(fused, protected, &rep))
+	cseCounter := 0
+	// The bound is a backstop; extraction normally converges in two or
+	// three rounds (fragments are strictly consumed by aux predicates,
+	// which are then fair game for whole-def dedup).
+	for round := 0; round < 8; round++ {
+		if !cseShared(fused, &cseCounter, &rep) {
+			break
 		}
+		aliases = composeAliases(aliases, dedupShared(fused, protected, &rep))
 	}
-	if o.Subsume {
-		aliases = subsumeProtected(fused, protected, aliases, o.Contain, &rep)
-	}
+	aliases = subsumeProtected(fused, protected, aliases, &rep)
 	rep.RulesOut = len(fused.Rules)
 	return fused, aliases, rep
 }
@@ -187,18 +169,8 @@ func apexRename(p *datalog.Program, prefix string) *datalog.Program {
 		idb[r.Head.Pred] = true
 	}
 	mapped := func(a datalog.Atom) string {
-		if idb[a.Pred] {
-			return prefix + a.Pred
-		}
-		switch len(a.Args) {
-		case 2:
-			if eval.IsBinaryEDB(a.Pred) {
-				return a.Pred
-			}
-		case 1:
-			if eval.IsUnaryEDB(a.Pred) {
-				return a.Pred
-			}
+		if !idb[a.Pred] && extensional(a) {
+			return a.Pred
 		}
 		return prefix + a.Pred
 	}
@@ -215,100 +187,138 @@ func apexRename(p *datalog.Program, prefix string) *datalog.Program {
 	return out
 }
 
-// dedupShared merges intensional predicates with identical definitions
-// into one representative, to a fixpoint: merging two leaf auxiliaries
-// makes the predicates defined in terms of them collide next round, so
-// identical chains collapse bottom-up whatever their length.
+// extensional reports whether a is an atom of the tree vocabulary the
+// engines ground from the document.
+func extensional(a datalog.Atom) bool {
+	switch len(a.Args) {
+	case 2:
+		return eval.IsBinaryEDB(a.Pred)
+	case 1:
+		return eval.IsUnaryEDB(a.Pred)
+	}
+	return false
+}
+
+// dedupShared merges intensional predicates with equal definitions
+// into one representative each. It computes the coarsest stable
+// partition of the intensional predicates by Moore-style refinement
+// (the one automata.DTA.Minimize runs for states): start with every
+// predicate in one block, and split a block while two of its
+// predicates have rule sets that differ once every intensional
+// predicate is replaced by its block id. A predicate mentioned without
+// rules takes part with the empty rule set. Rule sets compare as sets of canonical
+// rules (canonicalRule), so variable names, body-atom order, duplicate
+// rules and recursion through the block itself never tell twins apart
+// — mutually recursive twin chains merge as well as plain ones.
 //
-// A merged-away predicate's occurrences are rewritten to the
-// representative everywhere. Protected predicates are part of the
-// fused program's output interface, so their extensions must stay
-// addressable: when a protected predicate merges — two wrappers asking
-// the same question should ground one chain, not two — its name is
-// recorded in the returned alias map pointing at the surviving
-// predicate, and the caller projects the shared relation under both
+// Each block is then renamed to one representative, once, and the
+// rules the renaming makes identical are dropped. Protected predicates
+// are part of the fused program's output interface, so their
+// extensions must stay addressable: the representative is a protected
+// predicate when the block has one, and every other protected
+// predicate of the block is recorded in the returned alias map,
+// pointing at it; the caller projects the shared relation under both
 // names. (An alias RULE p(X) :- rep(X) would be semantically
 // equivalent but grounds one Horn clause per document node, which for
 // near-identical wrapper fleets costs more than the merge saves.)
 func dedupShared(p *datalog.Program, protected map[string]bool, rep *FuseReport) map[string]string {
-	// rename maps a merged-away predicate to its surviving
-	// representative; lookups chase the chain so late merges compose.
-	rename := map[string]string{}
-	resolve := func(pred string) string {
-		for {
-			next, ok := rename[pred]
-			if !ok {
-				return pred
+	defs := map[string][]datalog.Rule{}
+	arity := map[string]int{}
+	for _, r := range p.Rules {
+		defs[r.Head.Pred] = append(defs[r.Head.Pred], r)
+		arity[r.Head.Pred] = len(r.Head.Args)
+		for _, a := range r.Body {
+			if !extensional(a) {
+				arity[a.Pred] = len(a.Args)
 			}
-			pred = next
 		}
 	}
-	merged := map[string]string{} // protected pred -> representative at merge time
-	for {
-		// Group every defined predicate by the canonical form of its
-		// complete defining rule set under the current renaming.
-		defs := map[string][]datalog.Rule{}
-		for _, r := range p.Rules {
-			head := resolve(r.Head.Pred)
-			defs[head] = append(defs[head], r)
-		}
-		groups := map[string][]string{}
-		for pred, rules := range defs {
-			key := canonicalDef(pred, rules, resolve)
-			groups[key] = append(groups[key], pred)
-		}
-		progress := false
-		for _, preds := range groups {
-			if len(preds) < 2 {
-				continue
+	preds := slices.Sorted(maps.Keys(arity))
+	block := make(map[string]int, len(preds))
+	for _, pred := range preds {
+		block[pred] = 0
+	}
+	for blocks := 1; ; {
+		// A predicate's signature is its current block, its arity and
+		// its rule set under the current partition, so blocks only ever
+		// split; once a round splits none, the partition is stable.
+		ids := map[string]int{}
+		next := make(map[string]int, len(preds))
+		for _, pred := range preds {
+			key := fmt.Sprintf("%d/%d\n%s", block[pred], arity[pred], defKey(defs[pred], block))
+			id, ok := ids[key]
+			if !ok {
+				id = len(ids)
+				ids[key] = id
 			}
-			sort.Strings(preds)
-			// Representative: the first protected member if any (a
-			// protected representative is never itself merged away
-			// later, so alias chains always bottom out), else the
-			// lexicographically smallest.
-			repPred := preds[0]
-			for _, pred := range preds {
-				if protected[pred] {
-					repPred = pred
-					break
-				}
-			}
-			for _, pred := range preds {
-				if pred == repPred {
-					continue
-				}
-				rename[pred] = repPred
-				rep.MergedPreds++
-				progress = true
-				if protected[pred] {
-					merged[pred] = repPred
-				}
-			}
+			next[pred] = id
 		}
-		if !progress {
+		block = next
+		if len(ids) == blocks {
 			break
 		}
-		// Apply the renaming and drop the duplicate definitions it
-		// creates (the merged predicate's rules become copies of the
-		// representative's).
-		for i := range p.Rules {
-			p.Rules[i].Head.Pred = resolve(p.Rules[i].Head.Pred)
-			for j := range p.Rules[i].Body {
-				p.Rules[i].Body[j].Pred = resolve(p.Rules[i].Body[j].Pred)
+		blocks = len(ids)
+	}
+	// Representative: the first protected predicate of the block if
+	// any, else the lexicographically smallest.
+	repOf := map[int]string{}
+	for _, pred := range preds {
+		b := block[pred]
+		if cur, ok := repOf[b]; !ok || protected[pred] && !protected[cur] {
+			repOf[b] = pred
+		}
+	}
+	rename := map[string]string{}
+	aliases := map[string]string{}
+	for _, pred := range preds {
+		if r := repOf[block[pred]]; r != pred {
+			rename[pred] = r
+			if protected[pred] {
+				aliases[pred] = r
 			}
 		}
-		var dr Report
-		dedupRules(p, &dr)
-		rep.MergedRules += dr.DuplicateRules
 	}
-	// Resolve each merged protected predicate to its final survivor
-	// (the representative recorded at merge time may itself have been
-	// merged onward in a later round; the survivor at the end of a
-	// rename chain always retains its defining rules).
-	aliases := make(map[string]string, len(merged))
-	for pred, repPred := range merged {
-		aliases[pred] = resolve(repPred)
+	if len(rename) == 0 {
+		return aliases
 	}
+	rep.MergedPreds += len(rename)
+	for i := range p.Rules {
+		r := &p.Rules[i]
+		if to, ok := rename[r.Head.Pred]; ok {
+			r.Head.Pred = to
+		}
+		for j := range r.Body {
+			if to, ok := rename[r.Body[j].Pred]; ok {
+				r.Body[j].Pred = to
+			}
+		}
+	}
+	var dr Report
+	dedupRules(p, &dr)
+	rep.MergedRules += dr.DuplicateRules
 	return aliases
+}
+
+// defKey renders a predicate's defining rules with every intensional
+// predicate replaced by its block id: the canonical rules, sorted and
+// without repeats. The NUL byte keeps block ids out of the space of
+// parseable predicate names.
+func defKey(rules []datalog.Rule, block map[string]int) string {
+	subst := func(pred string) string {
+		if b, ok := block[pred]; ok {
+			return "\x00" + strconv.Itoa(b)
+		}
+		return pred
+	}
+	lines := make([]string, len(rules))
+	for i, r := range rules {
+		c := r.Clone()
+		c.Head.Pred = subst(c.Head.Pred)
+		for j := range c.Body {
+			c.Body[j].Pred = subst(c.Body[j].Pred)
+		}
+		lines[i] = canonicalRule(c)
+	}
+	slices.Sort(lines)
+	return strings.Join(slices.Compact(lines), "\n")
 }

@@ -7,10 +7,13 @@ import (
 	"strings"
 	"testing"
 
+	"mdlog/internal/caterpillar"
 	"mdlog/internal/datalog"
 	"mdlog/internal/eval"
 	"mdlog/internal/html"
+	"mdlog/internal/tmnf"
 	"mdlog/internal/tree"
+	"mdlog/internal/xpath"
 )
 
 func parseTree(s string) (*tree.Tree, error) { return tree.Parse(s) }
@@ -96,7 +99,7 @@ q(X)    :- aux2(X), label_b(X).
 }
 
 // TestFuseRecursiveTwins: directly-recursive predicates with identical
-// definitions still merge via the self token.
+// definitions merge.
 func TestFuseRecursiveTwins(t *testing.T) {
 	src := `
 reach(X) :- root(X).
@@ -116,6 +119,134 @@ q(X) :- reach(X), label_a(X).
 	}
 	if aliases["s1__q"] != "s0__q" {
 		t.Fatalf("aliases = %v", aliases)
+	}
+}
+
+// compiledQuery runs a program through the compile pipeline's tail:
+// TMNF normalization, then the optimizer with q as the only root.
+func compiledQuery(t *testing.T, p *datalog.Program) *datalog.Program {
+	t.Helper()
+	tp, err := tmnf.Transform(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, _ := Optimize(tp, Options{Level: O1, Roots: []string{"q"}})
+	return out
+}
+
+// TestFuseMutuallyRecursiveTwins: closures that differ only in their
+// predicate names, rule order and variable names merge even when they
+// recurse through each other, which no bottom-up merge from singletons
+// can show. The hand-written pair is the descendant closure spelled
+// twice; the compiled pair is the caterpillar child* and the XPath //
+// axis, which both translations emit. Every member still answers like
+// its unfused self.
+func TestFuseMutuallyRecursiveTwins(t *testing.T) {
+	xp, err := xpath.Parse("//td[b]")
+	if err != nil {
+		t.Fatal(err)
+	}
+	xprog, err := xpath.ToDatalog(xp, "q")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cat, err := caterpillar.Parse("child*.label_td.child.label_b.(child^-1).label_td")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// rootRules counts the rules seeding a closure at the root.
+	rootRules := func(p *datalog.Program) int {
+		n := 0
+		for _, r := range p.Rules {
+			if len(r.Body) == 1 && r.Body[0].Pred == "root" {
+				n++
+			}
+		}
+		return n
+	}
+	cases := []struct {
+		name  string
+		a, b  *datalog.Program
+		check func(t *testing.T, fused *datalog.Program, aliases map[string]string)
+	}{
+		{
+			name: "hand-written",
+			a: parse(t, `
+desc(X) :- root(X).
+sib(X) :- desc(Y), firstchild(Y,X).
+sib(X) :- sib(Y), nextsibling(Y,X).
+desc(X) :- sib(X).
+q(X) :- desc(X), label_td(X).
+?- q.`),
+			b: parse(t, `
+q(U) :- label_td(U), d(U).
+e(U) :- e(W), nextsibling(W,U).
+d(U) :- e(U).
+e(U) :- d(W), firstchild(W,U).
+d(U) :- root(U).
+?- q.`),
+			check: func(t *testing.T, fused *datalog.Program, aliases map[string]string) {
+				for _, r := range fused.Rules {
+					if strings.HasPrefix(r.Head.Pred, "s1__") {
+						t.Errorf("twin member still owns %s", r)
+					}
+				}
+				if aliases["s1__q"] != "s0__q" {
+					t.Errorf("aliases = %v, want s1__q -> s0__q", aliases)
+				}
+			},
+		},
+		{
+			name: "child* vs //td[b]",
+			a:    compiledQuery(t, xprog),
+			b:    compiledQuery(t, caterpillar.QueryProgram(cat, "q")),
+			check: func(t *testing.T, fused *datalog.Program, _ map[string]string) {
+				if n := rootRules(fused); n != 1 {
+					t.Errorf("fused program seeds %d closures at the root, want 1:\n%s", n, fused)
+				}
+			},
+		},
+	}
+	trees := []string{
+		"html(body(table(tr(td(b),td(i)),tr(td(b(b)),td))))",
+		"td(b,td(b),a(td(c),td(b)))",
+		"a",
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			members := []FuseMember{
+				{Prefix: "s0__", Program: tc.a, Visible: []string{"q"}},
+				{Prefix: "s1__", Program: tc.b, Visible: []string{"q"}},
+			}
+			fused, aliases, rep := Fuse(members)
+			if rep.MergedPreds < 2 {
+				t.Errorf("closures did not merge, report %+v\n%s", rep, fused)
+			}
+			tc.check(t, fused, aliases)
+			for _, src := range trees {
+				tr, err := parseTree(src)
+				if err != nil {
+					t.Fatal(err)
+				}
+				all, err := datalog.NaiveEval(fused, fuseTestDB(tr))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, m := range members {
+					alone, err := datalog.NaiveEval(m.Program, fuseTestDB(tr))
+					if err != nil {
+						t.Fatal(err)
+					}
+					pred := m.Prefix + "q"
+					if tgt, ok := aliases[pred]; ok {
+						pred = tgt
+					}
+					if got, want := all.UnarySet(pred), alone.UnarySet("q"); !slices.Equal(got, want) {
+						t.Errorf("%s on %s: fused %v, alone %v", m.Prefix, src, got, want)
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -208,7 +339,7 @@ func TestFuseCSEExtractsSharedFragments(t *testing.T) {
 		{Prefix: "s0__", Program: a, Visible: []string{"q"}},
 		{Prefix: "s1__", Program: b, Visible: []string{"q"}},
 	}
-	fused, aliases, rep := FuseWith(members, FuseOptions{CSE: true})
+	fused, aliases, rep := Fuse(members)
 	if rep.CSEPreds != 1 || rep.CSERefs != 2 {
 		t.Fatalf("expected one fragment extracted at two sites, report: %+v", rep)
 	}
@@ -244,10 +375,10 @@ func TestFuseCSEExtractsSharedFragments(t *testing.T) {
 func TestFuseCSELeavesHeadSharedVarsAlone(t *testing.T) {
 	a := parse(t, `q(X) :- firstchild(X,Y), nextsibling(Y,Z), label_a(Z), leaf(Y). ?- q.`)
 	b := parse(t, `q(X) :- firstchild(X,Y), nextsibling(Y,Z), label_a(Z), leaf(Y), label_b(X). ?- q.`)
-	_, _, rep := FuseWith([]FuseMember{
+	_, _, rep := Fuse([]FuseMember{
 		{Prefix: "s0__", Program: a, Visible: []string{"q"}},
 		{Prefix: "s1__", Program: b, Visible: []string{"q"}},
-	}, FuseOptions{CSE: true})
+	})
 	// The chain firstchild-nextsibling-label_a has Y shared with
 	// leaf(Y) outside it, and Z internal; the extractable component at
 	// junction Y is {nextsibling(Y,Z), label_a(Z)} in both rules.
@@ -270,7 +401,7 @@ func TestFuseSubsumeMergesEquivalentVisible(t *testing.T) {
 		{Prefix: "s0__", Program: a, Visible: []string{"q"}},
 		{Prefix: "s1__", Program: b, Visible: []string{"q"}},
 	}
-	fused, aliases, rep := FuseWith(members, DefaultFuseOptions)
+	fused, aliases, rep := Fuse(members)
 	if rep.SubsumedPreds != 1 {
 		t.Fatalf("expected one subsumed predicate, report: %+v", rep)
 	}
@@ -319,10 +450,10 @@ func TestFuseSubsumeMergesEquivalentVisible(t *testing.T) {
 func TestFuseSubsumeRefusesProperContainment(t *testing.T) {
 	a := parse(t, `q(X) :- leaf(X). ?- q.`)
 	b := parse(t, `q(X) :- leaf(X), label_a(X). ?- q.`)
-	fused, aliases, rep := FuseWith([]FuseMember{
+	fused, aliases, rep := Fuse([]FuseMember{
 		{Prefix: "s0__", Program: a, Visible: []string{"q"}},
 		{Prefix: "s1__", Program: b, Visible: []string{"q"}},
-	}, DefaultFuseOptions)
+	})
 	if rep.SubsumedPreds != 0 {
 		t.Fatalf("proper containment wrongly merged: %+v", rep)
 	}
@@ -349,10 +480,10 @@ reach(X) :- reach(Y), nextsibling(Y,X).
 `
 	a := parse(t, rec)
 	b := parse(t, rec)
-	fused, aliases, rep := FuseWith([]FuseMember{
+	fused, aliases, rep := Fuse([]FuseMember{
 		{Prefix: "s0__", Program: a, Visible: []string{"reach"}},
 		{Prefix: "s1__", Program: b, Visible: []string{"reach"}},
-	}, FuseOptions{Subsume: true})
+	})
 	// α-equal twins merge in dedupShared before subsumption ever runs;
 	// the surviving single definition is recursive, so the checker
 	// reports it Unknown and changes nothing.
@@ -415,40 +546,35 @@ func nearDuplicateFleet(n int) []FuseMember {
 // TestFuseSubsumeNearDuplicateFleet: on fleets of 8 and 32
 // near-duplicate wrappers the checker decides every visible predicate
 // (Checked = N, Unknown = 0) and leaves exactly one evaluated member
-// per base shape; the containment-aware fused plan and the plain one
-// (apex renaming and dedup only) agree on every member and document.
+// per base shape; every member of the fused plan answers like the
+// member evaluated alone, on every document.
 func TestFuseSubsumeNearDuplicateFleet(t *testing.T) {
 	rng := rand.New(rand.NewSource(49))
-	navs := make([]*eval.Nav, 2)
-	for i := range navs {
-		navs[i] = eval.NewNav(html.Parse(html.ProductListing(rng, 50)))
+	trees := make([]*tree.Tree, 2)
+	for i := range trees {
+		trees[i] = html.Parse(html.ProductListing(rng, 50))
 	}
 	for _, n := range []int{8, 32} {
 		members := nearDuplicateFleet(n)
-		plan := func(o FuseOptions) (*eval.FusedPlan, FuseReport) {
-			fused, aliases, rep := FuseWith(members, o)
-			fms := make([]eval.FusedMember, n)
-			for i, m := range members {
-				pred := m.Prefix + m.Program.Query
-				if tgt, ok := aliases[pred]; ok {
-					pred = tgt
-				}
-				fms[i] = eval.FusedMember{Name: fmt.Sprintf("w%d", i), Project: map[string]string{m.Program.Query: pred}}
-			}
-			fp, err := eval.NewFusedPlan(fused, fms, eval.EngineLinear)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return fp, rep
-		}
-		base, _ := plan(FuseOptions{})
-		full, rep := plan(DefaultFuseOptions)
+		fused, aliases, rep := Fuse(members)
 		if rep.SubsumeUnknown != 0 || rep.SubsumeChecked != n {
 			t.Errorf("N=%d: checked %d, unknown %d; want %d, 0", n, rep.SubsumeChecked, rep.SubsumeUnknown, n)
 		}
+		fms := make([]eval.FusedMember, n)
+		for i, m := range members {
+			pred := m.Prefix + m.Program.Query
+			if tgt, ok := aliases[pred]; ok {
+				pred = tgt
+			}
+			fms[i] = eval.FusedMember{Name: fmt.Sprintf("w%d", i), Project: map[string]string{m.Program.Query: pred}}
+		}
+		full, err := eval.NewFusedPlan(fused, fms, eval.EngineLinear)
+		if err != nil {
+			t.Fatal(err)
+		}
 		evaluated := 0
 		for _, m := range members {
-			for _, r := range full.Program().Rules {
+			for _, r := range fused.Rules {
 				if strings.HasPrefix(r.Head.Pred, m.Prefix) {
 					evaluated++
 					break
@@ -458,19 +584,19 @@ func TestFuseSubsumeNearDuplicateFleet(t *testing.T) {
 		if evaluated != 4 {
 			t.Errorf("N=%d: %d members own rules, want 4 (one per base shape)", n, evaluated)
 		}
-		for d, nav := range navs {
-			bdb, err := base.Run(nav, nil)
+		for d, tr := range trees {
+			fdb, err := full.Run(eval.NewNav(tr), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			fdb, err := full.Run(nav, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			bviews, fviews := base.Split(bdb), full.Split(fdb)
-			for i := range members {
-				if b, f := bviews[i].UnarySet("q"), fviews[i].UnarySet("q"); !slices.Equal(b, f) {
-					t.Errorf("N=%d doc %d w%d: plain %v, subsumed %v", n, d, i, b, f)
+			views := full.Split(fdb)
+			for i, m := range members {
+				alone, err := eval.EvalOnTree(m.Program, tr, eval.EngineLinear)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if a, f := alone.UnarySet("q"), views[i].UnarySet("q"); !slices.Equal(a, f) {
+					t.Errorf("N=%d doc %d w%d: alone %v, fused %v", n, d, i, a, f)
 				}
 			}
 		}

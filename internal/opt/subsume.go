@@ -30,14 +30,10 @@ import (
 // signatures, extends aliases with the merges (composing existing
 // entries through them), prunes rules reachable only from merged-away
 // predicates, and returns the updated alias map.
-func subsumeProtected(p *datalog.Program, protected map[string]bool, aliases map[string]string, copts *ContainOptions, rep *FuseReport) map[string]string {
+func subsumeProtected(p *datalog.Program, protected map[string]bool, aliases map[string]string, rep *FuseReport) map[string]string {
 	start := time.Now()
 	defer func() { rep.CheckNs += time.Since(start).Nanoseconds() }()
-	o := ContainOptions{}
-	if copts != nil {
-		o = *copts
-	}
-	o.NoRefute = true
+	o := ContainOptions{NoRefute: true}
 	// The live protected predicates: earlier passes may already have
 	// aliased some onto others.
 	liveSet := map[string]bool{}
@@ -180,23 +176,4 @@ func dependencyCone(p *datalog.Program, pred string) map[string]bool {
 		}
 	}
 	return cone
-}
-
-// SubsumeClasses groups the given visible predicates (post-aliasing
-// names resolved through aliases) into equivalence classes by final
-// target: predicates that share a surviving representative answer from
-// the same fused relation. The result maps each input name to a class
-// representative (itself if unmerged). Exposed for introspection
-// surfaces (/wrappers, -explain) — it performs no checking, only
-// reads the alias map.
-func SubsumeClasses(visible []string, aliases map[string]string) map[string]string {
-	out := make(map[string]string, len(visible))
-	for _, v := range visible {
-		tgt := v
-		if a, ok := aliases[v]; ok {
-			tgt = a
-		}
-		out[v] = tgt
-	}
-	return out
 }

@@ -883,7 +883,8 @@ func (p *msoPlan) run(t *Tree) (*Database, Stats, error) {
 	start := time.Now()
 	ids := p.q.Select(t)
 	rs.Eval = time.Since(start)
-	return unaryDB(t.Arena().Len(), p.pred, ids), rs, nil
+	db, err := unaryDB(t.Arena().Len(), p.pred, ids)
+	return db, rs, err
 }
 
 // xpathDirectPlan runs the direct Core XPath evaluator (needed for
@@ -900,7 +901,8 @@ func (p *xpathDirectPlan) run(t *Tree) (*Database, Stats, error) {
 	start := time.Now()
 	ids := xpath.Select(p.x, t)
 	rs.Eval = time.Since(start)
-	return unaryDB(t.Arena().Len(), p.pred, ids), rs, nil
+	db, err := unaryDB(t.Arena().Len(), p.pred, ids)
+	return db, rs, err
 }
 
 // elogDirectPlan runs the native Elog⁻Δ fixpoint (Theorem 6.6 lives
@@ -922,15 +924,32 @@ func (p *elogDirectPlan) run(t *Tree) (*Database, Stats, error) {
 	}
 	db := datalog.NewDatabase(t.Arena().Len())
 	for _, pat := range p.patterns {
-		db.Rel(pat, 1).AddUnarySet(res[pat])
+		if err := addUnary(db, pat, res[pat]); err != nil {
+			return nil, rs, err
+		}
 	}
 	return db, rs, nil
 }
 
 // unaryDB wraps one evaluator's answer — sorted, distinct node ids
 // over a domain of dom nodes — as the unary relation pred.
-func unaryDB(dom int, pred string, ids []int) *Database {
+func unaryDB(dom int, pred string, ids []int) (*Database, error) {
 	db := datalog.NewDatabase(dom)
+	if err := addUnary(db, pred, ids); err != nil {
+		return nil, err
+	}
+	return db, nil
+}
+
+// addUnary adds distinct node ids to db as the unary relation pred. An
+// id outside db's domain is an evaluator fault; it fails the run rather
+// than reach callers that size their reads by the domain.
+func addUnary(db *Database, pred string, ids []int) error {
+	for _, id := range ids {
+		if id < 0 || id >= db.Dom {
+			return fmt.Errorf("mdlog: %s selects node %d outside the document's %d arena ids", pred, id, db.Dom)
+		}
+	}
 	db.Rel(pred, 1).AddUnarySet(ids)
-	return db
+	return nil
 }

@@ -756,3 +756,18 @@ func TestDirectPlansLoadSortedSets(t *testing.T) {
 		}
 	}
 }
+
+// TestUnaryDBRejectsOutOfDomain: an evaluator answer naming a node
+// outside the document's arena ids fails the run instead of vanishing.
+func TestUnaryDBRejectsOutOfDomain(t *testing.T) {
+	if _, err := unaryDB(7, "q", []int{1, 7, 8}); err == nil {
+		t.Error("ids 7 and 8 accepted in a domain of 7")
+	}
+	if _, err := unaryDB(7, "q", []int{-1}); err == nil {
+		t.Error("id -1 accepted")
+	}
+	db, err := unaryDB(7, "q", []int{0, 6})
+	if err != nil || !slices.Equal(db.UnarySet("q"), []int{0, 6}) {
+		t.Errorf("in-domain ids: %v, %v", db.UnarySet("q"), err)
+	}
+}
