@@ -54,13 +54,15 @@ bench-smoke:
 # against the streaming one mdlogd serves with, on arbitrary bytes;
 # then the XPath printer against the parser and the set-at-a-time
 # Select against the node-at-a-time reference, on arbitrary queries;
-# then the datalog printer against the parser, on arbitrary programs.
+# then the datalog printer against the parser, on arbitrary programs;
+# then the tree-term printer against the parser, on arbitrary terms.
 fuzz-smoke:
 	MDLOG_FUZZ_N=$${MDLOG_FUZZ_N:-400} $(GO) test -run 'TestDifferentialEngines|TestIncrementalDifferential' -count=1 .
 	$(GO) test -run 'TestStoreRestartRoundTrip|TestStoreCorruptSnapshotFailsBoot' -count=1 ./internal/service
 	$(GO) test -run '^$$' -fuzz '^FuzzStreamingMatchesNodes$$' -fuzztime 10s ./internal/html
 	$(GO) test -run '^$$' -fuzz '^FuzzXPathSelect$$' -fuzztime 10s ./internal/xpath
 	$(GO) test -run '^$$' -fuzz '^FuzzParseProgram$$' -fuzztime 10s ./internal/datalog
+	$(GO) test -run '^$$' -fuzz '^FuzzParseTree$$' -fuzztime 10s ./internal/tree
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...

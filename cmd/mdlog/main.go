@@ -81,7 +81,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		predArg      = fs.String("pred", "", "query predicate to select (overrides the program's ?- directive)")
 		workers      = fs.Int("workers", 0, "worker pool size for multiple documents (0: GOMAXPROCS)")
 		showTree     = fs.Bool("print-tree", false, "print each document tree with node ids")
-		explainArg   = fs.Bool("explain", false, "print the compile plan (fusion, CSE, subsumption) before extracting")
+		explainArg   = fs.Bool("explain", false, "print the compile plan (fusion, dedup, subsumption) before extracting")
 		showStats    = fs.Bool("stats", false, "print compile/run statistics to stderr")
 		watchArg     = fs.Bool("watch", false, "poll the document files and re-extract whenever one changes")
 		watchIvl     = fs.Duration("watch-interval", 200*time.Millisecond, "poll interval for -watch")
@@ -355,14 +355,14 @@ func watchLoop(stdout, stderr io.Writer, treeArgs, treeFiles, htmlFiles []string
 }
 
 // explainSet prints the fused set's compile plan: the registry-wide
-// fuse/CSE/subsumption report followed by one line per member saying
+// fuse/dedup/subsumption report followed by one line per member saying
 // how it will be served (evaluated in the shared pass, answered purely
 // by projection from an equivalent member, or run individually).
 func explainSet(w io.Writer, set *mdlog.QuerySet) {
 	rep := set.FuseStats()
-	fmt.Fprintf(w, "plan: %d programs fused, %d rules -> %d (dedup %d preds, cse %d preds/%d refs, subsume %d merged of %d checked, %d unknown)\n",
+	fmt.Fprintf(w, "plan: %d programs fused, %d rules -> %d (dedup %d preds, subsume %d merged of %d checked, %d unknown)\n",
 		rep.Members, rep.RulesIn, rep.RulesOut, rep.MergedPreds,
-		rep.CSEPreds, rep.CSERefs, rep.SubsumedPreds, rep.SubsumeChecked, rep.SubsumeUnknown)
+		rep.SubsumedPreds, rep.SubsumeChecked, rep.SubsumeUnknown)
 	for _, p := range set.Plans() {
 		switch {
 		case p.Subsumed:

@@ -156,6 +156,7 @@ func fuzzFusedSet(t *testing.T, ctx context.Context, caseNo int, progs []*Progra
 	if set.FusedLen() != len(progs) {
 		t.Fatalf("case %d: fused %d of %d %v members", caseNo, set.FusedLen(), len(progs), engine)
 	}
+	checkPlanOwnership(t, set)
 	results := set.Run(ctx, tr)
 	for j, res := range results {
 		if res.Err != nil {

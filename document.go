@@ -45,10 +45,16 @@ type Document struct {
 	// log holds the not-yet-universally-applied edit windows, one per
 	// mutation call; total counts windows ever appended and dropped
 	// counts windows pruned off the front once every maintainer has
-	// consumed them, so state.applied - dropped indexes into log.
+	// consumed them, so state.applied - dropped indexes into log. rows
+	// counts the arena rows the appended windows touched.
 	log     []*tree.ArenaDelta
 	total   int
 	dropped int
+	rows    int
+
+	// retired keeps the counters of maintainers pruneLocked dropped,
+	// so Stats never runs backwards.
+	retired eval.IncStats
 
 	// states maps a plan identity (CompiledQuery.memoKey or
 	// QuerySet.fusedKey) to its incremental maintainer.
@@ -58,10 +64,11 @@ type Document struct {
 }
 
 // docState is one plan's maintainer plus how many of the document's
-// edit windows it has consumed.
+// edit windows (and their touched rows) it has consumed.
 type docState struct {
 	inc     *eval.IncState
 	applied int
+	rows    int
 }
 
 // NewDocument makes t editable. The tree is adopted, not copied:
@@ -140,6 +147,7 @@ func (d *Document) edit(f func(*tree.ArenaDelta) error) error {
 	}
 	d.log = append(d.log, del)
 	d.total++
+	d.rows += windowRows(del)
 	d.edits++
 	// With no maintainers (or all caught up elsewhere) the window is
 	// dropped immediately; otherwise it lives until every maintainer
@@ -250,15 +258,19 @@ func (d *Document) Stats() DocumentStats {
 		Edits:           d.edits,
 		PendingWindows:  len(d.log),
 		MaintainedPlans: len(d.states),
+		Inc:             d.retired,
 	}
 	for _, st := range d.states {
-		is := st.inc.Stats()
-		ds.Inc.Applies += is.Applies
-		ds.Inc.Fallbacks += is.Fallbacks
-		ds.Inc.Overdeleted += is.Overdeleted
-		ds.Inc.Rederived += is.Rederived
+		addIncStats(&ds.Inc, st.inc.Stats())
 	}
 	return ds
+}
+
+func addIncStats(dst *eval.IncStats, is eval.IncStats) {
+	dst.Applies += is.Applies
+	dst.Fallbacks += is.Fallbacks
+	dst.Overdeleted += is.Overdeleted
+	dst.Rederived += is.Rederived
 }
 
 // incRunLocked returns plan's maintained, projected model under the
@@ -272,13 +284,13 @@ func (d *Document) incRunLocked(ctx context.Context, key any, plan *groundingPla
 	start := time.Now()
 	st := d.states[key]
 	if st == nil {
-		st = &docState{inc: plan.NewIncState(d.arena), applied: d.total}
+		st = &docState{inc: plan.NewIncState(d.arena), applied: d.total, rows: d.rows}
 		d.states[key] = st
 	} else if pending := d.log[st.applied-d.dropped:]; len(pending) > 0 {
 		if err := st.inc.Apply(tree.ComposeDeltas(pending)); err != nil {
 			return nil, rs, err
 		}
-		st.applied = d.total
+		st.applied, st.rows = d.total, d.rows
 	}
 	db, err := st.inc.Database(plan.project)
 	if err != nil {
@@ -289,10 +301,20 @@ func (d *Document) incRunLocked(ctx context.Context, key any, plan *groundingPla
 	return db, rs, nil
 }
 
-// pruneLocked drops edit windows every maintainer has consumed.
+// pruneLocked drops edit windows every maintainer has consumed. A
+// maintainer whose unconsumed windows touch more rows than the arena
+// holds is dropped first: replaying them would cost more than the
+// rebuild incRunLocked does on its next use, and a plan that never
+// runs again (a QuerySet a registry change replaced) would otherwise
+// pin the log forever. The log thus never outgrows the arena.
 func (d *Document) pruneLocked() {
 	min := d.total
-	for _, st := range d.states {
+	for key, st := range d.states {
+		if d.rows-st.rows > d.arena.Len() {
+			addIncStats(&d.retired, st.inc.Stats())
+			delete(d.states, key)
+			continue
+		}
 		if st.applied < min {
 			min = st.applied
 		}
@@ -301,6 +323,12 @@ func (d *Document) pruneLocked() {
 		d.log = append([]*tree.ArenaDelta(nil), d.log[drop:]...)
 		d.dropped = min
 	}
+}
+
+// windowRows is the number of arena rows one edit window touched, at
+// least one, so that no-op windows still count against the log.
+func windowRows(del *tree.ArenaDelta) int {
+	return max(1, len(del.Added)+len(del.Removed)+len(del.Touched)+len(del.Retexted)+len(del.Reattred))
 }
 
 // runIncrementalIn evaluates q against the live document. Grounding

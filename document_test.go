@@ -100,6 +100,77 @@ func TestDocumentDetectsOutOfBandMutation(t *testing.T) {
 	}
 }
 
+// TestStaleMaintainerReleasesEditLog: a QuerySet that stops running
+// on a live document (as the one a registry change replaced does) must
+// not pin the document's edit log. Its maintainer is dropped once
+// replaying the windows it missed would touch more rows than the arena
+// holds, so the log stays as short after 200 edits as after 20; run
+// again, the stale set answers like its members run fresh.
+func TestStaleMaintainerReleasesEditLog(t *testing.T) {
+	ctx := context.Background()
+	labels := []string{"a", "b", "c"}
+	srcs := []string{
+		`q(X) :- label_b(X). ?- q.`,
+		`q(X) :- firstchild(X,Y), label_a(Y). ?- q.`,
+		`q(X) :- child(X,Y), label_c(Y). ?- q.`,
+	}
+	compile := func(srcs []string) []*CompiledQuery {
+		qs := make([]*CompiledQuery, len(srcs))
+		for i, src := range srcs {
+			q, err := Compile(src, LangDatalog)
+			if err != nil {
+				t.Fatal(err)
+			}
+			qs[i] = q
+		}
+		return qs
+	}
+	newSet := func(srcs []string) *QuerySet {
+		set, err := NewQuerySet(compile(srcs)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return set
+	}
+	run := func(set *QuerySet, doc *Document) {
+		for _, res := range set.RunIncremental(ctx, doc) {
+			if res.Err != nil {
+				t.Fatal(res.Err)
+			}
+		}
+	}
+	pending := func(edits int) int {
+		rng := rand.New(rand.NewSource(3))
+		doc := NewDocument(tree.Random(rng, tree.RandomOptions{Labels: labels, Size: 40, MaxChildren: 4}))
+		// The live set is the stale one plus a member, so the two own
+		// different maintainers.
+		stale, live := newSet(srcs[:2]), newSet(srcs)
+		run(stale, doc)
+		run(live, doc)
+		for i := 0; i < edits; i++ {
+			randomDocEdit(t, rng, doc, labels)
+			run(live, doc)
+		}
+		ds := doc.Stats()
+		if ds.PendingWindows > doc.NumNodes() {
+			t.Fatalf("%d edits: %d pending windows on a %d-row arena", edits, ds.PendingWindows, doc.NumNodes())
+		}
+		for i, res := range stale.RunIncremental(ctx, doc) {
+			fresh := compile(srcs[i : i+1])[0].RunIncremental(ctx, doc)
+			if res.Err != nil || fresh.Err != nil {
+				t.Fatal(res.Err, fresh.Err)
+			}
+			if fmt.Sprint(res.IDs) != fmt.Sprint(fresh.IDs) {
+				t.Fatalf("%d edits: stale member %d answers %v, fresh %v", edits, i, res.IDs, fresh.IDs)
+			}
+		}
+		return ds.PendingWindows
+	}
+	if few, many := pending(20), pending(200); many > few {
+		t.Fatalf("pending windows grow with the edit count: %d after 20 edits, %d after 200", few, many)
+	}
+}
+
 // directPlans are one query per plan outside the delta-maintainable
 // fragment: the MSO automaton, the direct Core XPath evaluator that
 // not(·) needs, and Elog⁻Δ's EvalDirect. RunIncremental runs them from

@@ -2,12 +2,12 @@ package opt
 
 // α-canonicalization is the shared spine of the compile pipeline's
 // structure-aware layers: duplicate-rule removal (Optimize),
-// cross-member predicate dedup and CSE (Fuse), the containment
-// checker's conjunctive-query normal forms (contain.go), and the
-// TreeCache plan keys (mdlog.newPlanKey via Canonicalize). One
-// canonical form means one notion of "same program": two plans whose
-// rules are α-equivalent up to rule order share a result memo, collide
-// in Fuse, and are proven equivalent by the checker for free.
+// cross-member predicate dedup (Fuse), the containment checker's
+// conjunctive-query normal forms (contain.go), and the TreeCache plan
+// keys (mdlog.newPlanKey via Canonicalize). One canonical form means
+// one notion of "same program": two plans whose rules are α-equivalent
+// up to rule order share a result memo, collide in Fuse, and are
+// proven equivalent by the checker for free.
 
 import (
 	"fmt"

@@ -2,11 +2,11 @@ package opt
 
 // Program fusion for QuerySet: N post-optimization member programs —
 // any of them the compiled form of a different source language —
-// become ONE program that a single linear-engine pass evaluates per
+// become ONE program that a single engine pass evaluates per
 // document, after which each member's visible relations are projected
 // back out.
 //
-// Soundness rests on two facts (see DESIGN.md §QuerySet):
+// Soundness rests on three facts (see DESIGN.md §QuerySet):
 //
 //  1. Apex renaming. Every predicate a member defines (and every
 //     non-extensional predicate it merely mentions) is prefixed with a
@@ -31,6 +31,15 @@ package opt
 //     fusion pay: the tm_*/conn_* chains and descendant closures that
 //     every translation emits for shared document structure are
 //     evaluated once for the whole set instead of once per wrapper.
+//
+//  3. Subsumption. Visible predicates the containment checker proves
+//     equivalent (equal unfolding signatures, subsume.go) have equal
+//     extensions on every document, so all but one representative per
+//     class are deleted and served by alias (DESIGN.md
+//     §Containment-aware compilation).
+//
+// Neither merge adds a rule or a predicate, so every fused rule's head
+// carries some member's apex prefix.
 
 import (
 	"fmt"
@@ -71,10 +80,9 @@ type FuseReport struct {
 	// MergedRules counts rules dropped because merging made them
 	// duplicates of a surviving rule.
 	MergedRules int
-	// CSEPreds counts shared auxiliary predicates the common-
-	// subexpression pass extracted; CSERefs counts the body fragment
-	// occurrences it rewrote to use them.
-	CSEPreds, CSERefs int
+	// CSEPreds is always 0: fusion extracts no shared body fragments.
+	// It remains only while mdbench reports it as opt.cse_preds.
+	CSEPreds int
 	// SubsumeChecked counts visible predicates the containment checker
 	// fingerprinted during subsumption; SubsumedPreds counts those
 	// proven equivalent to (and merged into) a representative;
@@ -95,15 +103,13 @@ type FuseReport struct {
 // an alias RULE would ground one clause per node). The fused program
 // has no distinguished query predicate. The pipeline is
 //
-//	apex-rename ∪ → dedup → (CSE → dedup)* → subsume
+//	apex-rename ∪ → dedup → subsume
 //
 // where dedup is the partition-refinement merge of predicates with
-// equal definitions, CSE repeats until it stops extracting (each
-// extraction can expose new whole-definition collisions, and each merge
-// can make further fragments coincide), and subsume is the
-// containment-checker pass over visible predicates. Alias maps from
-// successive passes are composed, so the returned map always points at
-// surviving predicates.
+// equal definitions (one pass reaches the coarsest stable partition)
+// and subsume is the containment-checker pass over visible predicates.
+// The subsumption aliases are composed over dedup's, so the returned
+// map always points at surviving predicates.
 func Fuse(members []FuseMember) (*datalog.Program, map[string]string, FuseReport) {
 	rep := FuseReport{Members: len(members)}
 	fused := &datalog.Program{}
@@ -120,16 +126,6 @@ func Fuse(members []FuseMember) (*datalog.Program, map[string]string, FuseReport
 		}
 	}
 	aliases := dedupShared(fused, protected, &rep)
-	cseCounter := 0
-	// The bound is a backstop; extraction normally converges in two or
-	// three rounds (fragments are strictly consumed by aux predicates,
-	// which are then fair game for whole-def dedup).
-	for round := 0; round < 8; round++ {
-		if !cseShared(fused, &cseCounter, &rep) {
-			break
-		}
-		aliases = composeAliases(aliases, dedupShared(fused, protected, &rep))
-	}
 	aliases = subsumeProtected(fused, protected, aliases, &rep)
 	rep.RulesOut = len(fused.Rules)
 	return fused, aliases, rep

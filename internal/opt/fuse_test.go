@@ -329,66 +329,6 @@ func TestFuseSemanticsPreserved(t *testing.T) {
 	}
 }
 
-// TestFuseCSEExtractsSharedFragments: two members share a join chain
-// embedded in otherwise different rule bodies; CSE must extract it
-// into one auxiliary so the fused program grounds it once.
-func TestFuseCSEExtractsSharedFragments(t *testing.T) {
-	a := parse(t, `q(X) :- firstchild(X,Y), nextsibling(Y,Z), label_a(Z), leaf(X). ?- q.`)
-	b := parse(t, `q(X) :- firstchild(X,Y), nextsibling(Y,Z), label_a(Z), label_b(X). ?- q.`)
-	members := []FuseMember{
-		{Prefix: "s0__", Program: a, Visible: []string{"q"}},
-		{Prefix: "s1__", Program: b, Visible: []string{"q"}},
-	}
-	fused, aliases, rep := Fuse(members)
-	if rep.CSEPreds != 1 || rep.CSERefs != 2 {
-		t.Fatalf("expected one fragment extracted at two sites, report: %+v", rep)
-	}
-	// Semantics: each member must still answer as if run alone.
-	tr, err := parseTree("a(b(a,b,a),a(b,a))")
-	if err != nil {
-		t.Fatal(err)
-	}
-	fullDB, err := datalog.NaiveEval(fused, fuseTestDB(tr))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, prog := range []*datalog.Program{a, b} {
-		want, err := datalog.NaiveEval(prog, fuseTestDB(tr))
-		if err != nil {
-			t.Fatal(err)
-		}
-		pred := members[i].Prefix + "q"
-		if target, ok := aliases[pred]; ok {
-			pred = target
-		}
-		got := fullDB.UnarySet(pred)
-		exp := want.UnarySet("q")
-		if len(got) != len(exp) {
-			t.Fatalf("member %d: fused %v, individual %v", i, got, exp)
-		}
-	}
-}
-
-// TestFuseCSELeavesHeadSharedVarsAlone: a fragment whose internal
-// variable is also used by the head or the rest of the body is not
-// extractable (folding it would change the join).
-func TestFuseCSELeavesHeadSharedVarsAlone(t *testing.T) {
-	a := parse(t, `q(X) :- firstchild(X,Y), nextsibling(Y,Z), label_a(Z), leaf(Y). ?- q.`)
-	b := parse(t, `q(X) :- firstchild(X,Y), nextsibling(Y,Z), label_a(Z), leaf(Y), label_b(X). ?- q.`)
-	_, _, rep := Fuse([]FuseMember{
-		{Prefix: "s0__", Program: a, Visible: []string{"q"}},
-		{Prefix: "s1__", Program: b, Visible: []string{"q"}},
-	})
-	// The chain firstchild-nextsibling-label_a has Y shared with
-	// leaf(Y) outside it, and Z internal; the extractable component at
-	// junction Y is {nextsibling(Y,Z), label_a(Z)} in both rules.
-	for _, r := range []int{rep.CSEPreds} {
-		if r > 1 {
-			t.Fatalf("over-extraction: %+v", rep)
-		}
-	}
-}
-
 // TestFuseSubsumeMergesEquivalentVisible: member 1's visible predicate
 // is a semantically equal, syntactically different restatement of
 // member 0's; subsumption must serve it by alias with zero rules.

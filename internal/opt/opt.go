@@ -87,9 +87,6 @@ type Options struct {
 	// elimination and inlining then keep all user predicates and only
 	// the derivability / duplicate cleanups apply.
 	Roots []string
-	// MaxBodyAtoms caps the body size inlining may create
-	// (0: DefaultMaxBodyAtoms).
-	MaxBodyAtoms int
 }
 
 // Report describes what one Optimize call did.
@@ -139,10 +136,6 @@ func Optimize(p *datalog.Program, o Options) (*datalog.Program, Report) {
 	}
 	out := p.Clone()
 	if o.Level >= O1 {
-		maxBody := o.MaxBodyAtoms
-		if maxBody <= 0 {
-			maxBody = DefaultMaxBodyAtoms
-		}
 		roots := rootSet(p, o.Roots)
 		// The passes enable one another (removing a dead rule can make
 		// a predicate single-use; inlining can create duplicates), so
@@ -154,7 +147,7 @@ func Optimize(p *datalog.Program, o Options) (*datalog.Program, Report) {
 			changed = dedupAtoms(out, &rep) || changed
 			changed = eliminateDead(out, roots, &rep) || changed
 			changed = dedupRules(out, &rep) || changed
-			changed = inlineSingleUse(out, roots, maxBody, &rep) || changed
+			changed = inlineSingleUse(out, roots, &rep) || changed
 			if !changed {
 				break
 			}
@@ -341,13 +334,14 @@ func bodyAtomSatisfiable(b datalog.Atom, idb, derivable map[string]bool) bool {
 
 // inlineSingleUse unfolds predicates that have exactly one defining
 // rule and exactly one body occurrence program-wide, are not roots,
-// are not recursive, and are unary with a variable head argument. The
+// are not recursive, and are unary with a variable head argument,
+// while the unfolded body stays within DefaultMaxBodyAtoms. The
 // unique use atom is replaced by the defining body (head variable
 // unified with the use-site variable, remaining variables freshly
 // renamed), and the defining rule — now unused — is dropped. This is
 // one unfold step followed by dead-code removal, which preserves the
 // least model on every other predicate.
-func inlineSingleUse(p *datalog.Program, roots map[string]bool, maxBody int, rep *Report) bool {
+func inlineSingleUse(p *datalog.Program, roots map[string]bool, rep *Report) bool {
 	type def struct {
 		rule  int // defining rule index, -1 if none or several
 		count int
@@ -410,7 +404,7 @@ func inlineSingleUse(p *datalog.Program, roots map[string]bool, maxBody int, rep
 		if len(target.Args) != 1 || !target.Args[0].IsVar() {
 			continue
 		}
-		if len(ur.Body)-1+len(dr.Body) > maxBody {
+		if len(ur.Body)-1+len(dr.Body) > DefaultMaxBodyAtoms {
 			continue
 		}
 		merged, ok := unfold(ur, u.atom, dr, fmt.Sprintf("I%d", rep.Inlined))

@@ -1,7 +1,7 @@
 package opt
 
 // Registry-wide wrapper subsumption: the fusion pass that turns the
-// containment checker into saved evaluation. After dedup and CSE, the
+// containment checker into saved evaluation. After dedup, the
 // fused program's visible (protected) predicates are fingerprinted by
 // UnfoldSignature; predicates with equal signatures denote the same
 // UCQ over the extensional tree vocabulary and therefore have

@@ -172,12 +172,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 				fmt.Fprintf(&b, "mdlogd_wrapper_subsumed{wrapper=%q} %d\n", st.wr.Name, v)
 			}
 		}
-		gauge("mdlogd_fused_rules", "Rules in the fused all-wrapper program after dedup, CSE and subsumption.",
+		gauge("mdlogd_fused_rules", "Rules in the fused all-wrapper program after dedup and subsumption.",
 			strconv.Itoa(fuseRep.RulesOut))
 		gauge("mdlogd_fused_rules_in", "Total member rules entering registry-wide fusion.",
 			strconv.Itoa(fuseRep.RulesIn))
-		gauge("mdlogd_cse_preds", "Shared auxiliary predicates extracted by common-subexpression elimination.",
-			strconv.Itoa(fuseRep.CSEPreds))
 		gauge("mdlogd_subsume_checked", "Visible predicates fingerprinted by the containment checker at the last registry compile.",
 			strconv.Itoa(fuseRep.SubsumeChecked))
 		gauge("mdlogd_subsume_merged", "Visible predicates proven equivalent and merged at the last registry compile.",

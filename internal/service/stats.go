@@ -122,7 +122,7 @@ func memberPlanJSON(p mdlog.MemberPlan) map[string]any {
 }
 
 // fuseReportJSON renders the registry-wide fusion/subsumption report:
-// what the compile pipeline merged, extracted, and proved across the
+// what the compile pipeline merged and proved across the
 // whole wrapper fleet.
 func fuseReportJSON(rep mdlog.FuseReport) map[string]any {
 	return map[string]any{
@@ -131,8 +131,6 @@ func fuseReportJSON(rep mdlog.FuseReport) map[string]any {
 		"rules_out":       rep.RulesOut,
 		"merged_preds":    rep.MergedPreds,
 		"merged_rules":    rep.MergedRules,
-		"cse_preds":       rep.CSEPreds,
-		"cse_refs":        rep.CSERefs,
 		"subsume_checked": rep.SubsumeChecked,
 		"subsumed_preds":  rep.SubsumedPreds,
 		"subsume_unknown": rep.SubsumeUnknown,

@@ -6,15 +6,20 @@ import (
 	"testing/quick"
 )
 
+// roundTripTerms are terms in the canonical form String prints.
+var roundTripTerms = []string{
+	"a",
+	"a(b)",
+	"a(b,c)",
+	"a(b,c(d,e),f)",
+	"html(head(title),body(div(p,p),div))",
+}
+
+// badTerms are texts Parse must reject.
+var badTerms = []string{"", "(", "a(", "a(b", "a(b,)", "a)b", "a b"}
+
 func TestParseRoundTrip(t *testing.T) {
-	cases := []string{
-		"a",
-		"a(b)",
-		"a(b,c)",
-		"a(b,c(d,e),f)",
-		"html(head(title),body(div(p,p),div))",
-	}
-	for _, src := range cases {
+	for _, src := range roundTripTerms {
 		tr, err := Parse(src)
 		if err != nil {
 			t.Fatalf("Parse(%q): %v", src, err)
@@ -33,7 +38,7 @@ func TestParseWhitespaceAndErrors(t *testing.T) {
 	if tr.String() != "a(b,c)" {
 		t.Errorf("got %q", tr.String())
 	}
-	for _, bad := range []string{"", "(", "a(", "a(b", "a(b,)", "a)b", "a b"} {
+	for _, bad := range badTerms {
 		if _, err := Parse(bad); err == nil {
 			t.Errorf("Parse(%q): expected error", bad)
 		}
