@@ -55,7 +55,9 @@ bench-smoke:
 # then the XPath printer against the parser and the set-at-a-time
 # Select against the node-at-a-time reference, on arbitrary queries;
 # then the datalog printer against the parser, on arbitrary programs;
-# then the tree-term printer against the parser, on arbitrary terms.
+# then the tree-term printer against the parser, on arbitrary terms;
+# then the caterpillar and MSO printers against their parsers, on the
+# arbitrary expressions and formulas PUT /wrappers accepts.
 fuzz-smoke:
 	MDLOG_FUZZ_N=$${MDLOG_FUZZ_N:-400} $(GO) test -run 'TestDifferentialEngines|TestIncrementalDifferential' -count=1 .
 	$(GO) test -run 'TestStoreRestartRoundTrip|TestStoreCorruptSnapshotFailsBoot' -count=1 ./internal/service
@@ -63,6 +65,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzXPathSelect$$' -fuzztime 10s ./internal/xpath
 	$(GO) test -run '^$$' -fuzz '^FuzzParseProgram$$' -fuzztime 10s ./internal/datalog
 	$(GO) test -run '^$$' -fuzz '^FuzzParseTree$$' -fuzztime 10s ./internal/tree
+	$(GO) test -run '^$$' -fuzz '^FuzzParseCaterpillar$$' -fuzztime 10s ./internal/caterpillar
+	$(GO) test -run '^$$' -fuzz '^FuzzParseMSO$$' -fuzztime 10s ./internal/mso
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem ./...

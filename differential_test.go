@@ -149,6 +149,7 @@ func fuzzFusedSet(t *testing.T, ctx context.Context, caseNo int, progs []*Progra
 		}
 		queries[j] = q
 	}
+	checkFuseReference(t, fmt.Sprintf("case %d at %v/%v", caseNo, engine, lvl), queries)
 	set, err := NewQuerySet(queries...)
 	if err != nil {
 		t.Fatalf("case %d: fusing at %v/%v: %v", caseNo, engine, lvl, err)
@@ -547,6 +548,7 @@ func fuzzRenamedTwin(t *testing.T, ctx context.Context, caseNo int, p *Program, 
 	if err != nil {
 		t.Fatalf("case %d: compiling twin at %v: %v\ntwin:\n%s", caseNo, lvl, err, twin)
 	}
+	checkFuseReference(t, fmt.Sprintf("case %d: renamed twin at %v", caseNo, lvl), []*CompiledQuery{q, tq})
 	set, err := NewNamedQuerySet(NamedQuery{Name: "orig", Query: q}, NamedQuery{Name: "twin", Query: tq})
 	if err != nil {
 		t.Fatalf("case %d: fusing renamed twin at %v: %v", caseNo, lvl, err)

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"mdlog/internal/html"
+	"mdlog/internal/opt"
 	"mdlog/internal/xpath"
 )
 
@@ -99,6 +100,38 @@ func TestFusedRuleCountGate(t *testing.T) {
 		t.Fatalf("gateFleet fuses to %d rules, want %d", got, want)
 	}
 	checkPlanOwnership(t, set)
+}
+
+// TestFuseMatchesReferenceGateFleet: gateFleet's fused program, aliases
+// and fuse report are byte-identical to the string-keyed reference
+// fusion's.
+func TestFuseMatchesReferenceGateFleet(t *testing.T) {
+	specs := gateFleet(t)
+	queries := make([]*CompiledQuery, len(specs))
+	for i, sp := range specs {
+		q, err := Compile(sp.Source, sp.Lang, sp.Options...)
+		if err != nil {
+			t.Fatalf("%s: %v", sp.Name, err)
+		}
+		queries[i] = q
+	}
+	checkFuseReference(t, "gateFleet", queries)
+}
+
+// checkFuseReference fails t unless opt.Fuse fuses the queries as
+// NewQuerySet would exactly like opt.FuseReference. The queries must
+// not have been fused yet, so their signature memos are fresh.
+func checkFuseReference(t *testing.T, what string, queries []*CompiledQuery) {
+	t.Helper()
+	var members []opt.FuseMember
+	for i, q := range queries {
+		if g := groundingOf(q.plan); g != nil {
+			members = append(members, fuseMember(i, g))
+		}
+	}
+	if err := opt.DiffFuseReference(members); err != nil {
+		t.Fatalf("%s: %v", what, err)
+	}
 }
 
 // checkPlanOwnership fails t unless the fused members' MemberPlan.Rules

@@ -11,8 +11,10 @@ import (
 	"mdlog/internal/tree"
 )
 
-func TestParsePrintRoundTrip(t *testing.T) {
-	cases := []string{
+// printedExprs parse, and print as text that reparses and reprints
+// identically; badExprs do not parse. Both seed FuzzParseCaterpillar.
+var (
+	printedExprs = []string{
 		"firstchild",
 		"firstchild.nextsibling*",
 		"child+ | (child^-1)*.nextsibling+.child*",
@@ -21,7 +23,11 @@ func TestParsePrintRoundTrip(t *testing.T) {
 		"(firstchild | nextsibling)*",
 		"nextsibling^-1",
 	}
-	for _, src := range cases {
+	badExprs = []string{"", "unknownrel", "firstchild.", "(firstchild", "firstchild |"}
+)
+
+func TestParsePrintRoundTrip(t *testing.T) {
+	for _, src := range printedExprs {
 		e, err := Parse(src)
 		if err != nil {
 			t.Fatalf("Parse(%q): %v", src, err)
@@ -34,7 +40,7 @@ func TestParsePrintRoundTrip(t *testing.T) {
 			t.Errorf("print not stable: %q -> %q", e.String(), e2.String())
 		}
 	}
-	for _, bad := range []string{"", "unknownrel", "firstchild.", "(firstchild", "firstchild |"} {
+	for _, bad := range badExprs {
 		if _, err := Parse(bad); err == nil {
 			t.Errorf("Parse(%q): expected error", bad)
 		}

@@ -251,7 +251,7 @@ func (p *Program) IsMonadic() bool {
 // across the program.
 func (p *Program) Check() error {
 	arity := map[string]int{}
-	seeAtom := func(a Atom, where string) error {
+	seeAtom := func(a Atom, where Rule) error {
 		if ar, ok := arity[a.Pred]; ok && ar != len(a.Args) {
 			return fmt.Errorf("datalog: predicate %s used with arities %d and %d (%s)",
 				a.Pred, ar, len(a.Args), where)
@@ -263,11 +263,11 @@ func (p *Program) Check() error {
 		if !r.IsSafe() {
 			return fmt.Errorf("datalog: rule %d is unsafe: %s", i, r)
 		}
-		if err := seeAtom(r.Head, r.String()); err != nil {
+		if err := seeAtom(r.Head, r); err != nil {
 			return err
 		}
 		for _, b := range r.Body {
-			if err := seeAtom(b, r.String()); err != nil {
+			if err := seeAtom(b, r); err != nil {
 				return err
 			}
 		}

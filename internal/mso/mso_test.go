@@ -9,8 +9,10 @@ import (
 	"mdlog/internal/tree"
 )
 
-func TestParseAndString(t *testing.T) {
-	cases := []string{
+// printedFormulas parse, and print as text that reparses; badFormulas
+// do not parse. Both seed FuzzParseMSO.
+var (
+	printedFormulas = []string{
 		"root(x)",
 		"label_a(x) & ~leaf(x)",
 		"exists y (firstchild(x,y) | nextsibling(x,y))",
@@ -21,20 +23,7 @@ func TestParseAndString(t *testing.T) {
 		"child(x,y)",
 		"true | false",
 	}
-	for _, src := range cases {
-		f, err := Parse(src)
-		if err != nil {
-			t.Fatalf("Parse(%q): %v", src, err)
-		}
-		// Reparse the printed form.
-		if _, err := Parse(f.String()); err != nil {
-			t.Errorf("reparse of %q (printed %q): %v", src, f.String(), err)
-		}
-	}
-}
-
-func TestParseErrors(t *testing.T) {
-	bad := []string{
+	badFormulas = []string{
 		"",
 		"label_(x)",
 		"root(x",
@@ -48,7 +37,23 @@ func TestParseErrors(t *testing.T) {
 		"firstchild(X,y)",
 		"root(x) )",
 	}
-	for _, src := range bad {
+)
+
+func TestParseAndString(t *testing.T) {
+	for _, src := range printedFormulas {
+		f, err := Parse(src)
+		if err != nil {
+			t.Fatalf("Parse(%q): %v", src, err)
+		}
+		// Reparse the printed form.
+		if _, err := Parse(f.String()); err != nil {
+			t.Errorf("reparse of %q (printed %q): %v", src, f.String(), err)
+		}
+	}
+}
+
+func TestParseErrors(t *testing.T) {
+	for _, src := range badFormulas {
 		if _, err := Parse(src); err == nil {
 			t.Errorf("Parse(%q): expected error", src)
 		}

@@ -7,7 +7,11 @@ package opt
 // keys (mdlog.newPlanKey via Canonicalize). One canonical form means
 // one notion of "same program": two plans whose rules are α-equivalent
 // up to rule order share a result memo, collide in Fuse, and are
-// proven equivalent by the checker for free.
+// proven equivalent by the checker for free. Fuse's dedup renders no
+// strings: it computes the same form on integer-encoded rules
+// (dedupCode in fuse.go), ordering atom groups by integer token
+// instead of by text, which equates exactly the rules canonicalRule
+// equates.
 
 import (
 	"fmt"

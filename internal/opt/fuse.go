@@ -36,17 +36,21 @@ package opt
 //     equivalent (equal unfolding signatures, subsume.go) have equal
 //     extensions on every document, so all but one representative per
 //     class are deleted and served by alias (DESIGN.md
-//     §Containment-aware compilation).
+//     §Containment-aware compilation). Each member's signatures are
+//     unfolded on its own program (Signatures): a dedup block unfolds
+//     to one UCQ, and the member's larger disjunct count can only turn
+//     a verdict into Unknown.
 //
 // Neither merge adds a rule or a predicate, so every fused rule's head
 // carries some member's apex prefix.
 
 import (
-	"fmt"
+	"cmp"
+	"encoding/binary"
 	"maps"
 	"slices"
-	"strconv"
 	"strings"
+	"time"
 
 	"mdlog/internal/datalog"
 	"mdlog/internal/eval"
@@ -65,6 +69,10 @@ type FuseMember struct {
 	// Prefix+pred, in the fused program or through the alias map Fuse
 	// returns, while everything else is fair game for merging.
 	Visible []string
+	// Signatures memoizes the UCQ signatures of Program's visible and
+	// query predicates across Fuse calls; it must only ever be used with
+	// this Program and Visible. Nil computes them afresh every call.
+	Signatures *Signatures
 }
 
 // FuseReport describes what one Fuse call did.
@@ -89,6 +97,9 @@ type FuseReport struct {
 	// SubsumeUnknown counts those the checker declined (recursive or
 	// over budget — they fall back to evaluation, never to a guess).
 	SubsumeChecked, SubsumedPreds, SubsumeUnknown int
+	// Unfolded counts the members whose signatures this call computed;
+	// a member whose Signatures memo was already filled costs lookups.
+	Unfolded int
 	// CheckNs is wall time spent in the containment checker.
 	CheckNs int64
 }
@@ -107,10 +118,36 @@ type FuseReport struct {
 //
 // where dedup is the partition-refinement merge of predicates with
 // equal definitions (one pass reaches the coarsest stable partition)
-// and subsume is the containment-checker pass over visible predicates.
-// The subsumption aliases are composed over dedup's, so the returned
-// map always points at surviving predicates.
+// and subsume is the containment-checker pass over visible predicates,
+// which compares each member's own signatures (memoized on
+// FuseMember.Signatures). The subsumption aliases are composed over
+// dedup's, so the returned map always points at surviving predicates.
 func Fuse(members []FuseMember) (*datalog.Program, map[string]string, FuseReport) {
+	fused, protected, rep := fuseUnion(members)
+	start := time.Now()
+	sigs := map[string]string{}
+	for _, m := range members {
+		own, computed := m.Signatures.of(m)
+		if computed {
+			rep.Unfolded++
+		}
+		for pred, sig := range own {
+			sigs[m.Prefix+pred] = sig
+		}
+	}
+	rep.CheckNs += time.Since(start).Nanoseconds()
+	aliases := dedupShared(fused, protected, &rep)
+	aliases = subsumeProtected(fused, protected, aliases, &rep, func(pred string) (string, bool) {
+		sig, ok := sigs[pred]
+		return sig, ok
+	})
+	rep.RulesOut = len(fused.Rules)
+	return fused, aliases, rep
+}
+
+// fuseUnion apex-renames the members' programs into one and collects
+// their protected (visible and query) predicates under fused names.
+func fuseUnion(members []FuseMember) (*datalog.Program, map[string]bool, FuseReport) {
 	rep := FuseReport{Members: len(members)}
 	fused := &datalog.Program{}
 	protected := map[string]bool{}
@@ -125,10 +162,7 @@ func Fuse(members []FuseMember) (*datalog.Program, map[string]string, FuseReport
 			protected[m.Prefix+m.Program.Query] = true
 		}
 	}
-	aliases := dedupShared(fused, protected, &rep)
-	aliases = subsumeProtected(fused, protected, aliases, &rep)
-	rep.RulesOut = len(fused.Rules)
-	return fused, aliases, rep
+	return fused, protected, rep
 }
 
 // composeAliases redirects dst entries whose targets next merged away,
@@ -202,72 +236,104 @@ func extensional(a datalog.Atom) bool {
 // predicate in one block, and split a block while two of its
 // predicates have rule sets that differ once every intensional
 // predicate is replaced by its block id. A predicate mentioned without
-// rules takes part with the empty rule set. Rule sets compare as sets of canonical
-// rules (canonicalRule), so variable names, body-atom order, duplicate
-// rules and recursion through the block itself never tell twins apart
-// — mutually recursive twin chains merge as well as plain ones.
+// rules takes part with the empty rule set.
+//
+// Rules are compared as integer keys, never as text: each rule is
+// encoded once (dedupCode), and every round renders it as a byte
+// string with each predicate replaced by its token — its block for an
+// intensional predicate, a fixed negative id for an extensional one —
+// the body sorted by (token, argument text) and the variables numbered
+// by first occurrence. That is canonicalRule's normal form with the
+// token groups in a different, rule-independent order, so two rules
+// get equal keys exactly when their canonical renderings with block
+// ids are equal. Variable names, body-atom order, duplicate rules and
+// recursion through the block itself thus never tell twins apart —
+// mutually recursive twin chains merge as well as plain ones.
 //
 // Each block is then renamed to one representative, once, and the
-// rules the renaming makes identical are dropped. Protected predicates
-// are part of the fused program's output interface, so their
-// extensions must stay addressable: the representative is a protected
-// predicate when the block has one, and every other protected
-// predicate of the block is recorded in the returned alias map,
-// pointing at it; the caller projects the shared relation under both
-// names. (An alias RULE p(X) :- rep(X) would be semantically
-// equivalent but grounds one Horn clause per document node, which for
-// near-identical wrapper fleets costs more than the merge saves.)
+// rules the renaming makes identical are dropped: those are the rules
+// whose keys in the last round are equal, because the renaming maps
+// blocks one-to-one onto representatives. Protected predicates are
+// part of the fused program's output interface, so their extensions
+// must stay addressable: the representative is a protected predicate
+// when the block has one, and every other protected predicate of the
+// block is recorded in the returned alias map, pointing at it; the
+// caller projects the shared relation under both names. (An alias RULE
+// p(X) :- rep(X) would be semantically equivalent but grounds one Horn
+// clause per document node, which for near-identical wrapper fleets
+// costs more than the merge saves.)
 func dedupShared(p *datalog.Program, protected map[string]bool, rep *FuseReport) map[string]string {
-	defs := map[string][]datalog.Rule{}
-	arity := map[string]int{}
+	arityOf := map[string]int{}
 	for _, r := range p.Rules {
-		defs[r.Head.Pred] = append(defs[r.Head.Pred], r)
-		arity[r.Head.Pred] = len(r.Head.Args)
+		arityOf[r.Head.Pred] = len(r.Head.Args)
 		for _, a := range r.Body {
 			if !extensional(a) {
-				arity[a.Pred] = len(a.Args)
+				arityOf[a.Pred] = len(a.Args)
 			}
 		}
 	}
-	preds := slices.Sorted(maps.Keys(arity))
-	block := make(map[string]int, len(preds))
-	for _, pred := range preds {
-		block[pred] = 0
-	}
+	preds := slices.Sorted(maps.Keys(arityOf))
+	c := newDedupCode(p.Rules, preds)
+	block := make([]int32, len(preds))
+	next := make([]int32, len(preds))
+	ruleID := make([]int32, len(p.Rules))
+	ruleIDs := map[string]int32{}
+	defIDs := map[string]int32{}
+	var buf []byte
+	var ids []int32
 	for blocks := 1; ; {
-		// A predicate's signature is its current block, its arity and
-		// its rule set under the current partition, so blocks only ever
-		// split; once a round splits none, the partition is stable.
-		ids := map[string]int{}
-		next := make(map[string]int, len(preds))
-		for _, pred := range preds {
-			key := fmt.Sprintf("%d/%d\n%s", block[pred], arity[pred], defKey(defs[pred], block))
-			id, ok := ids[key]
+		// A rule's key reads the current partition; a predicate's key is
+		// its current block, its arity and the set of its rules' keys, so
+		// blocks only ever split; once a round splits none, the partition
+		// is stable and the rule keys were read under it.
+		clear(ruleIDs)
+		for ri := range p.Rules {
+			buf = c.appendRuleKey(buf[:0], ri, block)
+			id, ok := ruleIDs[string(buf)]
 			if !ok {
-				id = len(ids)
-				ids[key] = id
+				id = int32(len(ruleIDs))
+				ruleIDs[string(buf)] = id
 			}
-			next[pred] = id
+			ruleID[ri] = id
 		}
-		block = next
-		if len(ids) == blocks {
+		clear(defIDs)
+		for pi, pred := range preds {
+			ids = ids[:0]
+			for _, ri := range c.defs[pi] {
+				ids = append(ids, ruleID[ri])
+			}
+			slices.Sort(ids)
+			buf = binary.AppendUvarint(buf[:0], uint64(block[pi]))
+			buf = binary.AppendUvarint(buf, uint64(arityOf[pred]))
+			for _, id := range slices.Compact(ids) {
+				buf = binary.AppendUvarint(buf, uint64(id))
+			}
+			id, ok := defIDs[string(buf)]
+			if !ok {
+				id = int32(len(defIDs))
+				defIDs[string(buf)] = id
+			}
+			next[pi] = id
+		}
+		block, next = next, block
+		if len(defIDs) == blocks {
 			break
 		}
-		blocks = len(ids)
+		blocks = len(defIDs)
 	}
 	// Representative: the first protected predicate of the block if
 	// any, else the lexicographically smallest.
-	repOf := map[int]string{}
-	for _, pred := range preds {
-		b := block[pred]
-		if cur, ok := repOf[b]; !ok || protected[pred] && !protected[cur] {
+	repOf := make([]string, len(defIDs))
+	for pi, pred := range preds {
+		b := block[pi]
+		if cur := repOf[b]; cur == "" || protected[pred] && !protected[cur] {
 			repOf[b] = pred
 		}
 	}
 	rename := map[string]string{}
 	aliases := map[string]string{}
-	for _, pred := range preds {
-		if r := repOf[block[pred]]; r != pred {
+	for pi, pred := range preds {
+		if r := repOf[block[pi]]; r != pred {
 			rename[pred] = r
 			if protected[pred] {
 				aliases[pred] = r
@@ -278,8 +344,14 @@ func dedupShared(p *datalog.Program, protected map[string]bool, rep *FuseReport)
 		return aliases
 	}
 	rep.MergedPreds += len(rename)
-	for i := range p.Rules {
-		r := &p.Rules[i]
+	seen := make([]bool, len(ruleIDs))
+	kept := p.Rules[:0]
+	for ri, r := range p.Rules {
+		if seen[ruleID[ri]] {
+			rep.MergedRules++
+			continue
+		}
+		seen[ruleID[ri]] = true
 		if to, ok := rename[r.Head.Pred]; ok {
 			r.Head.Pred = to
 		}
@@ -288,33 +360,151 @@ func dedupShared(p *datalog.Program, protected map[string]bool, rep *FuseReport)
 				r.Body[j].Pred = to
 			}
 		}
+		kept = append(kept, r)
 	}
-	var dr Report
-	dedupRules(p, &dr)
-	rep.MergedRules += dr.DuplicateRules
+	p.Rules = kept
 	return aliases
 }
 
-// defKey renders a predicate's defining rules with every intensional
-// predicate replaced by its block id: the canonical rules, sorted and
-// without repeats. The NUL byte keeps block ids out of the space of
-// parseable predicate names.
-func defKey(rules []datalog.Rule, block map[string]int) string {
-	subst := func(pred string) string {
-		if b, ok := block[pred]; ok {
-			return "\x00" + strconv.Itoa(b)
-		}
-		return pred
+// dedupCode is a program's rules encoded once for dedupShared's
+// refinement rounds: every atom's predicate as an index into the sorted
+// intensional predicates, or as a negative id for any other predicate,
+// and every variable as a rule-local number.
+type dedupCode struct {
+	rules []codedRule
+	// defs lists, per intensional predicate, the rules it heads.
+	defs [][]int32
+	// order and num are scratch space for appendRuleKey.
+	order []int32
+	num   []int32
+}
+
+type codedRule struct {
+	head codedAtom
+	body []codedAtom
+	vars int
+}
+
+type codedAtom struct {
+	// pred is an index into the sorted intensional predicates when ≥ 0,
+	// an id shared by every atom of one other predicate when < 0.
+	pred int32
+	// rank orders the atom's argument text among its rule's body atoms:
+	// canonicalRule's order between atoms of one token group.
+	rank int32
+	args []codedArg
+}
+
+// codedArg is a rule-local variable number, or a constant when v < 0.
+type codedArg struct {
+	v int32
+	c int
+}
+
+func newDedupCode(rules []datalog.Rule, preds []string) *dedupCode {
+	index := make(map[string]int32, len(preds))
+	for i, pred := range preds {
+		index[pred] = int32(i)
 	}
-	lines := make([]string, len(rules))
-	for i, r := range rules {
-		c := r.Clone()
-		c.Head.Pred = subst(c.Head.Pred)
-		for j := range c.Body {
-			c.Body[j].Pred = subst(c.Body[j].Pred)
+	other := map[string]int32{}
+	c := &dedupCode{rules: make([]codedRule, len(rules)), defs: make([][]int32, len(preds))}
+	vars := map[string]int32{}
+	var text []string
+	var byText []int32
+	for ri, r := range rules {
+		clear(vars)
+		code := func(a datalog.Atom) codedAtom {
+			ca := codedAtom{args: make([]codedArg, len(a.Args))}
+			if i, ok := index[a.Pred]; ok {
+				ca.pred = i
+			} else {
+				i, ok := other[a.Pred]
+				if !ok {
+					i = -int32(len(other)) - 1
+					other[a.Pred] = i
+				}
+				ca.pred = i
+			}
+			for j, t := range a.Args {
+				if !t.IsVar() {
+					ca.args[j] = codedArg{v: -1, c: t.Const}
+					continue
+				}
+				v, ok := vars[t.Var]
+				if !ok {
+					v = int32(len(vars))
+					vars[t.Var] = v
+				}
+				ca.args[j] = codedArg{v: v}
+			}
+			return ca
 		}
-		lines[i] = canonicalRule(c)
+		cr := codedRule{head: code(r.Head), body: make([]codedAtom, len(r.Body))}
+		text = text[:0]
+		for j, a := range r.Body {
+			cr.body[j] = code(a)
+			text = append(text, a.String()[len(a.Pred):])
+		}
+		byText = byText[:0]
+		for j := range r.Body {
+			byText = append(byText, int32(j))
+		}
+		slices.SortStableFunc(byText, func(x, y int32) int { return strings.Compare(text[x], text[y]) })
+		for rank, j := range byText {
+			cr.body[j].rank = int32(rank)
+		}
+		cr.vars = len(vars)
+		c.rules[ri] = cr
+		c.defs[cr.head.pred] = append(c.defs[cr.head.pred], int32(ri))
 	}
-	slices.Sort(lines)
-	return strings.Join(slices.Compact(lines), "\n")
+	return c
+}
+
+// appendRuleKey appends rule ri's key under the partition block: head,
+// then body sorted by (token, argument text), every atom as its token,
+// arity and arguments, variables numbered by first occurrence.
+func (c *dedupCode) appendRuleKey(buf []byte, ri int, block []int32) []byte {
+	r := &c.rules[ri]
+	token := func(a *codedAtom) int32 {
+		if a.pred >= 0 {
+			return block[a.pred]
+		}
+		return a.pred
+	}
+	c.order = c.order[:0]
+	for j := range r.body {
+		c.order = append(c.order, int32(j))
+	}
+	slices.SortFunc(c.order, func(x, y int32) int {
+		a, b := &r.body[x], &r.body[y]
+		if ta, tb := token(a), token(b); ta != tb {
+			return cmp.Compare(ta, tb)
+		}
+		return cmp.Compare(a.rank, b.rank)
+	})
+	c.num = slices.Grow(c.num[:0], r.vars)[:r.vars]
+	for i := range c.num {
+		c.num[i] = -1
+	}
+	next := int32(0)
+	atom := func(a *codedAtom) {
+		buf = binary.AppendVarint(buf, int64(token(a)))
+		buf = binary.AppendUvarint(buf, uint64(len(a.args)))
+		for _, arg := range a.args {
+			if arg.v < 0 {
+				buf = binary.AppendVarint(append(buf, 1), int64(arg.c))
+				continue
+			}
+			if c.num[arg.v] < 0 {
+				c.num[arg.v] = next
+				next++
+			}
+			buf = binary.AppendUvarint(append(buf, 0), uint64(c.num[arg.v]))
+		}
+	}
+	atom(&r.head)
+	for _, j := range c.order {
+		atom(&r.body[j])
+	}
+	return buf
 }

@@ -2,6 +2,7 @@ package opt
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"slices"
 	"strings"
@@ -217,6 +218,9 @@ d(U) :- root(U).
 			members := []FuseMember{
 				{Prefix: "s0__", Program: tc.a, Visible: []string{"q"}},
 				{Prefix: "s1__", Program: tc.b, Visible: []string{"q"}},
+			}
+			if err := DiffFuseReference(members); err != nil {
+				t.Fatal(err)
 			}
 			fused, aliases, rep := Fuse(members)
 			if rep.MergedPreds < 2 {
@@ -539,6 +543,49 @@ func TestFuseSubsumeNearDuplicateFleet(t *testing.T) {
 					t.Errorf("N=%d doc %d w%d: alone %v, fused %v", n, d, i, a, f)
 				}
 			}
+		}
+	}
+}
+
+// TestFuseMatchesReference: the integer-keyed dedup and the per-member
+// signatures fuse the churn-style near-duplicate fleets exactly like
+// the string-keyed reference, whether the members carry memos or not;
+// a second Fuse over filled memos unfolds nothing and fuses the same.
+// The near-duplicates lead with a twin whose atoms of one predicate
+// come in another order under other variable names, which only the
+// argument-text order within a token group lets dedup merge.
+func TestFuseMatchesReference(t *testing.T) {
+	twin := datalog.MustParseProgram(`q(U) :- label_b(V), firstchild(V,W), label_a(W), firstchild(U,V). ?- q.`)
+	orig := datalog.MustParseProgram(`q(X) :- firstchild(X,Y), firstchild(Y,Z), label_a(Z), label_b(Y). ?- q.`)
+	twins := []FuseMember{
+		{Prefix: "s0__", Program: orig, Visible: []string{"q"}},
+		{Prefix: "s1__", Program: twin, Visible: []string{"q"}},
+	}
+	if _, aliases, rep := Fuse(twins); rep.MergedPreds != 1 || aliases["s1__q"] != "s0__q" {
+		t.Fatalf("reordered twins did not merge in dedup: %+v, aliases %v", rep, aliases)
+	}
+	for _, n := range []int{4, 8, 24, 32} {
+		members := append(slices.Clone(twins), nearDuplicateFleet(n)...)
+		for i := range members {
+			members[i].Prefix = fmt.Sprintf("s%d__", i)
+		}
+		if err := DiffFuseReference(members); err != nil {
+			t.Fatalf("N=%d without memos: %v", n, err)
+		}
+		for i := range members {
+			members[i].Signatures = &Signatures{}
+		}
+		if err := DiffFuseReference(members); err != nil {
+			t.Fatalf("N=%d with fresh memos: %v", n, err)
+		}
+		want, wantAliases, wantRep := FuseReference(members)
+		got, gotAliases, gotRep := Fuse(members)
+		if gotRep.Unfolded != 0 {
+			t.Errorf("N=%d: a rebuild over filled memos unfolded %d members", n, gotRep.Unfolded)
+		}
+		gotRep.Unfolded, gotRep.CheckNs, wantRep.Unfolded, wantRep.CheckNs = 0, 0, 0, 0
+		if got.String() != want.String() || !maps.Equal(gotAliases, wantAliases) || gotRep != wantRep {
+			t.Errorf("N=%d: rebuild over filled memos differs from the reference: %+v vs %+v", n, gotRep, wantRep)
 		}
 	}
 }

@@ -3,8 +3,9 @@ package opt
 // Registry-wide wrapper subsumption: the fusion pass that turns the
 // containment checker into saved evaluation. After dedup, the
 // fused program's visible (protected) predicates are fingerprinted by
-// UnfoldSignature; predicates with equal signatures denote the same
-// UCQ over the extensional tree vocabulary and therefore have
+// UnfoldSignature, computed once per member on the member's own
+// program (Signatures); predicates with equal signatures denote the
+// same UCQ over the extensional tree vocabulary and therefore have
 // identical extensions on every document. All but one representative
 // per signature class are deleted — rules dropped, body references
 // redirected, alias recorded — so a member whose question another
@@ -21,19 +22,73 @@ package opt
 
 import (
 	"sort"
+	"sync"
 	"time"
 
 	"mdlog/internal/datalog"
 )
 
+// Signatures memoizes one fusion member's UCQ signatures: its visible
+// and query predicates' UnfoldSignature results on the member's own
+// post-optimization program, computed on first use. A compiled query
+// keeps one beside its program, so a rebuild of the fused set unfolds
+// only the members compiled since the last build. The zero value is
+// ready to use; it is safe for concurrent use.
+//
+// A member's signature stands for the fused predicate that dedup made
+// its representative: dedup merges only predicates whose definitions
+// agree modulo a stable partition, which unfold to the same UCQ. The
+// one difference is the MaxCQs budget, which counts disjuncts before
+// duplicates are dropped, and the member program has at least the
+// fused program's duplicates. So a member signature can be Unknown
+// where the fused program's would be decided, never the reverse:
+// looking signatures up per member is conservative.
+type Signatures struct {
+	once sync.Once
+	sigs map[string]string
+}
+
+// of returns m's signatures by predicate (Unknown predicates absent)
+// and whether this call computed them. A nil memo computes them every
+// call.
+func (s *Signatures) of(m FuseMember) (map[string]string, bool) {
+	if s == nil {
+		return memberSignatures(m), true
+	}
+	computed := false
+	s.once.Do(func() {
+		s.sigs = memberSignatures(m)
+		computed = true
+	})
+	return s.sigs, computed
+}
+
+// memberSignatures unfolds m's visible and query predicates on m's own
+// program.
+func memberSignatures(m FuseMember) map[string]string {
+	o := ContainOptions{NoRefute: true}
+	sigs := map[string]string{}
+	preds := m.Visible
+	if m.Program.Query != "" {
+		preds = append(preds[:len(preds):len(preds)], m.Program.Query)
+	}
+	for _, pred := range preds {
+		if sig, ok := UnfoldSignature(m.Program, pred, &o); ok {
+			sigs[pred] = sig
+		}
+	}
+	return sigs
+}
+
 // subsumeProtected merges protected predicates with equal unfolding
 // signatures, extends aliases with the merges (composing existing
 // entries through them), prunes rules reachable only from merged-away
-// predicates, and returns the updated alias map.
-func subsumeProtected(p *datalog.Program, protected map[string]bool, aliases map[string]string, rep *FuseReport) map[string]string {
+// predicates, and returns the updated alias map. signature looks up a
+// live protected predicate's signature (ok false: Unknown).
+func subsumeProtected(p *datalog.Program, protected map[string]bool, aliases map[string]string, rep *FuseReport,
+	signature func(pred string) (string, bool)) map[string]string {
 	start := time.Now()
 	defer func() { rep.CheckNs += time.Since(start).Nanoseconds() }()
-	o := ContainOptions{NoRefute: true}
 	// The live protected predicates: earlier passes may already have
 	// aliased some onto others.
 	liveSet := map[string]bool{}
@@ -58,7 +113,7 @@ func subsumeProtected(p *datalog.Program, protected map[string]bool, aliases map
 			continue // defined nowhere: empty extension, nothing to save
 		}
 		rep.SubsumeChecked++
-		sig, ok := UnfoldSignature(p, pred, &o)
+		sig, ok := signature(pred)
 		if !ok {
 			rep.SubsumeUnknown++
 			continue

@@ -961,6 +961,11 @@ func TestSubsumptionEndToEnd(t *testing.T) {
 	if fusion["subsumed_preds"].(float64) < 1 || fusion["subsume_checked"].(float64) < 1 {
 		t.Fatalf("fusion block: %v", fusion)
 	}
+	// Both wrappers were compiled since the last fused build, so the
+	// build unfolded both.
+	if fusion["unfolded"] != fusion["members"] {
+		t.Fatalf("fusion block unfolded %v of %v members", fusion["unfolded"], fusion["members"])
+	}
 
 	// /metrics: the counters exist with the right values.
 	resp, err := http.Get(ts.URL + "/metrics")

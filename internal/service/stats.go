@@ -134,6 +134,7 @@ func fuseReportJSON(rep mdlog.FuseReport) map[string]any {
 		"subsume_checked": rep.SubsumeChecked,
 		"subsumed_preds":  rep.SubsumedPreds,
 		"subsume_unknown": rep.SubsumeUnknown,
+		"unfolded":        rep.Unfolded,
 		"check_ns":        rep.CheckNs,
 	}
 }

@@ -841,6 +841,10 @@ func (q *CompiledQuery) Wrap(ctx context.Context, t *Tree) (*Tree, error) {
 type groundingPlan struct {
 	eval.Grounding
 	project []string
+	// sigs memoizes the program's UCQ signatures for QuerySet fusion,
+	// so rebuilding a set unfolds only its newly compiled members; it
+	// lives and dies with the compiled query.
+	sigs opt.Signatures
 }
 
 func (p *groundingPlan) engineName() string { return p.Engine().String() }

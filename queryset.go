@@ -190,16 +190,12 @@ func NewNamedQuerySet(members ...NamedQuery) (*QuerySet, error) {
 		if g == nil {
 			continue
 		}
-		prog := g.Program()
 		if g.Engine() == EngineLinear {
 			linearMembers++
 		}
-		fuseMembers = append(fuseMembers, opt.FuseMember{
-			Prefix:  fmt.Sprintf("s%d__", i),
-			Program: prog,
-			Visible: append([]string(nil), g.project...),
-		})
-		s.plans[i].Rules = len(prog.Rules)
+		fm := fuseMember(i, g)
+		fuseMembers = append(fuseMembers, fm)
+		s.plans[i].Rules = len(fm.Program.Rules)
 		s.fusedIdx = append(s.fusedIdx, i)
 		if m.Query.cache == nil {
 			s.fusedCache = nil
@@ -301,6 +297,17 @@ func NewNamedQuerySet(members ...NamedQuery) (*QuerySet, error) {
 		s.fusedIdx = nil
 	}
 	return s, nil
+}
+
+// fuseMember is set member i's input to opt.Fuse: its grounding plan's
+// program under the apex tag s<i>__, with the plan's signature memo.
+func fuseMember(i int, g *groundingPlan) opt.FuseMember {
+	return opt.FuseMember{
+		Prefix:     fmt.Sprintf("s%d__", i),
+		Program:    g.Program(),
+		Visible:    append([]string(nil), g.project...),
+		Signatures: &g.sigs,
+	}
 }
 
 // CompileSet compiles each spec and fuses the results into a QuerySet

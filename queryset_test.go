@@ -595,3 +595,86 @@ func TestQuerySetSubsumptionDistinctKeptApart(t *testing.T) {
 		}
 	}
 }
+
+// TestQuerySetRebuildUnfoldsChangedMembers pins FuseReport.Unfolded: a
+// first build computes every fused member's UCQ signatures, a rebuild
+// with one member replaced by a freshly compiled query computes only
+// that member's, and a rebuild over the same queries computes none —
+// and the memo never changes what fusion decides.
+func TestQuerySetRebuildUnfoldsChangedMembers(t *testing.T) {
+	specs := querySetSpecs()
+	members := make([]NamedQuery, len(specs))
+	for i, sp := range specs {
+		members[i] = NamedQuery{Name: sp.Name, Query: compileQuerySetMember(t, sp)}
+	}
+	build := func() FuseReport {
+		t.Helper()
+		set, err := NewNamedQuerySet(members...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return set.FuseStats()
+	}
+	first := build()
+	if first.Members < 2 || first.Unfolded != first.Members {
+		t.Fatalf("first build unfolded %d of %d fused members", first.Unfolded, first.Members)
+	}
+	const replaced = 4 // dl-rows, a fused member
+	members[replaced].Query = compileQuerySetMember(t, specs[replaced])
+	second := build()
+	if second.Unfolded != 1 {
+		t.Fatalf("rebuild after replacing one member unfolded %d members, want 1", second.Unfolded)
+	}
+	third := build()
+	if third.Unfolded != 0 {
+		t.Fatalf("rebuild over the same queries unfolded %d members, want 0", third.Unfolded)
+	}
+	for _, rep := range []*FuseReport{&first, &second, &third} {
+		rep.Unfolded, rep.CheckNs = 0, 0
+	}
+	if first != second || second != third {
+		t.Fatalf("fuse reports differ across rebuilds: %+v, %+v, %+v", first, second, third)
+	}
+}
+
+// TestQuerySetConcurrentBuilds builds sets concurrently from shared
+// compiled queries: every member's signatures are computed exactly
+// once among all builds, and every build fuses alike.
+func TestQuerySetConcurrentBuilds(t *testing.T) {
+	specs := querySetSpecs()
+	members := make([]NamedQuery, len(specs))
+	for i, sp := range specs {
+		members[i] = NamedQuery{Name: sp.Name, Query: compileQuerySetMember(t, sp)}
+	}
+	const builds = 8
+	reps := make([]FuseReport, builds)
+	errs := make([]error, builds)
+	var wg sync.WaitGroup
+	for b := range builds {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			set, err := NewNamedQuerySet(members...)
+			if err != nil {
+				errs[b] = err
+				return
+			}
+			reps[b] = set.FuseStats()
+		}()
+	}
+	wg.Wait()
+	unfolded := 0
+	for b := range builds {
+		if errs[b] != nil {
+			t.Fatal(errs[b])
+		}
+		unfolded += reps[b].Unfolded
+		reps[b].Unfolded, reps[b].CheckNs = 0, 0
+		if reps[b] != reps[0] {
+			t.Fatalf("build %d fused %+v, build 0 %+v", b, reps[b], reps[0])
+		}
+	}
+	if unfolded != reps[0].Members {
+		t.Fatalf("%d concurrent builds unfolded %d members in all, want %d", builds, unfolded, reps[0].Members)
+	}
+}
